@@ -4,14 +4,14 @@ Run with: python3 demos/03_measure_and_normalization.py
 """
 
 from setlam import (
-    Fuel, W, erase, explore, height, infer_sn, i_redexes, is_sn,
+    Fuel, W, erase, explore, infer_sn, i_redexes, is_sn,
     longest_chain, max_degree, measure_report, normal_form, parse_term,
-    parse_type, parse_untyped, pretty, redexes, step_i, weight,
+    parse_type, parse_untyped, pretty, redexes, step_i, type_height, weight,
 )
 
 print("== Heights and degrees ==")
 for text in ["a", "{a} -> a", "{{a} -> a, a} -> ({a} -> a)"]:
-    print(f"  height({text}) = {height(parse_type(text))}")
+    print(f"  height({text}) = {type_height(parse_type(text))}")
 
 IA = "\\x:{a -> a}. x^(a -> a)"
 IAA = "\\x:{(a -> a) -> a -> a}. x^((a -> a) -> a -> a)"

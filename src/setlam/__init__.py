@@ -19,8 +19,8 @@ from .errors import (
 from .syntax import (
     App, Arrow, Base, BoundVar, Lam, MemTerm, Position, SetTerm, SetType,
     Type, UApp, UBoundVar, ULam, UntypedTerm, UVar, Var, Wrap, WrapperList,
-    alpha_eq, canonicalize, is_wrapper_free, parse, parse_set_type,
-    parse_term, parse_type, parse_untyped, pretty, replace_at, subterm_at,
+    is_wrapper_free, parse, parse_set_type, parse_term, parse_type,
+    parse_untyped, pretty, replace_at, subterm_at, type_height,
 )
 from .typecheck import (
     CurryDerivation, Judgement, TypingContext, check, check_curry,
@@ -35,7 +35,7 @@ from .reduction import (
     redexes, simulate_beta, step_i, step_im, substitute,
 )
 from .measure import (
-    DegreeProfile, MeasureReport, W, degree_profile, height, max_degree,
+    DegreeProfile, MeasureReport, W, degree_profile, max_degree,
     measure_report, simp_d, simp_full, weight,
 )
 from .oracle import (

@@ -5,6 +5,10 @@ inside the term; all public operations of the package keep whole terms
 locally closed.  Substitution into a set-annotated term selects the
 replacement for each occurrence by the occurrence's type annotation, so
 substituents are supplied as a mapping from types to terms.
+
+Every operation here is one traversal, `_map_vars`, with its own
+treatment of variable occurrences; it works on annotated and untyped
+terms alike.
 """
 
 from __future__ import annotations
@@ -13,29 +17,46 @@ from typing import Mapping
 
 from .errors import MissingSubstituent
 from .syntax import (
-    App, BoundVar, Lam, MemTerm, SetTerm, Type, UApp, UBoundVar, ULam,
-    UntypedTerm, UVar, Var, Wrap,
+    BoundVar, Lam, MemTerm, SetTerm, Type, UBoundVar, ULam, UntypedTerm,
+    UVar, Var, children, rebuild,
 )
 
 
-def shift(t: MemTerm | SetTerm, d: int, cutoff: int = 0):
+def _map_vars(t, leaf, depth: int = 0):
+    """Rebuild t with every variable occurrence v replaced by leaf(v, d),
+    where d is depth plus the number of binders above v inside t."""
+    if isinstance(t, (Var, BoundVar, UVar, UBoundVar)):
+        return leaf(t, depth)
+    if isinstance(t, (Lam, ULam)):
+        depth += 1
+    return rebuild(t, [_map_vars(c, leaf, depth) for c in children(t)])
+
+
+def _bound(v: BoundVar | UBoundVar, index: int):
+    return BoundVar(index, v.annot) if isinstance(v, BoundVar) else UBoundVar(index)
+
+
+def shift(t: MemTerm | SetTerm | UntypedTerm, d: int, cutoff: int = 0):
     """Add d to every index pointing outside the term (>= cutoff)."""
     if d == 0:
         return t
-    match t:
-        case BoundVar(index, annot):
-            return BoundVar(index + d, annot) if index >= cutoff else t
-        case Var():
-            return t
-        case Lam(hint, binder, body):
-            return Lam(hint, binder, shift(body, d, cutoff + 1))
-        case App(fun, arg):
-            return App(shift(fun, d, cutoff), shift(arg, d, cutoff))
-        case Wrap(head, payload):
-            return Wrap(shift(head, d, cutoff), shift(payload, d, cutoff))
-        case SetTerm(elements):
-            return SetTerm.of(shift(e, d, cutoff) for e in elements)
-    raise TypeError(f"not a term: {t!r}")
+
+    def leaf(v, depth):
+        if isinstance(v, (BoundVar, UBoundVar)) and v.index >= depth:
+            return _bound(v, v.index + d)
+        return v
+    return _map_vars(t, leaf, cutoff)
+
+
+def _open(body, pick, depth: int):
+    def leaf(v, level):
+        if isinstance(v, (BoundVar, UBoundVar)):
+            if v.index == level:
+                return shift(pick(v), level)
+            if v.index > level:
+                return _bound(v, v.index - 1)
+        return v
+    return _map_vars(body, leaf, depth)
 
 
 def open_term(body: MemTerm | SetTerm, by_type: Mapping[Type, MemTerm], depth: int = 0):
@@ -45,46 +66,28 @@ def open_term(body: MemTerm | SetTerm, by_type: Mapping[Type, MemTerm], depth: i
     equals their annotation; indices above the binder move down one.
     Substituents must be locally closed.
     """
-    match body:
-        case BoundVar(index, annot):
-            if index == depth:
-                try:
-                    replacement = by_type[annot]
-                except KeyError:
-                    raise MissingSubstituent(annot) from None
-                return shift(replacement, depth)
-            if index > depth:
-                return BoundVar(index - 1, annot)
-            return body
-        case Var():
-            return body
-        case Lam(hint, binder, inner):
-            return Lam(hint, binder, open_term(inner, by_type, depth + 1))
-        case App(fun, arg):
-            return App(open_term(fun, by_type, depth), open_term(arg, by_type, depth))
-        case Wrap(head, payload):
-            return Wrap(open_term(head, by_type, depth), open_term(payload, by_type, depth))
-        case SetTerm(elements):
-            return SetTerm.of(open_term(e, by_type, depth) for e in elements)
-    raise TypeError(f"not a term: {body!r}")
+    def pick(v):
+        try:
+            return by_type[v.annot]
+        except KeyError:
+            raise MissingSubstituent(v.annot) from None
+    return _open(body, pick, depth)
 
 
-def close_term(t: MemTerm | SetTerm, name: str, depth: int = 0):
+def uopen(body: UntypedTerm, replacement: UntypedTerm, depth: int = 0) -> UntypedTerm:
+    """Untyped open_term: every occurrence takes the one replacement."""
+    return _open(body, lambda v: replacement, depth)
+
+
+def close_term(t: MemTerm | SetTerm | UntypedTerm, name: str, depth: int = 0):
     """Turn free occurrences of `name` into indices for a new binder."""
-    match t:
-        case Var(x, annot):
-            return BoundVar(depth, annot) if x == name else t
-        case BoundVar():
-            return t
-        case Lam(hint, binder, body):
-            return Lam(hint, binder, close_term(body, name, depth + 1))
-        case App(fun, arg):
-            return App(close_term(fun, name, depth), close_term(arg, name, depth))
-        case Wrap(head, payload):
-            return Wrap(close_term(head, name, depth), close_term(payload, name, depth))
-        case SetTerm(elements):
-            return SetTerm.of(close_term(e, name, depth) for e in elements)
-    raise TypeError(f"not a term: {t!r}")
+    def leaf(v, level):
+        if isinstance(v, Var) and v.name == name:
+            return BoundVar(level, v.annot)
+        if isinstance(v, UVar) and v.name == name:
+            return UBoundVar(level)
+        return v
+    return _map_vars(t, leaf, depth)
 
 
 def subst_free(t: MemTerm | SetTerm, name: str, by_type: Mapping[Type, MemTerm]):
@@ -93,87 +96,22 @@ def subst_free(t: MemTerm | SetTerm, name: str, by_type: Mapping[Type, MemTerm])
     Substituents must be locally closed; names cannot be captured, so no
     shifting is needed.
     """
-    match t:
-        case Var(x, annot):
-            if x != name:
-                return t
-            try:
-                return by_type[annot]
-            except KeyError:
-                raise MissingSubstituent(annot) from None
-        case BoundVar():
-            return t
-        case Lam(hint, binder, body):
-            return Lam(hint, binder, subst_free(body, name, by_type))
-        case App(fun, arg):
-            return App(subst_free(fun, name, by_type), subst_free(arg, name, by_type))
-        case Wrap(head, payload):
-            return Wrap(subst_free(head, name, by_type), subst_free(payload, name, by_type))
-        case SetTerm(elements):
-            return SetTerm.of(subst_free(e, name, by_type) for e in elements)
-    raise TypeError(f"not a term: {t!r}")
+    def leaf(v, _):
+        if not (isinstance(v, Var) and v.name == name):
+            return v
+        try:
+            return by_type[v.annot]
+        except KeyError:
+            raise MissingSubstituent(v.annot) from None
+    return _map_vars(t, leaf)
 
 
-def locally_closed(t: MemTerm | SetTerm, depth: int = 0) -> bool:
-    match t:
-        case BoundVar(index, _):
-            return index < depth
-        case Var():
-            return True
-        case Lam(_, _, body):
-            return locally_closed(body, depth + 1)
-        case App(fun, arg):
-            return locally_closed(fun, depth) and locally_closed(arg, depth)
-        case Wrap(head, payload):
-            return locally_closed(head, depth) and locally_closed(payload, depth)
-        case SetTerm(elements):
-            return all(locally_closed(e, depth) for e in elements)
-    raise TypeError(f"not a term: {t!r}")
+def locally_closed(t: MemTerm | SetTerm | UntypedTerm, depth: int = 0) -> bool:
+    escaping = []
 
-
-# Untyped counterparts.
-
-
-def ushift(t: UntypedTerm, d: int, cutoff: int = 0) -> UntypedTerm:
-    if d == 0:
-        return t
-    match t:
-        case UBoundVar(index):
-            return UBoundVar(index + d) if index >= cutoff else t
-        case UVar():
-            return t
-        case ULam(hint, body):
-            return ULam(hint, ushift(body, d, cutoff + 1))
-        case UApp(fun, arg):
-            return UApp(ushift(fun, d, cutoff), ushift(arg, d, cutoff))
-    raise TypeError(f"not an untyped term: {t!r}")
-
-
-def uopen(body: UntypedTerm, replacement: UntypedTerm, depth: int = 0) -> UntypedTerm:
-    match body:
-        case UBoundVar(index):
-            if index == depth:
-                return ushift(replacement, depth)
-            if index > depth:
-                return UBoundVar(index - 1)
-            return body
-        case UVar():
-            return body
-        case ULam(hint, inner):
-            return ULam(hint, uopen(inner, replacement, depth + 1))
-        case UApp(fun, arg):
-            return UApp(uopen(fun, replacement, depth), uopen(arg, replacement, depth))
-    raise TypeError(f"not an untyped term: {body!r}")
-
-
-def uclose(t: UntypedTerm, name: str, depth: int = 0) -> UntypedTerm:
-    match t:
-        case UVar(x):
-            return UBoundVar(depth) if x == name else t
-        case UBoundVar():
-            return t
-        case ULam(hint, body):
-            return ULam(hint, uclose(body, name, depth + 1))
-        case UApp(fun, arg):
-            return UApp(uclose(fun, name, depth), uclose(arg, name, depth))
-    raise TypeError(f"not an untyped term: {t!r}")
+    def leaf(v, level):
+        if isinstance(v, (BoundVar, UBoundVar)) and v.index >= level:
+            escaping.append(v)
+        return v
+    _map_vars(t, leaf, depth)
+    return not escaping

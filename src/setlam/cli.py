@@ -5,9 +5,9 @@ derivation files hold the JSON schema of `setlam.typecheck`.  All JSON
 outputs carry a "formatVersion" field and are byte-identical for
 identical inputs and flags.
 
-Exit codes: 0 ok, 1 parse error, 2 type or derivation error, 3
-non-uniform term, 4 fuel/SN/search failure, 5 internal invariant
-violation (always a bug).
+Exit codes: 0 ok, 1 parse error, 2 type or derivation error or bad
+usage, 3 non-uniform term, 4 fuel/SN/search failure, 5 internal
+invariant violation (always a bug).
 """
 
 from __future__ import annotations
@@ -24,9 +24,6 @@ from .errors import (
     SearchBudgetExceeded, SetLamError,
 )
 
-_TRACE_KINDS = {"i": "i", "im": "im"}
-
-
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as handle:
         return handle.read()
@@ -40,6 +37,17 @@ def _parse_pos(text: str) -> tuple[int, ...]:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise InvalidPosition(f"bad position {text!r}") from None
+
+
+def _count(text: str) -> int:
+    """argparse type of --fuel and --steps: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, not {value}")
+    return value
 
 
 def _emit_json(data: dict) -> None:
@@ -68,18 +76,6 @@ def _cmd_decorate(args) -> int:
     return 0
 
 
-def _steps_of(term, calculus: str):
-    if calculus == "i":
-        return reduction.i_redexes(term)
-    return reduction.redexes(term)
-
-
-def _apply(term, position, calculus: str):
-    if calculus == "i":
-        return reduction.step_i(term, position)
-    return reduction.step_im(term, position)
-
-
 def _cmd_reduce(args) -> int:
     term = syntax.parse_term(_read(args.file))
     typecheck.synthesize_type(term)
@@ -87,14 +83,14 @@ def _cmd_reduce(args) -> int:
     steps = []
     current = term
     for _ in range(args.steps):
-        candidates = _steps_of(current, args.calculus)
+        candidates = reduction.redex_positions(current, args.calculus)
         if not candidates:
             break
-        redex = candidates[0] if args.strategy == "leftmost" else rng.choice(candidates)
-        current = _apply(current, redex.position, args.calculus)
+        position = candidates[0] if args.strategy == "leftmost" else rng.choice(candidates)
+        current = reduction.step(current, position, args.calculus)
         steps.append({
-            "kind": _TRACE_KINDS[args.calculus],
-            "position": list(redex.position),
+            "kind": args.calculus,
+            "position": list(position),
             "result": syntax.pretty(current),
         })
     _emit_json({
@@ -108,17 +104,8 @@ def _cmd_reduce(args) -> int:
 def _cmd_normalize(args) -> int:
     term = syntax.parse_term(_read(args.file))
     typecheck.synthesize_type(term)
-    count = 0
-    current = term
-    while True:
-        candidates = _steps_of(current, args.calculus)
-        if not candidates:
-            break
-        if count >= args.fuel:
-            raise FuelExhausted(f"no normal form within {args.fuel} steps")
-        current = _apply(current, candidates[0].position, args.calculus)
-        count += 1
-    print(syntax.pretty(current))
+    normal, count = reduction.normalize(term, args.calculus, False, args.fuel)
+    print(syntax.pretty(normal))
     print(f"steps: {count}")
     return 0
 
@@ -206,14 +193,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--calculus", choices=["i", "im"], default="i")
     p.add_argument("--strategy", choices=["leftmost", "random"], default="leftmost")
-    p.add_argument("--steps", type=int, default=1)
+    p.add_argument("--steps", type=_count, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(run=_cmd_reduce)
 
     p = sub.add_parser("normalize", help="reduce to normal form")
     p.add_argument("file")
     p.add_argument("--calculus", choices=["i", "im"], default="im")
-    p.add_argument("--fuel", type=int, default=10_000)
+    p.add_argument("--fuel", type=_count, default=10_000)
     p.set_defaults(run=_cmd_normalize)
 
     p = sub.add_parser("measure", help="full-simplification report and W")
@@ -228,18 +215,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chains", help="longest chain versus the W bound")
     p.add_argument("file")
-    p.add_argument("--fuel", type=int, default=10_000)
+    p.add_argument("--fuel", type=_count, default=10_000)
     p.set_defaults(run=_cmd_chains)
 
     p = sub.add_parser("infer-sn", help="type a strongly normalizing untyped term")
     p.add_argument("file")
-    p.add_argument("--fuel", type=int, default=10_000)
+    p.add_argument("--fuel", type=_count, default=10_000)
     p.set_defaults(run=_cmd_infer_sn)
 
     p = sub.add_parser("graph", help="export the reduction graph")
     p.add_argument("file")
     p.add_argument("--calculus", choices=["beta", "i", "im"], default="i")
-    p.add_argument("--fuel", type=int, default=10_000)
+    p.add_argument("--fuel", type=_count, default=10_000)
     p.add_argument("--format", choices=["dot", "json"], default="json")
     p.set_defaults(run=_cmd_graph)
 

@@ -1,4 +1,4 @@
-"""Heights, degrees, weights, degree-indexed simplification, W-measure.
+"""Degrees, weights, degree-indexed simplification, W-measure.
 
 The degree of a redex is the height of the type of its w-abstraction.
 Simplification of degree d contracts, in one structural pass, every
@@ -14,42 +14,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .binding import open_term
 from .errors import IllTyped
 from .syntax import (
-    App, BoundVar, Lam, MemTerm, SetTerm, SetType, Type, Var, Wrap,
-    WrapperList, apply_wrappers, is_wrapper_free, peel_wrappers, pretty,
-    type_height,
+    Lam, MemTerm, SetTerm, Wrap, WrapperList, is_wrapper_free, nodes,
+    pretty, type_height,
 )
-from .reduction import _elements_by_type, redexes
+from .reduction import develop, redexes
 from .typecheck import subterm_type, synthesize_type
 
 __all__ = [
     "DegreeProfile", "MeasureReport",
-    "height", "weight", "max_degree", "degree_profile",
+    "weight", "max_degree", "degree_profile",
     "simp_d", "simp_full", "W", "measure_report",
 ]
 
 
-def height(t: Type | SetType) -> int:
-    """Height of a type: bases 0, arrows 1 + max of both sides."""
-    return type_height(t)
-
-
 def weight(t: MemTerm | SetTerm) -> int:
     """Number of wrapper nodes, including inside payloads and sets."""
-    match t:
-        case Var() | BoundVar():
-            return 0
-        case Lam(_, _, body):
-            return weight(body)
-        case App(fun, arg):
-            return weight(fun) + weight(arg)
-        case Wrap(head, payload):
-            return 1 + weight(head) + weight(payload)
-        case SetTerm(elements):
-            return sum(weight(e) for e in elements)
-    raise TypeError(f"not a term: {t!r}")
+    return sum(1 for s in nodes(t) if isinstance(s, Wrap))
 
 
 @dataclass(frozen=True)
@@ -87,29 +69,8 @@ def simp_d(t: MemTerm | SetTerm | WrapperList, d: int):
     if d < 1:
         raise ValueError("simplification degree must be >= 1")
     if isinstance(t, tuple):
-        return tuple(_simp(p, d) for p in t)
-    return _simp(t, d)
-
-
-def _simp(t, d: int):
-    match t:
-        case Var() | BoundVar():
-            return t
-        case Lam(hint, binder, body):
-            return Lam(hint, binder, _simp(body, d))
-        case App(fun, arg):
-            core, wrappers = peel_wrappers(fun)
-            if isinstance(core, Lam) and _wabs_degree(core) == d:
-                simp_arg = _simp(arg, d)
-                contracted = open_term(_simp(core.body, d), _elements_by_type(simp_arg))
-                simp_wrappers = tuple(_simp(p, d) for p in wrappers)
-                return apply_wrappers(Wrap(contracted, simp_arg), simp_wrappers)
-            return App(_simp(fun, d), _simp(arg, d))
-        case Wrap(head, payload):
-            return Wrap(_simp(head, d), _simp(payload, d))
-        case SetTerm(elements):
-            return SetTerm.of(_simp(e, d) for e in elements)
-    raise TypeError(f"not a term: {t!r}")
+        return tuple(simp_d(p, d) for p in t)
+    return develop(t, lambda core: _wabs_degree(core) == d, "im")
 
 
 def _wabs_degree(core: Lam) -> int:

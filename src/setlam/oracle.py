@@ -21,12 +21,10 @@ from .errors import (
 )
 from .syntax import (
     App, Arrow, Base, Lam, MemTerm, Position, SetTerm, SetType,
-    Type, UApp, UBoundVar, ULam, UntypedTerm, UVar, Var, pretty,
-    term_key, ufree_names,
+    Type, UApp, UBoundVar, ULam, UntypedTerm, UVar, Var, free_names,
+    pretty, term_key,
 )
-from .reduction import (
-    beta_redexes, beta_step, i_redexes, redexes, step_i, step_im,
-)
+from .reduction import normalize, redex_positions, step
 from .typecheck import TypingContext, check, refines, synthesize_type
 
 __all__ = [
@@ -59,17 +57,6 @@ class ReductionGraph:
         return len(self.nodes)
 
 
-def _successors(t, calculus: str):
-    match calculus:
-        case "beta":
-            return [(pos, beta_step(t, pos)) for pos in beta_redexes(t)]
-        case "i":
-            return [(r.position, step_i(t, r.position)) for r in i_redexes(t)]
-        case "im":
-            return [(r.position, step_im(t, r.position)) for r in redexes(t)]
-    raise ValueError(f"calculus must be beta, i, or im, not {calculus!r}")
-
-
 def explore(t, calculus: str, fuel: Fuel = DEFAULT_FUEL) -> ReductionGraph:
     """Breadth-first closure of t under single steps, up to fuel.
 
@@ -86,7 +73,8 @@ def explore(t, calculus: str, fuel: Fuel = DEFAULT_FUEL) -> ReductionGraph:
         if depth >= fuel.max_depth:
             truncated = True
             continue
-        for pos, nxt in _successors(nodes[i], calculus):
+        for pos in redex_positions(nodes[i], calculus):
+            nxt = step(nodes[i], pos, calculus)
             j = index.get(nxt)
             if j is None:
                 if len(nodes) >= fuel.max_nodes:
@@ -101,44 +89,36 @@ def explore(t, calculus: str, fuel: Fuel = DEFAULT_FUEL) -> ReductionGraph:
 
 
 def normal_form(t, calculus: str, fuel: Fuel = DEFAULT_FUEL):
-    """Iterate leftmost-innermost steps to a redex-free term."""
-    for _ in range(fuel.max_depth):
-        successors = _successors(t, calculus)
-        if not successors:
-            return t
-        innermost = [
-            (pos, nxt) for pos, nxt in successors
-            if not any(q != pos and q[:len(pos)] == pos for q, _ in successors)
-        ]
-        t = min(innermost)[1]
-    raise FuelExhausted(f"no normal form within {fuel.max_depth} steps")
+    """Iterate leftmost-innermost steps to a redex-free term, at most
+    fuel.max_depth of them."""
+    return normalize(t, calculus, True, fuel.max_depth)[0]
 
 
-def _has_cycle(graph: ReductionGraph) -> bool:
+def _longest_paths(graph: ReductionGraph) -> list[int] | None:
+    """Length of the longest path from each node; None on a cycle."""
     out: list[list[int]] = [[] for _ in graph.nodes]
     for i, _, j in graph.edges:
         out[i].append(j)
-    state = [0] * len(graph.nodes)  # 0 unseen, 1 on stack, 2 done
+    unseen, on_stack = -1, -2
+    longest = [unseen] * len(graph.nodes)
     for start in range(len(graph.nodes)):
-        if state[start]:
+        if longest[start] != unseen:
             continue
+        longest[start] = on_stack
         stack = [(start, iter(out[start]))]
-        state[start] = 1
         while stack:
             node, it = stack[-1]
-            advanced = False
             for nxt in it:
-                if state[nxt] == 1:
-                    return True
-                if state[nxt] == 0:
-                    state[nxt] = 1
+                if longest[nxt] == on_stack:
+                    return None
+                if longest[nxt] == unseen:
+                    longest[nxt] = on_stack
                     stack.append((nxt, iter(out[nxt])))
-                    advanced = True
                     break
-            if not advanced:
-                state[node] = 2
+            else:
                 stack.pop()
-    return False
+                longest[node] = max((1 + longest[j] for j in out[node]), default=0)
+    return longest
 
 
 def longest_chain(t, calculus: str, fuel: Fuel = DEFAULT_FUEL) -> int:
@@ -146,33 +126,17 @@ def longest_chain(t, calculus: str, fuel: Fuel = DEFAULT_FUEL) -> int:
     graph = explore(t, calculus, fuel)
     if graph.truncated:
         raise FuelExhausted(f"graph exceeds {fuel.max_nodes} nodes")
-    if _has_cycle(graph):
+    longest = _longest_paths(graph)
+    if longest is None:
         raise CycleDetected("the reduction graph has a cycle")
-    out: list[list[int]] = [[] for _ in graph.nodes]
-    for i, _, j in graph.edges:
-        out[i].append(j)
-    longest: dict[int, int] = {}
-
-    def depth(i: int) -> int:
-        if i not in longest:
-            longest[i] = -1  # sentinel; acyclicity already established
-            longest[i] = max((1 + depth(j) for j in out[i]), default=0)
-        return longest[i]
-
-    import sys
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, len(graph.nodes) * 2 + 100))
-    try:
-        return depth(graph.root)
-    finally:
-        sys.setrecursionlimit(old)
+    return longest[graph.root]
 
 
 def is_sn(m: UntypedTerm, fuel: Fuel = DEFAULT_FUEL) -> str:
     """"yes" if the beta graph closes acyclically within fuel, "no" if a
     cycle is reachable, "unknown" on truncation."""
     graph = explore(m, "beta", fuel)
-    if _has_cycle(graph):
+    if _longest_paths(graph) is None:
         return "no"
     return "unknown" if graph.truncated else "yes"
 
@@ -258,12 +222,11 @@ def infer_sn(m: UntypedTerm, fuel: Fuel = DEFAULT_FUEL) -> InferredTyping:
     deterministically per run.
     """
     import sys
-    fresh = _FreshNames(set(ufree_names(m)))
     meter = _FuelMeter(fuel.max_nodes)
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, 20_000))
     try:
-        return _infer(m, fresh, meter)
+        return _infer(m, _FreshNames(free_names(m)), meter)
     except RecursionError:
         raise NotSNWithinFuel("inference recursion exceeded the interpreter stack") from None
     finally:
@@ -413,14 +376,10 @@ def _unsubstitute(term, pattern: UntypedTerm, variable: UVar, depth: int):
 # Graph export
 
 
-def _label(t) -> str:
-    return pretty(t)
-
-
 def graph_to_dot(graph: ReductionGraph) -> str:
     lines = ["digraph reduction {", "  rankdir=TB;"]
     for i, node in enumerate(graph.nodes):
-        label = _label(node).replace("\\", "\\\\").replace('"', '\\"')
+        label = pretty(node).replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  n{i} [label="{label}"];')
     for i, pos, j in graph.edges:
         label = ",".join(map(str, pos))
@@ -438,7 +397,7 @@ def graph_to_json_dict(graph: ReductionGraph) -> dict:
         "root": graph.root,
         "truncated": graph.truncated,
         "nodeCount": graph.node_count,
-        "nodes": [_label(n) for n in graph.nodes],
+        "nodes": [pretty(n) for n in graph.nodes],
         "edges": [
             {"from": i, "position": list(pos), "to": j}
             for i, pos, j in graph.edges

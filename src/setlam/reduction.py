@@ -20,24 +20,24 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator
 
 from .binding import open_term, uopen
-from .errors import IllTyped, NotARedex, SearchBudgetExceeded
+from .errors import FuelExhausted, IllTyped, NotARedex, SearchBudgetExceeded
 from .syntax import (
-    App, BoundVar, Lam, MemTerm, Position, SetTerm, SetType, Type,
-    UApp, UBoundVar, ULam, UntypedTerm, UVar, Var, Wrap, WrapperList,
-    apply_wrappers, is_wrapper_free, peel_wrappers, pretty, replace_at,
-    subterm_at, term_size, type_height,
+    App, BoundVar, Lam, MemTerm, Position, SetTerm, SetType, Type, UApp, ULam,
+    UntypedTerm, Var, Wrap, WrapperList, apply_wrappers, is_wrapper_free,
+    map_children, peel_wrappers, pretty, replace_at, subterm_at, subterms,
+    term_size, type_height,
 )
 from .typecheck import check, refines, subterm_type
 from . import binding, typecheck
 
 __all__ = [
     "Redex", "Step",
-    "substitute", "redexes", "i_redexes",
-    "step_i", "step_im", "corresponding_step", "forgetful_reducts",
-    "complete_development", "parallel_reducts", "par_reduces",
+    "substitute", "redexes", "i_redexes", "redex_positions",
+    "step_i", "step_im", "step", "normalize",
+    "corresponding_step", "forgetful_reducts",
+    "develop", "complete_development", "parallel_reducts", "par_reduces",
     "random_parallel_reduct",
     "beta_redexes", "beta_step",
     "simulate_beta", "project_step", "erased_position",
@@ -113,38 +113,35 @@ def redexes(t: MemTerm | SetTerm) -> list[Redex]:
     when the abstraction does not synthesize).
     """
     found: list[Redex] = []
-    _collect_redexes(t, (), found)
-    return found
-
-
-def _collect_redexes(t, pos: Position, found: list[Redex]) -> None:
-    match t:
-        case Var() | BoundVar():
-            return
-        case Lam(_, _, body):
-            _collect_redexes(body, pos + (0,), found)
-        case App(fun, arg):
-            core, wrappers = peel_wrappers(fun)
+    for pos, sub in subterms(t):
+        if isinstance(sub, App):
+            core, wrappers = peel_wrappers(sub.fun)
             if isinstance(core, Lam):
                 found.append(Redex(pos, core.hint, core.binder,
                                    len(wrappers), _lam_degree(core)))
-            _collect_redexes(fun, pos + (0,), found)
-            for i, e in enumerate(arg.elements):
-                _collect_redexes(e, pos + (1 + i,), found)
-        case Wrap(head, payload):
-            _collect_redexes(head, pos + (0,), found)
-            for i, e in enumerate(payload.elements):
-                _collect_redexes(e, pos + (1 + i,), found)
-        case SetTerm(elements):
-            for i, e in enumerate(elements):
-                _collect_redexes(e, pos + (i,), found)
-        case _:
-            raise TypeError(f"not a term: {t!r}")
+    return found
 
 
 def i_redexes(t: MemTerm | SetTerm) -> list[Redex]:
     """Redexes with no wrappers between abstraction and argument."""
     return [r for r in redexes(t) if r.wrapper_count == 0]
+
+
+def _is_redex(sub, calculus: str) -> bool:
+    match calculus:
+        case "beta":
+            return isinstance(sub, UApp) and isinstance(sub.fun, ULam)
+        case "i":
+            return isinstance(sub, App) and isinstance(sub.fun, Lam)
+        case "im":
+            return isinstance(sub, App) and isinstance(peel_wrappers(sub.fun)[0], Lam)
+    raise ValueError(f"calculus must be beta, i, or im, not {calculus!r}")
+
+
+def redex_positions(t, calculus: str) -> list[Position]:
+    """Positions of the redexes a step of `calculus` may contract, in
+    lexicographic order (no degrees are computed)."""
+    return [pos for pos, sub in subterms(t) if _is_redex(sub, calculus)]
 
 
 def _split_redex(t, pos: Position) -> tuple[Lam, WrapperList, SetTerm]:
@@ -193,35 +190,47 @@ def corresponding_step(t: MemTerm | SetTerm, pos: Position) -> MemTerm | SetTerm
     return step_im(t, pos)
 
 
+def step(t, pos: Position, calculus: str):
+    """One step of `calculus` ("beta", "i" or "im") at pos."""
+    match calculus:
+        case "beta":
+            return beta_step(t, pos)
+        case "i":
+            return step_i(t, pos)
+        case "im":
+            return step_im(t, pos)
+    raise ValueError(f"calculus must be beta, i, or im, not {calculus!r}")
+
+
+def normalize(t, calculus: str, innermost: bool, max_steps: int):
+    """Reduce by the leftmost-innermost or leftmost-outermost redex until
+    none is left; returns (normal form, steps taken).
+
+    Raises FuelExhausted when the normal form is more than `max_steps`
+    steps away.
+    """
+    steps = 0
+    while found := redex_positions(t, calculus):
+        if steps >= max_steps:
+            raise FuelExhausted(f"no normal form within {max_steps} steps")
+        t = step(t, _leftmost_innermost(found) if innermost else found[0], calculus)
+        steps += 1
+    return t, steps
+
+
+def _leftmost_innermost(found: list[Position]) -> Position:
+    # In lexicographic order a position's extensions follow it directly,
+    # so it is innermost when its successor does not extend it.
+    for pos, nxt in zip(found, found[1:]):
+        if nxt[:len(pos)] != pos:
+            return pos
+    return found[-1]
+
+
 def forgetful_reducts(t: MemTerm | SetTerm) -> list[tuple[Position, MemTerm | SetTerm]]:
     """All ways to drop one wrapper node (with its payload), by position."""
-    out = []
-    for pos, sub in _walk(t, ()):
-        if isinstance(sub, Wrap):
-            out.append((pos, replace_at(t, pos, sub.head)))
-    return out
-
-
-def _walk(t, pos: Position) -> Iterator[tuple[Position, object]]:
-    yield pos, t
-    match t:
-        case Var() | BoundVar():
-            pass
-        case Lam(_, _, body):
-            yield from _walk(body, pos + (0,))
-        case App(fun, arg):
-            yield from _walk(fun, pos + (0,))
-            for i, e in enumerate(arg.elements):
-                yield from _walk(e, pos + (1 + i,))
-        case Wrap(head, payload):
-            yield from _walk(head, pos + (0,))
-            for i, e in enumerate(payload.elements):
-                yield from _walk(e, pos + (1 + i,))
-        case SetTerm(elements):
-            for i, e in enumerate(elements):
-                yield from _walk(e, pos + (i,))
-        case _:
-            raise TypeError(f"not a term: {t!r}")
+    return [(pos, replace_at(t, pos, sub.head))
+            for pos, sub in subterms(t) if isinstance(sub, Wrap)]
 
 
 # ---------------------------------------------------------------------------
@@ -233,36 +242,36 @@ def _check_calculus(calculus: str) -> None:
         raise ValueError(f"calculus must be 'i' or 'im', not {calculus!r}")
 
 
+def develop(t, contract, calculus: str):
+    """Contract, simultaneously, every redex that `contract` selects.
+
+    The development of an application develops its argument first, then
+    asks contract(w-abstraction) whether to contract it (only for
+    redexes `calculus` may contract), then develops the body and the
+    wrappers; everything else is a congruence.  A contracted memory
+    redex keeps its argument as a wrapper; a plain one erases it.
+    """
+    def dev(node):
+        if not isinstance(node, App):
+            return map_children(node, dev)
+        core, wrappers = peel_wrappers(node.fun)
+        arg = dev(node.arg)
+        if isinstance(core, Lam) and (calculus == "im" or not wrappers) and contract(core):
+            contracted = open_term(dev(core.body), _elements_by_type(arg))
+            if calculus == "i":
+                return contracted
+            return apply_wrappers(Wrap(contracted, arg), tuple(dev(p) for p in wrappers))
+        fun = dev(node.fun)
+        return node if fun is node.fun and arg is node.arg else App(fun, arg)
+    return dev(t)
+
+
 def complete_development(t: MemTerm | SetTerm, calculus: str = "im"):
     """Simultaneous contraction of every visible redex."""
     _check_calculus(calculus)
     if calculus == "i" and not is_wrapper_free(t):
         raise IllTyped("plain development is defined on wrapper-free terms")
-    return _develop(t, calculus)
-
-
-def _develop(t, calculus: str):
-    match t:
-        case Var() | BoundVar():
-            return t
-        case Lam(hint, binder, body):
-            return Lam(hint, binder, _develop(body, calculus))
-        case App(fun, arg):
-            core, wrappers = peel_wrappers(fun)
-            dev_arg = _develop(arg, calculus)
-            if isinstance(core, Lam):
-                contracted = open_term(
-                    _develop(core.body, calculus), _elements_by_type(dev_arg))
-                if calculus == "i":
-                    return contracted
-                dev_wrappers = tuple(_develop(p, calculus) for p in wrappers)
-                return apply_wrappers(Wrap(contracted, dev_arg), dev_wrappers)
-            return App(_develop(fun, calculus), dev_arg)
-        case Wrap(head, payload):
-            return Wrap(_develop(head, calculus), _develop(payload, calculus))
-        case SetTerm(elements):
-            return SetTerm.of(_develop(e, calculus) for e in elements)
-    raise TypeError(f"not a term: {t!r}")
+    return develop(t, lambda core: True, calculus)
 
 
 def parallel_reducts(t: MemTerm | SetTerm, calculus: str = "im") -> frozenset:
@@ -329,34 +338,7 @@ def par_reduces(t, s, calculus: str = "im") -> bool:
 def random_parallel_reduct(t, rng: random.Random, calculus: str = "im"):
     """One parallel reduct sampled by a fair coin at every redex."""
     _check_calculus(calculus)
-    match t:
-        case Var() | BoundVar():
-            return t
-        case Lam(hint, binder, body):
-            return Lam(hint, binder, random_parallel_reduct(body, rng, calculus))
-        case App(fun, arg):
-            core, wrappers = peel_wrappers(fun)
-            contractible = isinstance(core, Lam) and (calculus == "im" or not wrappers)
-            new_arg = SetTerm.of(
-                random_parallel_reduct(e, rng, calculus) for e in arg.elements)
-            if contractible and rng.random() < 0.5:
-                contracted = open_term(
-                    random_parallel_reduct(core.body, rng, calculus),
-                    _elements_by_type(new_arg))
-                if calculus == "i":
-                    return contracted
-                new_wrappers = tuple(
-                    SetTerm.of(random_parallel_reduct(e, rng, calculus) for e in p.elements)
-                    for p in wrappers)
-                return apply_wrappers(Wrap(contracted, new_arg), new_wrappers)
-            return App(random_parallel_reduct(fun, rng, calculus), new_arg)
-        case Wrap(head, payload):
-            return Wrap(
-                random_parallel_reduct(head, rng, calculus),
-                SetTerm.of(random_parallel_reduct(e, rng, calculus) for e in payload.elements))
-        case SetTerm(elements):
-            return SetTerm.of(random_parallel_reduct(e, rng, calculus) for e in elements)
-    raise TypeError(f"not a term: {t!r}")
+    return develop(t, lambda core: rng.random() < 0.5, calculus)
 
 
 # ---------------------------------------------------------------------------
@@ -364,24 +346,7 @@ def random_parallel_reduct(t, rng: random.Random, calculus: str = "im"):
 
 
 def beta_redexes(m: UntypedTerm) -> list[Position]:
-    out: list[Position] = []
-    _collect_beta(m, (), out)
-    return out
-
-
-def _collect_beta(m: UntypedTerm, pos: Position, out: list[Position]) -> None:
-    match m:
-        case UVar() | UBoundVar():
-            return
-        case ULam(_, body):
-            _collect_beta(body, pos + (0,), out)
-        case UApp(fun, arg):
-            if isinstance(fun, ULam):
-                out.append(pos)
-            _collect_beta(fun, pos + (0,), out)
-            _collect_beta(arg, pos + (1,), out)
-        case _:
-            raise TypeError(f"not an untyped term: {m!r}")
+    return redex_positions(m, "beta")
 
 
 def beta_step(m: UntypedTerm, pos: Position) -> UntypedTerm:

@@ -32,6 +32,7 @@ term on its left before application grouping):
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Union
@@ -43,13 +44,13 @@ __all__ = [
     "MemTerm", "Var", "BoundVar", "Lam", "App", "Wrap", "SetTerm",
     "UntypedTerm", "UVar", "UBoundVar", "ULam", "UApp",
     "WrapperList", "Position",
-    "alpha_eq", "canonicalize", "parse", "pretty",
+    "parse", "pretty",
     "parse_type", "parse_untyped", "parse_term", "parse_set_type",
-    "type_key", "term_key", "untyped_key",
+    "type_key", "term_key",
+    "children", "rebuild", "map_children", "subterms", "nodes",
     "subterm_at", "replace_at", "positions",
     "free_occurrences", "free_names", "is_wrapper_free", "type_height",
-    "apply_wrappers", "peel_wrappers", "term_size", "untyped_size",
-    "ufree_names",
+    "apply_wrappers", "peel_wrappers", "term_size",
 ]
 
 Position = tuple[int, ...]
@@ -294,19 +295,6 @@ def setterm_key(s: SetTerm):
     return tuple(term_key(e) for e in s.elements)
 
 
-def untyped_key(t: UntypedTerm):
-    match t:
-        case UBoundVar(index):
-            return (0, index)
-        case UVar(name):
-            return (1, name)
-        case ULam(_, body):
-            return (2, untyped_key(body))
-        case UApp(fun, arg):
-            return (3, untyped_key(fun), untyped_key(arg))
-    raise TypeError(f"not an untyped term: {t!r}")
-
-
 def _canonical_tuple(elements, key):
     out = []
     for e in sorted(elements, key=key):
@@ -331,129 +319,17 @@ def type_height(t: Type | SetType) -> int:
     raise TypeError(f"not a type: {t!r}")
 
 
-def canonicalize(elements: Iterable[Type] | Iterable[MemTerm]) -> SetType | SetTerm:
-    """Sort and deduplicate into a SetType or SetTerm, by element kind."""
-    items = list(elements)
-    if isinstance(items[0] if items else None, (Base, Arrow)):
-        return SetType.of(items)
-    if items and isinstance(items[0], (Var, BoundVar, Lam, App, Wrap)):
-        return SetTerm.of(items)
-    raise ValueError("cannot infer set kind from elements")
-
-
-def alpha_eq(x, y) -> bool:
-    """Equality up to bound-variable renaming; annotations compared exactly."""
-    return x == y
-
-
 # ---------------------------------------------------------------------------
-# Queries
-
-
-def is_wrapper_free(t: MemTerm | SetTerm) -> bool:
-    match t:
-        case Wrap():
-            return False
-        case Var() | BoundVar():
-            return True
-        case Lam(_, _, body):
-            return is_wrapper_free(body)
-        case App(fun, arg):
-            return is_wrapper_free(fun) and is_wrapper_free(arg)
-        case SetTerm(elements):
-            return all(is_wrapper_free(e) for e in elements)
-    raise TypeError(f"not a term: {t!r}")
-
-
-def free_occurrences(t: MemTerm | SetTerm) -> Iterator[tuple[str, Type]]:
-    """Yield (name, annotation) for every free occurrence, in term order."""
-    match t:
-        case Var(name, annot):
-            yield (name, annot)
-        case BoundVar():
-            pass
-        case Lam(_, _, body):
-            yield from free_occurrences(body)
-        case App(fun, arg):
-            yield from free_occurrences(fun)
-            yield from free_occurrences(arg)
-        case Wrap(head, payload):
-            yield from free_occurrences(head)
-            yield from free_occurrences(payload)
-        case SetTerm(elements):
-            for e in elements:
-                yield from free_occurrences(e)
-        case _:
-            raise TypeError(f"not a term: {t!r}")
-
-
-def free_names(t: MemTerm | SetTerm) -> set[str]:
-    return {name for name, _ in free_occurrences(t)}
-
-
-def ufree_names(t: UntypedTerm) -> set[str]:
-    match t:
-        case UVar(name):
-            return {name}
-        case UBoundVar():
-            return set()
-        case ULam(_, body):
-            return ufree_names(body)
-        case UApp(fun, arg):
-            return ufree_names(fun) | ufree_names(arg)
-    raise TypeError(f"not an untyped term: {t!r}")
-
-
-def term_size(t: MemTerm | SetTerm) -> int:
-    match t:
-        case Var() | BoundVar():
-            return 1
-        case Lam(_, _, body):
-            return 1 + term_size(body)
-        case App(fun, arg):
-            return 1 + term_size(fun) + term_size(arg)
-        case Wrap(head, payload):
-            return 1 + term_size(head) + term_size(payload)
-        case SetTerm(elements):
-            return sum(term_size(e) for e in elements)
-    raise TypeError(f"not a term: {t!r}")
-
-
-def untyped_size(t: UntypedTerm) -> int:
-    match t:
-        case UVar() | UBoundVar():
-            return 1
-        case ULam(_, body):
-            return 1 + untyped_size(body)
-        case UApp(fun, arg):
-            return 1 + untyped_size(fun) + untyped_size(arg)
-    raise TypeError(f"not an untyped term: {t!r}")
-
-
-def apply_wrappers(t: MemTerm, wrappers: WrapperList) -> MemTerm:
-    for payload in wrappers:
-        t = Wrap(t, payload)
-    return t
-
-
-def peel_wrappers(t: MemTerm) -> tuple[MemTerm, WrapperList]:
-    """Split t into its wrapper-less core and the wrapper list around it."""
-    wrappers: list[SetTerm] = []
-    while isinstance(t, Wrap):
-        wrappers.append(t.payload)
-        t = t.head
-    return t, tuple(reversed(wrappers))
-
-
-# ---------------------------------------------------------------------------
-# Positions
+# Traversal
 #
 # Children: abstraction body = 0; application fun = 0, arg element i =
 # 1+i; wrapper head = 0, payload element i = 1+i; for a top-level set,
-# element i = i.  Set elements are indexed in canonical order.
+# element i = i.  Set elements are indexed in canonical order.  A
+# position is the path of child indices from the root.
 
 
-def _children(t) -> list:
+def children(t) -> list:
+    """The subterms of t one position down, in child-index order."""
     match t:
         case Var() | BoundVar() | UVar() | UBoundVar():
             return []
@@ -470,67 +346,128 @@ def _children(t) -> list:
     raise TypeError(f"not a term: {t!r}")
 
 
-def subterm_at(t, pos: Position):
-    here = t
-    for step, i in enumerate(pos):
-        kids = _children(here)
-        if not 0 <= i < len(kids):
-            raise InvalidPosition(f"no child {i} at {list(pos[:step])}")
-        here = kids[i]
-    return here
+def rebuild(t, kids: list):
+    """t with its children replaced by kids, in the order of children(t).
 
-
-def replace_at(t, pos: Position, new):
-    """Rebuild t with the subterm at pos replaced; sets re-canonicalize."""
-    if not pos:
-        return new
-    i, rest = pos[0], pos[1:]
+    Returns t itself when every kid is the old child, and reuses an
+    unchanged argument or payload set, so an untouched subterm is never
+    re-sorted.  A changed set re-canonicalizes.
+    """
     match t:
+        case Var() | BoundVar() | UVar() | UBoundVar():
+            return t
         case Lam(hint, binder, body):
-            if i != 0:
-                raise InvalidPosition(f"no child {i} under a binder")
-            return Lam(hint, binder, replace_at(body, rest, new))
+            return t if kids[0] is body else Lam(hint, binder, kids[0])
         case ULam(hint, body):
-            if i != 0:
-                raise InvalidPosition(f"no child {i} under a binder")
-            return ULam(hint, replace_at(body, rest, new))
+            return t if kids[0] is body else ULam(hint, kids[0])
         case App(fun, arg):
-            if i == 0:
-                return App(replace_at(fun, rest, new), arg)
-            if 1 <= i <= len(arg.elements):
-                return App(fun, _replace_element(arg, i - 1, rest, new))
-            raise InvalidPosition(f"no child {i} of an application")
+            new_arg = _rebuild_set(arg, kids[1:])
+            return t if kids[0] is fun and new_arg is arg else App(kids[0], new_arg)
         case UApp(fun, arg):
-            if i == 0:
-                return UApp(replace_at(fun, rest, new), arg)
-            if i == 1:
-                return UApp(fun, replace_at(arg, rest, new))
-            raise InvalidPosition(f"no child {i} of an application")
+            return t if kids[0] is fun and kids[1] is arg else UApp(kids[0], kids[1])
         case Wrap(head, payload):
-            if i == 0:
-                return Wrap(replace_at(head, rest, new), payload)
-            if 1 <= i <= len(payload.elements):
-                return Wrap(head, _replace_element(payload, i - 1, rest, new))
-            raise InvalidPosition(f"no child {i} of a wrapper")
-        case SetTerm(elements):
-            if 0 <= i < len(elements):
-                return _replace_element(t, i, rest, new)
-            raise InvalidPosition(f"no element {i} of a set-term")
-    raise InvalidPosition(f"no child {i} of a leaf")
+            new_payload = _rebuild_set(payload, kids[1:])
+            if kids[0] is head and new_payload is payload:
+                return t
+            return Wrap(kids[0], new_payload)
+        case SetTerm():
+            return _rebuild_set(t, kids)
+    raise TypeError(f"not a term: {t!r}")
 
 
-def _replace_element(s: SetTerm, i: int, rest: Position, new) -> SetTerm:
-    elements = list(s.elements)
-    elements[i] = replace_at(elements[i], rest, new)
-    return SetTerm.of(elements)
+def _rebuild_set(s: SetTerm, kids: list) -> SetTerm:
+    if all(map(operator.is_, kids, s.elements)):
+        return s
+    return SetTerm.of(kids)
+
+
+def map_children(t, f):
+    """Rebuild t with f applied to each child, in order."""
+    return rebuild(t, [f(c) for c in children(t)])
+
+
+def subterms(t) -> Iterator[tuple[Position, object]]:
+    """Every (position, subterm) of t in lexicographic (pre-)order."""
+    stack = [((), t)]
+    while stack:
+        pos, here = stack.pop()
+        yield pos, here
+        kids = children(here)
+        for i in range(len(kids) - 1, -1, -1):
+            stack.append(((*pos, i), kids[i]))
+
+
+def nodes(t) -> Iterator:
+    """Every subterm of t in pre-order, without the cost of positions."""
+    stack = [t]
+    while stack:
+        here = stack.pop()
+        yield here
+        stack.extend(reversed(children(here)))
 
 
 def positions(t) -> Iterator[Position]:
     """All positions of t in lexicographic (pre-)order."""
-    yield ()
-    for i, child in enumerate(_children(t)):
-        for p in positions(child):
-            yield (i, *p)
+    return (pos for pos, _ in subterms(t))
+
+
+def _descend(t, pos: Position):
+    """The (node, its children, child index) steps along pos, and the
+    subterm reached."""
+    path = []
+    for step, i in enumerate(pos):
+        kids = children(t)
+        if not 0 <= i < len(kids):
+            raise InvalidPosition(f"no child {i} at {list(pos[:step])}")
+        path.append((t, kids, i))
+        t = kids[i]
+    return path, t
+
+
+def subterm_at(t, pos: Position):
+    return _descend(t, pos)[1]
+
+
+def replace_at(t, pos: Position, new):
+    """Rebuild t with the subterm at pos replaced; sets re-canonicalize."""
+    for node, kids, i in reversed(_descend(t, pos)[0]):
+        kids[i] = new
+        new = rebuild(node, kids)
+    return new
+
+
+def is_wrapper_free(t: MemTerm | SetTerm) -> bool:
+    return not any(isinstance(s, Wrap) for s in nodes(t))
+
+
+def free_occurrences(t: MemTerm | SetTerm) -> Iterator[tuple[str, Type]]:
+    """Yield (name, annotation) for every free occurrence, in term order."""
+    return ((s.name, s.annot) for s in nodes(t) if isinstance(s, Var))
+
+
+def free_names(t) -> set[str]:
+    """Names free in an annotated or untyped term."""
+    return {s.name for s in nodes(t) if isinstance(s, (Var, UVar))}
+
+
+def term_size(t) -> int:
+    """Number of term nodes; a top-level set counts only its elements."""
+    return sum(1 for s in nodes(t) if not isinstance(s, SetTerm))
+
+
+def apply_wrappers(t: MemTerm, wrappers: WrapperList) -> MemTerm:
+    for payload in wrappers:
+        t = Wrap(t, payload)
+    return t
+
+
+def peel_wrappers(t: MemTerm) -> tuple[MemTerm, WrapperList]:
+    """Split t into its wrapper-less core and the wrapper list around it."""
+    wrappers: list[SetTerm] = []
+    while isinstance(t, Wrap):
+        wrappers.append(t.payload)
+        t = t.head
+    return t, tuple(reversed(wrappers))
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +564,7 @@ def _pretty_untyped(t: UntypedTerm, env: list[str], prec: int) -> str:
         case UBoundVar(index):
             return env[-1 - index] if index < len(env) else f"?{index - len(env)}"
         case ULam(hint, body):
-            used = ufree_names(body) | set(env)
+            used = free_names(body) | set(env)
             name = _pick_name(hint, used)
             s = f"\\{name}. {_pretty_untyped(body, env + [name], 0)}"
             return f"({s})" if prec >= 1 else s

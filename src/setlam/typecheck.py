@@ -16,15 +16,15 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Union
 
-from .binding import close_term, uclose, uopen
+from .binding import close_term, uopen
 from .errors import (
     InvalidDerivation, NotTypable, NotUniform, UnboundOrWrongAnnotation,
 )
 from .syntax import (
     App, Arrow, BoundVar, Lam, MemTerm, Position, SetTerm, SetType,
     Type, UApp, UBoundVar, ULam, UntypedTerm, UVar, Var, Wrap,
-    _pick_name, free_occurrences, parse_type, parse_untyped, pretty,
-    type_key,
+    _pick_name, free_names, free_occurrences, parse_type, parse_untyped,
+    pretty, type_key,
 )
 
 __all__ = [
@@ -426,12 +426,11 @@ def _erase_node(t, context: TypingContext, env: list[str], pos: Position):
             name = env[-1 - index]
             return CurryDerivation("var", context, UVar(name), annot, (), annot), UVar(name)
         case Lam(hint, binder, body):
-            from .syntax import free_names
             name = _pick_name(hint, free_names(body) | set(env))
             premise, body_subject = _erase_node(
                 body, context.bind(name, binder), env + [name], pos + (0,))
             assert not isinstance(premise.type_, SetType)
-            subject = ULam(name, uclose(body_subject, name))
+            subject = ULam(name, close_term(body_subject, name))
             type_ = Arrow(binder, premise.type_)
             return CurryDerivation("intro", context, subject, type_, (premise,)), subject
         case App(fun, arg):

@@ -16,13 +16,12 @@ from setlam import (
     par_reduces, parse_term, parse_untyped, project_step,
     random_parallel_reduct, redexes, refines, simp_d, simp_full,
     simulate_beta, step_i, step_im, substitute, subterm_at,
-    synthesize_type, weight,
+    synthesize_type, type_height, weight,
 )
 from setlam.binding import open_term
 from setlam.errors import NotSNWithinFuel
 from setlam.syntax import Var, free_names
 from setlam.typecheck import canonical_derivation
-from setlam.measure import height
 
 import corpus
 
@@ -170,7 +169,7 @@ def test_criterion_5_degree_lemmas(corpus):
             opened = open_term(core.body, {ty: Var("zz", ty) for ty in core.binder})
             if "zz" in free_names(node.arg):
                 continue
-            bound = max(max_degree(node.arg), height(core.binder), max_degree(opened))
+            bound = max(max_degree(node.arg), type_height(core.binder), max_degree(opened))
             result = substitute(opened, "zz", core.binder, node.arg)
             for d in (bound + 1, bound + 2):
                 assert max_degree(result) < d

@@ -1,6 +1,10 @@
 """Command-line behaviors: outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -116,6 +120,23 @@ def test_normalize(files, capsys):
     assert lines[1] == "steps: 2"
 
 
+@pytest.mark.parametrize("command,flag", [("chains", "--fuel=-1"), ("reduce", "--steps=-1")])
+def test_negative_counts_are_usage_errors(files, capsys, command, flag):
+    path = files("t.term", "(\\x:{a}.x^a) {y^a}")
+    with pytest.raises(SystemExit) as exited:
+        main([command, path, flag])
+    assert exited.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_zero_counts_are_accepted(files, capsys):
+    path = files("t.term", "(\\x:{a}.x^a) {y^a}")
+    code, out, _ = run(capsys, "reduce", path, "--steps=0")
+    assert code == 0 and json.loads(out)["steps"] == []
+    code, out, _ = run(capsys, "normalize", files("nf.term", "y^a"), "--fuel=0")
+    assert code == 0 and out == "y^a\nsteps: 0\n"
+
+
 def test_measure_json(files, capsys):
     path = files("t.term", "(\\x:{a}.x^a) {y^a}")
     code, out, _ = run(capsys, "measure", path)
@@ -183,3 +204,21 @@ def test_byte_identical_reruns(files, capsys):
     first = run(capsys, "measure", path)
     second = run(capsys, "measure", path)
     assert first == second
+
+
+def test_stdout_is_independent_of_the_hash_seed(files):
+    path = files("t.term", corpus.FIGURE_START)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    commands = [
+        ["graph", path],
+        ["graph", path, "--calculus=im", "--format=dot", "--fuel=200"],
+        ["reduce", path, "--calculus=im", "--strategy=random", "--steps=6", "--seed=3"],
+    ]
+    for argv in commands:
+        outputs = {
+            subprocess.run([sys.executable, "-m", "setlam", *argv], check=True,
+                           capture_output=True, text=True,
+                           env={**env, "PYTHONHASHSEED": seed}).stdout
+            for seed in ("0", "1", "7")
+        }
+        assert len(outputs) == 1

@@ -3,10 +3,10 @@
 import pytest
 
 from setlam import (
-    Fuel, IllTyped, SetTerm, W, degree_profile, height, i_redexes,
+    Fuel, IllTyped, SetTerm, W, degree_profile, i_redexes,
     max_degree, measure_report, normal_form, parse_set_type, parse_term,
     parse_type, pretty, redexes, simp_d, simp_full, step_i, step_im,
-    substitute, weight,
+    substitute, type_height, weight,
 )
 from setlam.binding import open_term
 from setlam.syntax import Lam, SetType, Var, free_names, subterm_at
@@ -21,20 +21,20 @@ FIGURE = parse_term(corpus.FIGURE_START)
 # --- height -----------------------------------------------------------------
 
 def test_height_base():
-    assert height(parse_type("a")) == 0
+    assert type_height(parse_type("a")) == 0
 
 
 def test_height_arrow():
-    assert height(parse_type("{a} -> a")) == 1
+    assert type_height(parse_type("{a} -> a")) == 1
 
 
 def test_height_nested():
-    assert height(parse_type("{{a} -> a, a} -> ({a} -> a)")) == 2
+    assert type_height(parse_type("{{a} -> a, a} -> ({a} -> a)")) == 2
 
 
 def test_height_set_and_empty():
-    assert height(parse_set_type("{a, {a} -> a}")) == 1
-    assert height(SetType(())) == 0
+    assert type_height(parse_set_type("{a, {a} -> a}")) == 1
+    assert type_height(SetType(())) == 0
 
 
 # --- weight -----------------------------------------------------------------
@@ -137,7 +137,7 @@ def test_simp_decreases_max_degree(corpus):
 
 
 def test_substitution_degree_bound(corpus):
-    # maxdeg(arg) < d, height(binder) < d, maxdeg(body) < d imply
+    # maxdeg(arg) < d, type_height(binder) < d, maxdeg(body) < d imply
     # maxdeg(body{x := arg}) < d
     instances = 0
     for entry in corpus:
@@ -149,13 +149,13 @@ def test_substitution_degree_bound(corpus):
             opened = open_term(core.body, {ty: Var("zz", ty) for ty in core.binder})
             if "zz" in free_names(node.arg):
                 continue
-            d = 1 + max(max_degree(node.arg), height(core.binder), max_degree(opened))
+            d = 1 + max(max_degree(node.arg), type_height(core.binder), max_degree(opened))
             result = substitute(opened, "zz", core.binder, node.arg)
             assert max_degree(result) < d
             instances += 1
             # when the redex degree itself satisfies the hypotheses, use it too
             if r.degree is not None and max(
-                    max_degree(node.arg), height(core.binder), max_degree(opened)) < r.degree:
+                    max_degree(node.arg), type_height(core.binder), max_degree(opened)) < r.degree:
                 assert max_degree(result) < r.degree
                 instances += 1
     assert instances >= 200
@@ -189,7 +189,7 @@ def test_no_abstraction_creation(corpus):
         "z^({a -> a} -> ((a -> a) -> a -> a))"
         " {(\\w:{a -> a}. w^(a -> a)) {\\v:{a}. v^a}}")
     assert max_degree(handcrafted) == 2 and not is_wabs(handcrafted)
-    assert height(subterm_type(handcrafted)) == 2
+    assert type_height(subterm_type(handcrafted)) == 2
 
     checked = 0
     pool = [handcrafted] + [e.term for e in corpus]
@@ -198,7 +198,7 @@ def test_no_abstraction_creation(corpus):
             if is_wabs(sub) or isinstance(sub, SetTermNode):
                 continue
             d = max_degree(sub)
-            if d >= 1 and height(subterm_type(sub)) >= d:
+            if d >= 1 and type_height(subterm_type(sub)) >= d:
                 assert not is_wabs(simp_d(sub, d))
                 checked += 1
     assert checked >= 3

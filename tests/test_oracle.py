@@ -4,7 +4,7 @@ import pytest
 
 from setlam import (
     CycleDetected, Fuel, FuelExhausted, IllTyped, NotSNWithinFuel,
-    SetTerm, TypingContext, W, check, erase, explore, graph_to_dot,
+    SetTerm, TypingContext, ULam, UVar, W, check, erase, explore, graph_to_dot,
     graph_to_json_dict, head_subject_expansion, infer_sn, is_sn,
     longest_chain, normal_form, parse_set_type, parse_term, parse_type,
     parse_untyped, pretty, refines, synthesize_type,
@@ -71,6 +71,13 @@ def test_normal_form_identity_on_normal_forms():
 def test_normal_form_fuel_exhausted():
     with pytest.raises(FuelExhausted):
         normal_form(OMEGA, "beta", Fuel(max_nodes=10, max_depth=10))
+
+
+def test_normal_form_fuel_bounds_the_steps():
+    t = parse_term("(\\x:{a}. x^a) y^a")
+    assert normal_form(t, "i", Fuel(10, 1)) == parse_term("y^a")
+    with pytest.raises(FuelExhausted):
+        normal_form(t, "i", Fuel(10, 0))
 
 
 def test_normal_form_agrees_with_graph_sink(corpus):
@@ -176,6 +183,14 @@ def test_infer_self_application_deterministic():
 def test_infer_omega_fails():
     with pytest.raises(NotSNWithinFuel):
         infer_sn(OMEGA, Fuel(max_nodes=2_000, max_depth=2_000))
+
+
+def test_infer_deep_binder_chain_runs_out_of_fuel():
+    m = UVar("y")
+    for _ in range(3_000):
+        m = ULam("x", m)
+    with pytest.raises(NotSNWithinFuel):
+        infer_sn(m, Fuel(max_nodes=50, max_depth=50))
 
 
 def test_infer_vacuous_head_redex():

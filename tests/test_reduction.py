@@ -14,6 +14,7 @@ from setlam import (
     step_im, substitute, synthesize_type, weight,
 )
 from setlam.binding import open_term
+from setlam.reduction import redex_positions
 from setlam.syntax import Var, free_names, is_wrapper_free, pretty
 
 import corpus
@@ -116,6 +117,13 @@ def test_redex_enumeration_is_position_ordered(corpus):
     for entry in corpus[:50]:
         ps = [r.position for r in redexes(entry.term)]
         assert ps == sorted(ps)
+
+
+def test_redex_positions_match_redex_enumeration(corpus):
+    for entry in corpus:
+        t = entry.term
+        assert redex_positions(t, "im") == [r.position for r in redexes(t)]
+        assert redex_positions(t, "i") == [r.position for r in i_redexes(t)]
 
 
 # --- single steps -----------------------------------------------------------

@@ -5,10 +5,11 @@ from hypothesis import given, strategies as st
 
 from setlam import (
     App, Arrow, Base, BoundVar, InvalidPosition, Lam, ParseError, SetTerm,
-    SetType, UApp, ULam, UVar, Var, Wrap, alpha_eq, canonicalize, parse,
+    SetType, UApp, ULam, UVar, Var, Wrap, parse,
     parse_set_type, parse_term, parse_type, parse_untyped, pretty,
     replace_at, subterm_at,
 )
+from setlam.binding import locally_closed, shift
 from setlam.syntax import positions, term_size, type_height
 
 a, b, c = Base("a"), Base("b"), Base("c")
@@ -17,21 +18,16 @@ a, b, c = Base("a"), Base("b"), Base("c")
 # --- canonical sets ---------------------------------------------------------
 
 def test_canonicalize_idempotent_intersection():
-    assert canonicalize([a, a]) == SetType.of([a])
+    assert SetType.of([a, a]) == SetType.of([a])
 
 
 def test_canonicalize_commutative():
-    assert canonicalize([b, a]) == canonicalize([a, b])
+    assert SetType.of([b, a]) == SetType.of([a, b])
 
 
 def test_canonicalize_terms_dedup():
     xa, xb = Var("x", a), Var("x", b)
-    assert canonicalize([xa, xb, xa]) == SetTerm.of([xa, xb])
-
-
-def test_canonicalize_empty_rejected():
-    with pytest.raises(ValueError):
-        canonicalize([])
+    assert SetTerm.of([xa, xb, xa]) == SetTerm.of([xa, xb])
 
 
 def test_constructors_insist_on_canonical_input():
@@ -74,16 +70,16 @@ def test_canonicalize_insensitive_to_order_and_repetition(elements):
 # --- alpha equality ---------------------------------------------------------
 
 def test_alpha_eq_renaming():
-    assert alpha_eq(parse_term("\\x:{a}.x^a"), parse_term("\\y:{a}.y^a"))
+    assert parse_term("\\x:{a}.x^a") == parse_term("\\y:{a}.y^a")
 
 
 def test_alpha_eq_annotations_matter():
-    assert not alpha_eq(parse_term("\\x:{a}.x^a"), parse_term("\\x:{b}.x^b"))
+    assert parse_term("\\x:{a}.x^a") != parse_term("\\x:{b}.x^b")
 
 
 def test_alpha_eq_vars():
-    assert alpha_eq(parse_term("x^a"), parse_term("x^a"))
-    assert not alpha_eq(parse_term("x^a"), parse_term("y^a"))
+    assert parse_term("x^a") == parse_term("x^a")
+    assert parse_term("x^a") != parse_term("y^a")
 
 
 def test_untyped_alpha():
@@ -244,6 +240,21 @@ def test_positions_enumeration_is_lexicographic():
     listed = list(positions(t))
     assert listed == sorted(listed)
     assert len(listed) == term_size(t) + 0 if not isinstance(t, SetTerm) else True
+
+
+def test_replace_at_own_subterm_returns_the_term(corpus):
+    for entry in corpus:
+        t = entry.term
+        for pos in positions(t):
+            assert replace_at(t, pos, subterm_at(t, pos)) is t
+
+
+def test_shift_of_locally_closed_term_returns_the_term(corpus):
+    for entry in corpus:
+        for t in (entry.term, entry.untyped):
+            if t is not None:
+                assert locally_closed(t)
+                assert shift(t, 3) is t
 
 
 def test_type_height_clauses():
