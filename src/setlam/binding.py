@@ -24,7 +24,7 @@ from .syntax import (
 
 def _map_vars(t, leaf, depth: int = 0):
     """Rebuild t with every variable occurrence v replaced by leaf(v, d),
-    where d is depth plus the number of binders above v inside t."""
+    where d is the number of binders above v inside t."""
     if isinstance(t, (Var, BoundVar, UVar, UBoundVar)):
         return leaf(t, depth)
     if isinstance(t, (Lam, ULam)):
@@ -36,8 +36,8 @@ def _bound(v: BoundVar | UBoundVar, index: int):
     return BoundVar(index, v.annot) if isinstance(v, BoundVar) else UBoundVar(index)
 
 
-def shift(t: MemTerm | SetTerm | UntypedTerm, d: int, cutoff: int = 0):
-    """Add d to every index pointing outside the term (>= cutoff)."""
+def shift(t: MemTerm | SetTerm | UntypedTerm, d: int):
+    """Add d to every index pointing outside the term."""
     if d == 0:
         return t
 
@@ -45,10 +45,10 @@ def shift(t: MemTerm | SetTerm | UntypedTerm, d: int, cutoff: int = 0):
         if isinstance(v, (BoundVar, UBoundVar)) and v.index >= depth:
             return _bound(v, v.index + d)
         return v
-    return _map_vars(t, leaf, cutoff)
+    return _map_vars(t, leaf)
 
 
-def _open(body, pick, depth: int):
+def _open(body, pick):
     def leaf(v, level):
         if isinstance(v, (BoundVar, UBoundVar)):
             if v.index == level:
@@ -56,11 +56,11 @@ def _open(body, pick, depth: int):
             if v.index > level:
                 return _bound(v, v.index - 1)
         return v
-    return _map_vars(body, leaf, depth)
+    return _map_vars(body, leaf)
 
 
-def open_term(body: MemTerm | SetTerm, by_type: Mapping[Type, MemTerm], depth: int = 0):
-    """Replace the binder at de Bruijn level `depth` by typed substituents.
+def open_term(body: MemTerm | SetTerm, by_type: Mapping[Type, MemTerm]):
+    """Replace the binder the body sits under by typed substituents.
 
     Occurrences of the opened binder pick the substituent whose type
     equals their annotation; indices above the binder move down one.
@@ -71,15 +71,15 @@ def open_term(body: MemTerm | SetTerm, by_type: Mapping[Type, MemTerm], depth: i
             return by_type[v.annot]
         except KeyError:
             raise MissingSubstituent(v.annot) from None
-    return _open(body, pick, depth)
+    return _open(body, pick)
 
 
-def uopen(body: UntypedTerm, replacement: UntypedTerm, depth: int = 0) -> UntypedTerm:
+def uopen(body: UntypedTerm, replacement: UntypedTerm) -> UntypedTerm:
     """Untyped open_term: every occurrence takes the one replacement."""
-    return _open(body, lambda v: replacement, depth)
+    return _open(body, lambda v: replacement)
 
 
-def close_term(t: MemTerm | SetTerm | UntypedTerm, name: str, depth: int = 0):
+def close_term(t: MemTerm | SetTerm | UntypedTerm, name: str):
     """Turn free occurrences of `name` into indices for a new binder."""
     def leaf(v, level):
         if isinstance(v, Var) and v.name == name:
@@ -87,7 +87,7 @@ def close_term(t: MemTerm | SetTerm | UntypedTerm, name: str, depth: int = 0):
         if isinstance(v, UVar) and v.name == name:
             return UBoundVar(level)
         return v
-    return _map_vars(t, leaf, depth)
+    return _map_vars(t, leaf)
 
 
 def subst_free(t: MemTerm | SetTerm, name: str, by_type: Mapping[Type, MemTerm]):
@@ -106,12 +106,12 @@ def subst_free(t: MemTerm | SetTerm, name: str, by_type: Mapping[Type, MemTerm])
     return _map_vars(t, leaf)
 
 
-def locally_closed(t: MemTerm | SetTerm | UntypedTerm, depth: int = 0) -> bool:
+def locally_closed(t: MemTerm | SetTerm | UntypedTerm) -> bool:
     escaping = []
 
     def leaf(v, level):
         if isinstance(v, (BoundVar, UBoundVar)) and v.index >= level:
             escaping.append(v)
         return v
-    _map_vars(t, leaf, depth)
+    _map_vars(t, leaf)
     return not escaping

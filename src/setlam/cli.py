@@ -6,8 +6,8 @@ outputs carry a "formatVersion" field and are byte-identical for
 identical inputs and flags.
 
 Exit codes: 0 ok, 1 parse error, 2 type or derivation error or bad
-usage, 3 non-uniform term, 4 fuel/SN/search failure, 5 internal
-invariant violation (always a bug).
+usage, 3 non-uniform term, 4 fuel/SN/search failure or input nested too
+deeply, 5 internal invariant violation (always a bug).
 """
 
 from __future__ import annotations
@@ -248,6 +248,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except (FuelExhausted, NotSNWithinFuel, SearchBudgetExceeded, CycleDetected) as error:
         print(f"error: {error}", file=sys.stderr)
+        return 4
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return 4
     except (SetLamError, AssertionError, ValueError, KeyError, TypeError) as error:
         print(f"internal error: {type(error).__name__}: {error}", file=sys.stderr)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import IllTyped
 from .syntax import (
-    Lam, MemTerm, SetTerm, Wrap, WrapperList, is_wrapper_free, nodes,
+    Lam, MemTerm, SetTerm, Wrap, is_wrapper_free, nodes,
     pretty, type_height,
 )
 from .reduction import develop, redexes
@@ -51,14 +51,12 @@ def degree_profile(t: MemTerm | SetTerm) -> DegreeProfile:
     return DegreeProfile(max(counts, default=0), tuple(sorted(counts.items())))
 
 
-def max_degree(t: MemTerm | SetTerm | WrapperList) -> int:
+def max_degree(t: MemTerm | SetTerm) -> int:
     """Largest redex degree in t, or 0 if t has no redexes."""
-    if isinstance(t, tuple):
-        return max((max_degree(p) for p in t), default=0)
     return degree_profile(t).max_degree
 
 
-def simp_d(t: MemTerm | SetTerm | WrapperList, d: int):
+def simp_d(t: MemTerm | SetTerm, d: int):
     """Contract every redex of degree exactly d, in one pass.
 
     On an application whose function part is a w-abstraction of degree
@@ -68,8 +66,6 @@ def simp_d(t: MemTerm | SetTerm | WrapperList, d: int):
     """
     if d < 1:
         raise ValueError("simplification degree must be >= 1")
-    if isinstance(t, tuple):
-        return tuple(simp_d(p, d) for p in t)
     return develop(t, lambda core: _wabs_degree(core) == d, "im")
 
 

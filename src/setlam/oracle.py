@@ -22,7 +22,7 @@ from .errors import (
 from .syntax import (
     App, Arrow, Base, Lam, MemTerm, Position, SetTerm, SetType,
     Type, UApp, UBoundVar, ULam, UntypedTerm, UVar, Var, free_names,
-    pretty, term_key,
+    pretty,
 )
 from .reduction import normalize, redex_positions, step
 from .typecheck import TypingContext, check, refines, synthesize_type
@@ -315,7 +315,7 @@ def _infer_head_redex(hint: str, body: UntypedTerm, arg: UntypedTerm,
         for copy in copies:
             assert locally_closed(copy), "argument copy escapes its binders"
             copy_type = synthesize_type(copy)
-            if copy_type not in by_type or term_key(copy) < term_key(by_type[copy_type]):
+            if copy_type not in by_type or copy.key < by_type[copy_type].key:
                 by_type[copy_type] = copy
         binder = SetType.of(by_type)
         substituents = SetTerm.of(by_type.values())

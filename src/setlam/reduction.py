@@ -24,10 +24,10 @@ from itertools import product
 from .binding import open_term, uopen
 from .errors import FuelExhausted, IllTyped, NotARedex, SearchBudgetExceeded
 from .syntax import (
-    App, BoundVar, Lam, MemTerm, Position, SetTerm, SetType, Type, UApp, ULam,
-    UntypedTerm, Var, Wrap, WrapperList, apply_wrappers, is_wrapper_free,
-    map_children, peel_wrappers, pretty, replace_at, subterm_at, subterms,
-    term_size, type_height,
+    App, Lam, MemTerm, Position, SetTerm, SetType, Type, UApp, ULam,
+    UntypedTerm, Wrap, WrapperList, apply_wrappers, children,
+    is_wrapper_free, map_children, peel_wrappers, pretty, rebuild,
+    replace_at, subterm_at, subterms, term_size, type_height,
 )
 from .typecheck import check, refines, subterm_type
 from . import binding, typecheck
@@ -283,51 +283,22 @@ def parallel_reducts(t: MemTerm | SetTerm, calculus: str = "im") -> frozenset:
 
 
 def _par_reducts(t, calculus: str, memo: dict) -> frozenset:
-    key = (id(type(t)), t)
-    if key in memo:
-        return memo[key]
-    match t:
-        case Var() | BoundVar():
-            result = frozenset([t])
-        case Lam(hint, binder, body):
-            result = frozenset(
-                Lam(hint, binder, b) for b in _par_reducts(body, calculus, memo))
-        case App(fun, arg):
-            args = _par_set(arg, calculus, memo)
-            out = set()
-            for f in _par_reducts(fun, calculus, memo):
-                for a in args:
-                    out.add(App(f, a))
-            core, wrappers = peel_wrappers(fun)
-            if isinstance(core, Lam) and (calculus == "im" or not wrappers):
-                bodies = _par_reducts(core.body, calculus, memo)
-                wrapper_choices = list(product(
-                    *(_par_set(p, calculus, memo) for p in wrappers)))
-                for b in bodies:
-                    for a in args:
-                        contracted = open_term(b, _elements_by_type(a))
-                        if calculus == "i":
-                            out.add(contracted)
-                        else:
-                            for ws in wrapper_choices:
-                                out.add(apply_wrappers(Wrap(contracted, a), ws))
-            result = frozenset(out)
-        case Wrap(head, payload):
-            result = frozenset(
-                Wrap(h, p)
-                for h in _par_reducts(head, calculus, memo)
-                for p in _par_set(payload, calculus, memo))
-        case SetTerm():
-            result = _par_set(t, calculus, memo)
-        case _:
-            raise TypeError(f"not a term: {t!r}")
-    memo[key] = result
+    if t in memo:
+        return memo[t]
+    kid_choices = [_par_reducts(c, calculus, memo) for c in children(t)]
+    out = {rebuild(t, kids) for kids in product(*kid_choices)}
+    core, wrappers = peel_wrappers(t.fun) if isinstance(t, App) else (None, ())
+    if isinstance(core, Lam) and (calculus == "im" or not wrappers):
+        wrapper_choices = list(product(*(_par_reducts(p, calculus, memo) for p in wrappers)))
+        for b in _par_reducts(core.body, calculus, memo):
+            for a in _par_reducts(t.arg, calculus, memo):
+                contracted = open_term(b, _elements_by_type(a))
+                if calculus == "i":
+                    out.add(contracted)
+                else:
+                    out.update(apply_wrappers(Wrap(contracted, a), ws) for ws in wrapper_choices)
+    memo[t] = result = frozenset(out)
     return result
-
-
-def _par_set(s: SetTerm, calculus: str, memo: dict) -> frozenset:
-    choices = [_par_reducts(e, calculus, memo) for e in s.elements]
-    return frozenset(SetTerm.of(combo) for combo in product(*choices))
 
 
 def par_reduces(t, s, calculus: str = "im") -> bool:

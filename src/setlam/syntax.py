@@ -8,12 +8,13 @@ set-type on every binder; application arguments and wrapper payloads are
 inert memory next to an otherwise ordinary term.
 
 Binding is nameless: bound variables are de Bruijn indices, free
-variables are names.  A binder keeps a printing hint that never takes
-part in equality or hashing, so ``==`` is exactly alpha-equivalence.
-All sets are kept canonical (sorted under a global structural order,
-duplicates removed); the smart constructors ``SetType.of`` and
-``SetTerm.of`` normalize, the dataclass constructors insist on already
-canonical input.
+variables are names.  Every node stores a structural key, computed once
+at construction from its children's keys; identity (``==`` and hashing)
+and the global structural order come from that key alone.  A binder's
+printing hint is not part of it, so ``==`` is exactly alpha-equivalence.
+All sets are kept canonical (sorted by key, duplicates removed); the
+smart constructors ``SetType.of`` and ``SetTerm.of`` normalize, the
+dataclass constructors insist on already canonical input.
 
 Concrete grammar (whitespace-insensitive, application left-associative,
 lambda bodies extend right, a postfix ``[...]`` wrapper attaches to the
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
 from .errors import InvalidPosition, ParseError
@@ -46,7 +47,6 @@ __all__ = [
     "WrapperList", "Position",
     "parse", "pretty",
     "parse_type", "parse_untyped", "parse_term", "parse_set_type",
-    "type_key", "term_key",
     "children", "rebuild", "map_children", "subterms", "nodes",
     "subterm_at", "replace_at", "positions",
     "free_occurrences", "free_names", "is_wrapper_free", "type_height",
@@ -56,57 +56,96 @@ __all__ = [
 Position = tuple[int, ...]
 
 
+class _Node:
+    """Every AST class: identity, hashing and printing in one place.
+
+    Each node stores `key`, its structural sort key, computed once at
+    construction from the keys its children already store.  Two nodes
+    are equal when they have the same class and equal keys; the hash is
+    the key's (not cached: hashing a key walks it, so caching at
+    construction would make building a term quadratic).
+    """
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __str__(self):
+        return pretty(self)
+
+
+def _set_key(node: _Node, key: tuple) -> None:
+    object.__setattr__(node, "key", key)
+
+
+_key = operator.attrgetter("key")
+
+
 # ---------------------------------------------------------------------------
 # Types
 
 
-@dataclass(frozen=True)
-class Base:
+@dataclass(frozen=True, eq=False)
+class Base(_Node):
     name: str
 
-    def __str__(self) -> str:
-        return pretty(self)
+    def __post_init__(self):
+        _set_key(self, (0, self.name))
 
 
-@dataclass(frozen=True)
-class Arrow:
+@dataclass(frozen=True, eq=False)
+class Arrow(_Node):
     domain: "SetType"
     codomain: "Type"
 
     def __post_init__(self):
         if not self.domain.elements:
             raise ValueError("arrow domain must be a non-empty set-type")
-
-    def __str__(self) -> str:
-        return pretty(self)
+        _set_key(self, (1, self.domain.key, self.codomain.key))
 
 
 Type = Union[Base, Arrow]
 
 
-@dataclass(frozen=True)
-class SetType:
-    """Canonical duplicate-free sequence of types."""
+@dataclass(frozen=True, eq=False)
+class _Set(_Node):
+    """Canonical duplicate-free sequence, strictly sorted by key; the
+    set's key is the tuple of its element keys."""
 
-    elements: tuple[Type, ...]
+    elements: tuple
 
     def __post_init__(self):
-        keys = [type_key(e) for e in self.elements]
+        keys = tuple(e.key for e in self.elements)
         if any(a >= b for a, b in zip(keys, keys[1:])):
-            raise ValueError("set-type elements must be strictly sorted")
+            raise ValueError(f"{self._what} elements must be strictly sorted")
+        _set_key(self, keys)
 
-    @staticmethod
-    def of(elements: Iterable[Type]) -> "SetType":
-        return SetType(_canonical_tuple(elements, type_key))
+    @classmethod
+    def of(cls, elements: Iterable):
+        out = []
+        for e in sorted(elements, key=_key):
+            if not out or out[-1].key != e.key:
+                out.append(e)
+        return cls(tuple(out))
 
-    def __contains__(self, item: Type) -> bool:
+    def __contains__(self, item) -> bool:
         return item in self.elements
 
-    def __iter__(self) -> Iterator[Type]:
+    def __iter__(self) -> Iterator:
         return iter(self.elements)
 
     def __len__(self) -> int:
         return len(self.elements)
+
+
+@dataclass(frozen=True, eq=False)
+class SetType(_Set):
+    """Canonical duplicate-free sequence of types."""
+
+    elements: tuple[Type, ...]
+    _what = "set-type"
 
     def union(self, other: "SetType") -> "SetType":
         return SetType.of(self.elements + other.elements)
@@ -114,105 +153,74 @@ class SetType:
     def subset_of(self, other: "SetType") -> bool:
         return all(e in other.elements for e in self.elements)
 
-    def __str__(self) -> str:
-        return "{" + ", ".join(pretty(e) for e in self.elements) + "}"
-
-
-EMPTY_SET_TYPE = SetType(())
-
 
 # ---------------------------------------------------------------------------
 # Annotated terms
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, eq=False)
+class Var(_Node):
     """Free variable occurrence, annotated with its type."""
 
     name: str
     annot: Type
 
-    def __str__(self) -> str:
-        return pretty(self)
+    def __post_init__(self):
+        _set_key(self, (1, self.name, self.annot.key))
 
 
-@dataclass(frozen=True)
-class BoundVar:
+@dataclass(frozen=True, eq=False)
+class BoundVar(_Node):
     """Bound occurrence as the de Bruijn distance to its binder."""
 
     index: int
     annot: Type
 
-    def __str__(self) -> str:
-        return pretty(self)
+    def __post_init__(self):
+        _set_key(self, (0, self.index, self.annot.key))
 
 
-@dataclass(frozen=True)
-class Lam:
-    hint: str = field(compare=False)
+@dataclass(frozen=True, eq=False)
+class Lam(_Node):
+    hint: str  # printing only: not part of the key
     binder: SetType
     body: "MemTerm"
 
     def __post_init__(self):
         if not self.binder.elements:
             raise ValueError("binder set-type must be non-empty")
-
-    def __str__(self) -> str:
-        return pretty(self)
+        _set_key(self, (2, self.binder.key, self.body.key))
 
 
-@dataclass(frozen=True)
-class App:
+@dataclass(frozen=True, eq=False)
+class App(_Node):
     fun: "MemTerm"
     arg: "SetTerm"
 
     def __post_init__(self):
         if not self.arg.elements:
             raise ValueError("application argument must be non-empty")
-
-    def __str__(self) -> str:
-        return pretty(self)
+        _set_key(self, (3, self.fun.key, self.arg.key))
 
 
-@dataclass(frozen=True)
-class Wrap:
+@dataclass(frozen=True, eq=False)
+class Wrap(_Node):
     head: "MemTerm"
     payload: "SetTerm"
 
-    def __str__(self) -> str:
-        return pretty(self)
+    def __post_init__(self):
+        _set_key(self, (4, self.head.key, self.payload.key))
 
 
 MemTerm = Union[Var, BoundVar, Lam, App, Wrap]
 
 
-@dataclass(frozen=True)
-class SetTerm:
+@dataclass(frozen=True, eq=False)
+class SetTerm(_Set):
     """Canonical duplicate-free (up to alpha) sequence of terms."""
 
     elements: tuple[MemTerm, ...]
-
-    def __post_init__(self):
-        keys = [term_key(e) for e in self.elements]
-        if any(a >= b for a, b in zip(keys, keys[1:])):
-            raise ValueError("set-term elements must be strictly sorted")
-
-    @staticmethod
-    def of(elements: Iterable[MemTerm]) -> "SetTerm":
-        return SetTerm(_canonical_tuple(elements, term_key))
-
-    def __contains__(self, item: MemTerm) -> bool:
-        return item in self.elements
-
-    def __iter__(self) -> Iterator[MemTerm]:
-        return iter(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __str__(self) -> str:
-        return "{" + ", ".join(pretty(e) for e in self.elements) + "}"
-
+    _what = "set-term"
 
 # A wrapper list is the sequence of payloads between an abstraction and
 # its argument, outermost last: apply_wrappers(t, (p, q)) == t[p][q].
@@ -223,84 +231,41 @@ WrapperList = tuple[SetTerm, ...]
 # Untyped terms
 
 
-@dataclass(frozen=True)
-class UVar:
+@dataclass(frozen=True, eq=False)
+class UVar(_Node):
     name: str
 
-    def __str__(self) -> str:
-        return pretty(self)
+    def __post_init__(self):
+        _set_key(self, (1, self.name))
 
 
-@dataclass(frozen=True)
-class UBoundVar:
+@dataclass(frozen=True, eq=False)
+class UBoundVar(_Node):
     index: int
 
-    def __str__(self) -> str:
-        return pretty(self)
+    def __post_init__(self):
+        _set_key(self, (0, self.index))
 
 
-@dataclass(frozen=True)
-class ULam:
-    hint: str = field(compare=False)
+@dataclass(frozen=True, eq=False)
+class ULam(_Node):
+    hint: str  # printing only: not part of the key
     body: "UntypedTerm"
 
-    def __str__(self) -> str:
-        return pretty(self)
+    def __post_init__(self):
+        _set_key(self, (2, self.body.key))
 
 
-@dataclass(frozen=True)
-class UApp:
+@dataclass(frozen=True, eq=False)
+class UApp(_Node):
     fun: "UntypedTerm"
     arg: "UntypedTerm"
 
-    def __str__(self) -> str:
-        return pretty(self)
+    def __post_init__(self):
+        _set_key(self, (3, self.fun.key, self.arg.key))
 
 
 UntypedTerm = Union[UVar, UBoundVar, ULam, UApp]
-
-
-# ---------------------------------------------------------------------------
-# Global structural order
-
-def type_key(t: Type):
-    match t:
-        case Base(name):
-            return (0, name)
-        case Arrow(domain, codomain):
-            return (1, settype_key(domain), type_key(codomain))
-    raise TypeError(f"not a type: {t!r}")
-
-
-def settype_key(s: SetType):
-    return tuple(type_key(e) for e in s.elements)
-
-
-def term_key(t: MemTerm):
-    match t:
-        case BoundVar(index, annot):
-            return (0, index, type_key(annot))
-        case Var(name, annot):
-            return (1, name, type_key(annot))
-        case Lam(_, binder, body):
-            return (2, settype_key(binder), term_key(body))
-        case App(fun, arg):
-            return (3, term_key(fun), setterm_key(arg))
-        case Wrap(head, payload):
-            return (4, term_key(head), setterm_key(payload))
-    raise TypeError(f"not a term: {t!r}")
-
-
-def setterm_key(s: SetTerm):
-    return tuple(term_key(e) for e in s.elements)
-
-
-def _canonical_tuple(elements, key):
-    out = []
-    for e in sorted(elements, key=key):
-        if not out or out[-1] != e:
-            out.append(e)
-    return tuple(out)
 
 
 def type_height(t: Type | SetType) -> int:
@@ -491,12 +456,14 @@ def pretty(x) -> str:
 
 
 def _pretty_type(t: Type) -> str:
-    match t:
-        case Base(name):
-            return name
-        case Arrow(domain, codomain):
-            return f"{_pretty_domain(domain)} -> {_pretty_type(codomain)}"
-    raise TypeError(f"not a type: {t!r}")
+    parts = []
+    while isinstance(t, Arrow):
+        parts.append(_pretty_domain(t.domain))
+        t = t.codomain
+    if not isinstance(t, Base):
+        raise TypeError(f"not a type: {t!r}")
+    parts.append(t.name)
+    return " -> ".join(parts)
 
 
 def _pretty_domain(s: SetType) -> str:
@@ -736,14 +703,17 @@ def _parse_annot(toks: _Tokens) -> Type:
 
 
 def _parse_untyped(toks: _Tokens, env: list[str]) -> UntypedTerm:
-    if toks.peek() == "\\":
+    names = []  # a binder chain is a loop, so its depth costs no stack
+    while toks.peek() == "\\":
         toks.next()
-        name = toks.name()
+        names.append(toks.name())
         toks.expect(".")
-        return ULam(name, _parse_untyped(toks, env + [name]))
+    env = env + names
     term = _parse_untyped_atom(toks, env)
     while toks.at_name() or toks.peek() == "(":
         term = UApp(term, _parse_untyped_atom(toks, env))
+    for name in reversed(names):
+        term = ULam(name, term)
     return term
 
 
@@ -765,13 +735,14 @@ def _lookup_untyped(name: str, env: list[str]) -> UntypedTerm:
 
 
 def _parse_aterm(toks: _Tokens, env: list[str]) -> MemTerm:
-    if toks.peek() == "\\":
+    binders = []  # a binder chain is a loop, so its depth costs no stack
+    while toks.peek() == "\\":
         toks.next()
         name = toks.name()
         toks.expect(":")
-        binder = _parse_settype(toks)
+        binders.append((name, _parse_settype(toks)))
         toks.expect(".")
-        return Lam(name, binder, _parse_aterm(toks, env + [name]))
+    env = env + [name for name, _ in binders]
     term = _parse_aterm_atom(toks, env)
     while True:
         if toks.at_name() or toks.peek() == "(":
@@ -793,7 +764,10 @@ def _parse_aterm(toks: _Tokens, env: list[str]) -> MemTerm:
             toks.expect("]")
             term = Wrap(term, SetTerm.of(elements))
         else:
-            return term
+            break
+    for name, binder in reversed(binders):
+        term = Lam(name, binder, term)
+    return term
 
 
 def _parse_aterm_atom(toks: _Tokens, env: list[str]) -> MemTerm:

@@ -24,7 +24,7 @@ from .syntax import (
     App, Arrow, BoundVar, Lam, MemTerm, Position, SetTerm, SetType,
     Type, UApp, UBoundVar, ULam, UntypedTerm, UVar, Var, Wrap,
     _pick_name, free_names, free_occurrences, parse_type, parse_untyped,
-    pretty, type_key,
+    pretty,
 )
 
 __all__ = [
@@ -135,8 +135,15 @@ def _synth(t, binders: tuple[SetType, ...], pos: Position, strict: bool):
             elif annot not in binders[-1 - index]:
                 raise NotTypable(pos, "occurrence annotation not in binder set")
             return annot
-        case Lam(_, binder, body):
-            return Arrow(binder, _synth(body, binders + (binder,), pos + (0,), strict))
+        case Lam():
+            chain = []  # a binder chain is a loop, so its depth costs no stack
+            while isinstance(t, Lam):
+                chain.append(t.binder)
+                t = t.body
+            result = _synth(t, binders + tuple(chain), pos + (0,) * len(chain), strict)
+            for binder in reversed(chain):
+                result = Arrow(binder, result)
+            return result
         case App(fun, arg):
             fun_type = _synth(fun, binders, pos + (0,), strict)
             if not isinstance(fun_type, Arrow):
@@ -243,7 +250,7 @@ def is_uniform(t: MemTerm | SetTerm) -> bool:
 # ---------------------------------------------------------------------------
 # Derivations for the assignment system on untyped terms
 #
-# JSON schema (docs/derivations.md): {"rule": "var"|"many"|"intro"|"elim",
+# JSON schema (docs/formats.md): {"rule": "var"|"many"|"intro"|"elim",
 # "ctx": {x: [type strings]}, "term": untyped term string, "type": type
 # string ("many": list of type strings), "premises": [...], "select":
 # type string (var only, optional, must equal "type")}.
@@ -465,6 +472,6 @@ def canonical_derivation(d: CurryDerivation) -> CurryDerivation:
     """Sort many premises by type and normalize select fields."""
     premises = tuple(canonical_derivation(p) for p in d.premises)
     if d.rule == "many":
-        premises = tuple(sorted(premises, key=lambda p: type_key(p.type_)))
+        premises = tuple(sorted(premises, key=lambda p: p.type_.key))
     select = d.type_ if d.rule == "var" and not isinstance(d.type_, SetType) else None
     return replace(d, premises=premises, select=select)

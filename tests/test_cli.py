@@ -137,6 +137,19 @@ def test_zero_counts_are_accepted(files, capsys):
     assert code == 0 and out == "y^a\nsteps: 0\n"
 
 
+def test_check_deep_binder_chain(files, capsys):
+    text = "".join(f"\\x{i}:{{a}}. " for i in range(1_000)) + "x0^a"
+    code, out, err = run(capsys, "check", files("deep.term", text))
+    assert code == 0 and err == ""
+    assert out == f"type: {' -> '.join(['a'] * 1_001)}\ncontext: (empty)\n"
+
+
+def test_nesting_too_deep_exit_4(files, capsys):
+    path = files("parens.term", "(" * 2_000 + "x^a" + ")" * 2_000)
+    code, out, err = run(capsys, "check", path)
+    assert (code, out, err) == (4, "", "error: input nested too deeply\n")
+
+
 def test_measure_json(files, capsys):
     path = files("t.term", "(\\x:{a}.x^a) {y^a}")
     code, out, _ = run(capsys, "measure", path)

@@ -1,6 +1,7 @@
 """Public names: every export resolves, and removed aliases stay removed."""
 
 import importlib
+import inspect
 
 import pytest
 
@@ -8,12 +9,15 @@ import setlam
 
 MODULES = ["syntax", "binding", "typecheck", "reduction", "measure", "oracle", "cli"]
 
-# Aliases and duplicated walks folded into one canonical name each.
+# Aliases, duplicated walks and second definitions of identity folded
+# into one canonical name each, and unused constants.
 REMOVED = {
     "syntax": ["alpha_eq", "canonicalize", "untyped_key", "ufree_names",
-               "untyped_size", "_children"],
+               "untyped_size", "_children", "type_key", "settype_key",
+               "term_key", "setterm_key", "_canonical_tuple", "EMPTY_SET_TYPE"],
     "binding": ["ushift", "uclose"],
-    "reduction": ["_develop", "_walk", "_collect_redexes", "_collect_beta"],
+    "reduction": ["_develop", "_walk", "_collect_redexes", "_collect_beta",
+                  "_par_set"],
     "measure": ["height", "_simp"],
     "oracle": ["_has_cycle", "_label"],
     "cli": ["_TRACE_KINDS", "_steps_of", "_apply"],
@@ -34,3 +38,10 @@ def test_removed_names_stay_removed(name):
         assert not hasattr(module, removed)
         assert removed not in getattr(module, "__all__", [])
         assert not hasattr(setlam, removed)
+
+
+def test_binding_functions_take_no_depth():
+    from setlam import binding
+    for f in (binding.shift, binding.open_term, binding.uopen,
+              binding.close_term, binding.locally_closed):
+        assert not {"depth", "cutoff"} & set(inspect.signature(f).parameters)

@@ -122,6 +122,14 @@ def test_is_sn_erasing_to_omega():
     assert is_sn(parse_untyped("(\\x. y) ((\\x. x x) (\\x. x x))"), SMALL) == "no"
 
 
+def test_is_sn_deep_binder_chain():
+    # a normal form nested deeper than the interpreter stack
+    m = UVar("y")
+    for _ in range(3_000):
+        m = ULam("x", m)
+    assert is_sn(m, Fuel(max_nodes=50, max_depth=50)) == "yes"
+
+
 def test_is_sn_unknown_on_truncation():
     # a growing non-looping term exhausts fuel without a cycle
     grower = parse_untyped("(\\x. x x x) (\\x. x x x)")

@@ -1,16 +1,18 @@
 """Canonical sets, alpha-equality, positions, parse/print round trips."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
 from setlam import (
     App, Arrow, Base, BoundVar, InvalidPosition, Lam, ParseError, SetTerm,
-    SetType, UApp, ULam, UVar, Var, Wrap, parse,
+    SetType, UApp, UBoundVar, ULam, UVar, Var, Wrap, parse,
     parse_set_type, parse_term, parse_type, parse_untyped, pretty,
     replace_at, subterm_at,
 )
 from setlam.binding import locally_closed, shift
-from setlam.syntax import positions, term_size, type_height
+from setlam.syntax import _Node, positions, term_size, type_height
 
 a, b, c = Base("a"), Base("b"), Base("c")
 
@@ -262,3 +264,76 @@ def test_type_height_clauses():
     assert type_height(parse_type("{a} -> a")) == 1
     assert type_height(parse_type("{{a} -> a, a} -> ({a} -> a)")) == 2
     assert type_height(SetType(())) == 0
+
+
+# --- identity: one structural key per node ---------------------------------
+
+def structure(x):
+    """Alpha-equivalence field by field, hints left out: the reference
+    that the stored keys must agree with."""
+    if isinstance(x, tuple):
+        return tuple(map(structure, x))
+    if not isinstance(x, _Node):
+        return x
+    return (type(x).__name__, *(structure(getattr(x, f.name))
+                                for f in dataclasses.fields(x) if f.name != "hint"))
+
+
+@given(memterms_st(), memterms_st())
+def test_term_equality_is_key_equality(s, t):
+    assert (s == t) == (s.key == t.key) == (structure(s) == structure(t))
+    copy = parse_term(pretty(s))
+    assert copy is not s and copy == s and hash(copy) == hash(s)
+
+
+@given(types_st, types_st)
+def test_type_equality_is_key_equality(s, t):
+    assert (s == t) == (s.key == t.key) == (structure(s) == structure(t))
+    copy = parse_type(pretty(s))
+    assert copy is not s and copy == s and hash(copy) == hash(s)
+
+
+def test_corpus_equality_is_key_equality(corpus):
+    terms = [entry.term for entry in corpus]
+    for s in terms:
+        copy = parse_term(pretty(s))
+        assert copy == s and hash(copy) == hash(s)
+        assert all((s == t) == (s.key == t.key) for t in terms)
+
+
+@given(memterms_st(), types_st, st.sampled_from(["u", "x", "f", "Bad hint"]))
+def test_binder_hint_is_not_identity(body, annot, hint):
+    binder = SetType.of([annot])
+    lam, renamed = Lam("u", binder, body), Lam(hint, binder, body)
+    assert lam == renamed and hash(lam) == hash(renamed)
+    assert {lam: "slot"}[renamed] == "slot"
+    assert ULam("u", UVar("y")) == ULam(hint, UVar("y"))
+
+
+def test_equal_keys_of_different_classes_are_not_equal():
+    assert Var("x", a) != UVar("x")
+    assert BoundVar(0, a) != UBoundVar(0)
+    assert SetType(()).key == SetTerm(()).key and SetType(()) != SetTerm(())
+
+
+@given(st.lists(memterms_st(), max_size=5))
+def test_set_term_of_sorts_by_key(elements):
+    assert [e.key for e in SetTerm.of(elements)] == sorted({e.key for e in elements})
+
+
+def test_str_is_pretty_for_every_node_class():
+    lam = Lam("x", SetType.of([a]), BoundVar(0, a))
+    app = App(lam, SetTerm.of([Var("y", a), Var("y", b)]))
+    ulam = ULam("x", UBoundVar(0))
+    samples = [a, Arrow(SetType.of([a]), b), SetType.of([a, b]), Var("y", a),
+               BoundVar(0, a), lam, app, Wrap(app, SetTerm.of([Var("z", b)])),
+               SetTerm.of([Var("y", a)]), UVar("y"), UBoundVar(0), ulam,
+               UApp(ulam, UVar("y"))]
+    classes, stack = set(), [_Node]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            stack.append(sub)
+            classes.add(sub)
+    assert {type(x) for x in samples} == {c for c in classes if not c.__name__.startswith("_")}
+    for x in samples:
+        assert str(x) == pretty(x)
