@@ -16,6 +16,8 @@ import argparse
 import json
 import random
 import sys
+from itertools import islice
+from operator import itemgetter
 
 from . import measure, oracle, reduction, syntax, typecheck
 from .errors import (
@@ -79,20 +81,12 @@ def _cmd_decorate(args) -> int:
 def _cmd_reduce(args) -> int:
     term = syntax.parse_term(_read(args.file))
     typecheck.synthesize_type(term)
-    rng = random.Random(args.seed)
-    steps = []
-    current = term
-    for _ in range(args.steps):
-        candidates = reduction.redex_positions(current, args.calculus)
-        if not candidates:
-            break
-        position = candidates[0] if args.strategy == "leftmost" else rng.choice(candidates)
-        current = reduction.step(current, position, args.calculus)
-        steps.append({
-            "kind": args.calculus,
-            "position": list(position),
-            "result": syntax.pretty(current),
-        })
+    choose = itemgetter(0) if args.strategy == "leftmost" else random.Random(args.seed).choice
+    sequence = reduction.reduction_sequence(term, args.calculus, choose)
+    steps = [
+        {"kind": args.calculus, "position": list(position), "result": syntax.pretty(current)}
+        for position, current in islice(sequence, args.steps)
+    ]
     _emit_json({
         "formatVersion": 1,
         "source": syntax.pretty(term),

@@ -15,12 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IllTyped
-from .syntax import (
-    Lam, MemTerm, SetTerm, Wrap, is_wrapper_free, nodes,
-    pretty, type_height,
-)
-from .reduction import develop, redexes
-from .typecheck import subterm_type, synthesize_type
+from .syntax import MemTerm, SetTerm, Wrap, is_wrapper_free, nodes, pretty
+from .reduction import develop, redex_degree, redexes
+from .typecheck import synthesize_type
 
 __all__ = [
     "DegreeProfile", "MeasureReport",
@@ -66,11 +63,7 @@ def simp_d(t: MemTerm | SetTerm, d: int):
     """
     if d < 1:
         raise ValueError("simplification degree must be >= 1")
-    return develop(t, lambda core: _wabs_degree(core) == d, "im")
-
-
-def _wabs_degree(core: Lam) -> int:
-    return type_height(subterm_type(core))
+    return develop(t, lambda core: redex_degree(core) == d, "im")
 
 
 def simp_full(t: MemTerm | SetTerm):

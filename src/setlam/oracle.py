@@ -24,7 +24,7 @@ from .syntax import (
     Type, UApp, UBoundVar, ULam, UntypedTerm, UVar, Var, free_names,
     pretty,
 )
-from .reduction import normalize, redex_positions, step
+from .reduction import normalize, redex_positions, require_plain, step
 from .typecheck import TypingContext, check, refines, synthesize_type
 
 __all__ = [
@@ -73,7 +73,10 @@ def explore(t, calculus: str, fuel: Fuel = DEFAULT_FUEL) -> ReductionGraph:
         if depth >= fuel.max_depth:
             truncated = True
             continue
-        for pos in redex_positions(nodes[i], calculus):
+        found = redex_positions(nodes[i], calculus)
+        if found and i == 0:
+            require_plain(t, calculus)  # checked once: steps keep the precondition
+        for pos in found:
             nxt = step(nodes[i], pos, calculus)
             j = index.get(nxt)
             if j is None:

@@ -1,17 +1,21 @@
 """Reduction: substitution, single steps, developments, beta simulation.
 
-Two reductions act on annotated terms.  Plain reduction ("i") contracts
-``(\\x:A. body) args`` to the body with each occurrence replaced by the
-argument element of its type; it is defined on wrapper-free terms.
-Memory reduction ("im") contracts ``(\\x:A. body) L args``, where L is a
-list of wrappers on the abstraction, to ``body{x := args} [args] L``:
-the contracted argument is kept as a wrapper, so nothing is erased.
+One rule serves three calculi.  `_redex` recognizes a redex
+``(\\x:A. body) L args``, where L is a list of wrappers on the
+abstraction, and `_contract` contracts it, replacing each occurrence by
+the argument element of its type; single steps, the stepping loop,
+developments and parallel reducts all use the two.  Plain reduction
+("i") contracts redexes without wrappers and erases the argument.  It
+is defined on wrapper-free terms, and as a plain step keeps a term
+wrapper-free, `require_plain` checks that once per call, at its first
+step.  Memory reduction ("im") contracts to ``body{x := args} [args] L``,
+keeping the argument as a wrapper, so nothing is erased.  Untyped beta
+reduction ("beta") opens the body with the argument.
 
-Untyped beta reduction lives here too, together with the bridge between
-the two worlds: a beta step on an untyped term is simulated by
-contracting every copy of the redex in a refining annotated term, and a
-single annotated step is projected back to a beta step plus a bounded
-search for the completing reduction.
+A beta step on an untyped term is simulated by contracting every copy
+of the redex in a refining annotated term, and a single annotated step
+is projected back to a beta step plus a bounded search for the
+completing reduction.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
+from operator import itemgetter
 
 from .binding import open_term, uopen
 from .errors import FuelExhausted, IllTyped, NotARedex, SearchBudgetExceeded
@@ -34,8 +39,8 @@ from . import binding, typecheck
 
 __all__ = [
     "Redex", "Step",
-    "substitute", "redexes", "i_redexes", "redex_positions",
-    "step_i", "step_im", "step", "normalize",
+    "substitute", "redex_degree", "redexes", "i_redexes", "redex_positions",
+    "require_plain", "step_i", "step_im", "step", "reduction_sequence", "normalize",
     "corresponding_step", "forgetful_reducts",
     "develop", "complete_development", "parallel_reducts", "par_reduces",
     "random_parallel_reduct",
@@ -49,15 +54,13 @@ class Redex:
     """An applied w-abstraction: ``(\\x:A. body) L args`` at `position`."""
 
     position: Position
-    binder_hint: str
-    binder: SetType
     wrapper_count: int
     degree: int | None  # height of the w-abstraction's type; None if unsynthesizable
 
 
 @dataclass(frozen=True)
 class Step:
-    kind: str  # "beta" | "i" | "im" | "forget" | "parallel"
+    kind: str  # the calculus of the step; only "i" is built
     position: Position
     source: object
     target: object
@@ -67,13 +70,18 @@ class Step:
 # Substitution
 
 
-def _elements_by_type(arg: SetTerm) -> dict[Type, MemTerm]:
+def _substituents(binder: SetType, arg: SetTerm) -> dict[Type, MemTerm]:
+    """The element of `arg` of each type of `binder`: a set-term and its
+    set-type are in bijection, so `arg` must carry exactly those types."""
     by_type: dict[Type, MemTerm] = {}
     for e in arg.elements:
         t = subterm_type(e)
         if t in by_type:
             raise IllTyped(f"set-term elements share the type {pretty(t)}")
         by_type[t] = e
+    if SetType.of(by_type) != binder:
+        raise IllTyped(
+            f"argument set-type {pretty(SetType.of(by_type))} != binder {pretty(binder)}")
     return by_type
 
 
@@ -81,15 +89,10 @@ def substitute(t: MemTerm | SetTerm, name: str, binder: SetType,
                arg: SetTerm, context=None) -> MemTerm | SetTerm:
     """Replace each free ``name^A`` in t by the element of `arg` of type A.
 
-    `arg` must carry exactly the types of `binder` (the occurrence-to-
-    element selection is the bijection between a set-term and its
-    set-type).  When a context is given, the substituents are checked
-    under it first.
+    `arg` must carry exactly the types of `binder`.  When a context is
+    given, the substituents are checked under it first.
     """
-    by_type = _elements_by_type(arg)
-    if SetType.of(by_type) != binder:
-        raise IllTyped(
-            f"argument set-type {pretty(SetType.of(by_type))} != binder {pretty(binder)}")
+    by_type = _substituents(binder, arg)
     if context is not None:
         check(context, arg)
     return binding.subst_free(t, name, by_type)
@@ -99,26 +102,45 @@ def substitute(t: MemTerm | SetTerm, name: str, binder: SetType,
 # Redex enumeration and single steps
 
 
-def _lam_degree(core: Lam) -> int | None:
-    try:
-        return type_height(subterm_type(core))
-    except IllTyped:
+def _redex(node, calculus: str) -> tuple | None:
+    """(w-abstraction, its wrappers, argument) when node is a redex that a
+    step of `calculus` may contract, else None."""
+    if calculus not in ("beta", "i", "im"):
+        raise ValueError(f"calculus must be beta, i, or im, not {calculus!r}")
+    if not isinstance(node, UApp if calculus == "beta" else App):
         return None
+    core, wrappers = peel_wrappers(node.fun) if calculus == "im" else (node.fun, ())
+    return (core, wrappers, node.arg) if isinstance(core, (Lam, ULam)) else None
+
+
+def _contract(core, body, wrappers: WrapperList, arg, calculus: str):
+    """The contractum of the redex of the w-abstraction `core`, with
+    `body`, `wrappers` and `arg` in place of its body, wrappers and
+    argument (a development passes them developed)."""
+    if calculus == "beta":
+        return uopen(body, arg)
+    contracted = open_term(body, _substituents(core.binder, arg))
+    if calculus == "i":
+        return contracted
+    return apply_wrappers(Wrap(contracted, arg), wrappers)
+
+
+def redex_degree(core: Lam) -> int:
+    """The degree of a redex: the height of its w-abstraction's type."""
+    return type_height(subterm_type(core))
 
 
 def redexes(t: MemTerm | SetTerm) -> list[Redex]:
-    """All applied w-abstractions, in lexicographic position order.
-
-    Each redex's degree is the height of its w-abstraction's type (None
-    when the abstraction does not synthesize).
-    """
+    """All applied w-abstractions with their degrees, in lexicographic
+    position order."""
     found: list[Redex] = []
     for pos, sub in subterms(t):
-        if isinstance(sub, App):
-            core, wrappers = peel_wrappers(sub.fun)
-            if isinstance(core, Lam):
-                found.append(Redex(pos, core.hint, core.binder,
-                                   len(wrappers), _lam_degree(core)))
+        if (redex := _redex(sub, "im")) is not None:
+            try:
+                degree = redex_degree(redex[0])
+            except IllTyped:
+                degree = None
+            found.append(Redex(pos, len(redex[1]), degree))
     return found
 
 
@@ -127,56 +149,41 @@ def i_redexes(t: MemTerm | SetTerm) -> list[Redex]:
     return [r for r in redexes(t) if r.wrapper_count == 0]
 
 
-def _is_redex(sub, calculus: str) -> bool:
-    match calculus:
-        case "beta":
-            return isinstance(sub, UApp) and isinstance(sub.fun, ULam)
-        case "i":
-            return isinstance(sub, App) and isinstance(sub.fun, Lam)
-        case "im":
-            return isinstance(sub, App) and isinstance(peel_wrappers(sub.fun)[0], Lam)
-    raise ValueError(f"calculus must be beta, i, or im, not {calculus!r}")
-
-
 def redex_positions(t, calculus: str) -> list[Position]:
     """Positions of the redexes a step of `calculus` may contract, in
     lexicographic order (no degrees are computed)."""
-    return [pos for pos, sub in subterms(t) if _is_redex(sub, calculus)]
+    return [pos for pos, sub in subterms(t) if _redex(sub, calculus) is not None]
 
 
-def _split_redex(t, pos: Position) -> tuple[Lam, WrapperList, SetTerm]:
-    node = subterm_at(t, pos)
-    if not isinstance(node, App):
-        raise NotARedex(f"no application at {list(pos)}")
-    core, wrappers = peel_wrappers(node.fun)
-    if not isinstance(core, Lam):
-        raise NotARedex(f"function part at {list(pos)} is not a w-abstraction")
-    return core, wrappers, node.arg
+def require_plain(t, calculus: str):
+    """t, once checked to be a term that steps of `calculus` start from."""
+    if calculus == "i" and not is_wrapper_free(t):
+        raise IllTyped("plain reduction is defined on wrapper-free terms")
+    return t
 
 
-def _contract(core: Lam, arg: SetTerm) -> MemTerm:
-    by_type = _elements_by_type(arg)
-    if SetType.of(by_type) != core.binder:
-        raise IllTyped(
-            f"argument set-type does not match the binder {pretty(core.binder)}")
-    return open_term(core.body, by_type)
+def step(t, pos: Position, calculus: str):
+    """One step of `calculus` ("beta", "i" or "im") at pos.
+
+    The wrapper-free precondition of a plain step is left to the caller
+    (`require_plain`): a plain step keeps a term wrapper-free, so a
+    sequence of steps checks it once.
+    """
+    redex = _redex(subterm_at(t, pos), calculus)
+    if redex is None:
+        raise NotARedex(f"no {calculus} redex at {list(pos)}")
+    core, wrappers, arg = redex
+    return replace_at(t, pos, _contract(core, core.body, wrappers, arg, calculus))
 
 
 def step_i(t: MemTerm | SetTerm, pos: Position) -> MemTerm | SetTerm:
     """Contract the redex at pos, erasing the argument's unused elements."""
-    if not is_wrapper_free(t):
-        raise IllTyped("plain reduction is defined on wrapper-free terms")
-    core, wrappers, arg = _split_redex(t, pos)
-    if wrappers:
-        raise NotARedex(f"redex at {list(pos)} is wrapped")
-    return replace_at(t, pos, _contract(core, arg))
+    return step(require_plain(t, "i"), pos, "i")
 
 
 def step_im(t: MemTerm | SetTerm, pos: Position) -> MemTerm | SetTerm:
     """Contract the redex at pos, recording the argument in a wrapper."""
-    core, wrappers, arg = _split_redex(t, pos)
-    contracted = Wrap(_contract(core, arg), arg)
-    return replace_at(t, pos, apply_wrappers(contracted, wrappers))
+    return step(t, pos, "im")
 
 
 def corresponding_step(t: MemTerm | SetTerm, pos: Position) -> MemTerm | SetTerm:
@@ -185,21 +192,21 @@ def corresponding_step(t: MemTerm | SetTerm, pos: Position) -> MemTerm | SetTerm
     Differs from the plain step only by the recorded wrapper: it
     forgetful-reduces to step_i(t, pos) in exactly one step.
     """
-    if not is_wrapper_free(t):
-        raise IllTyped("corresponding steps start from wrapper-free terms")
-    return step_im(t, pos)
+    return step_im(require_plain(t, "i"), pos)
 
 
-def step(t, pos: Position, calculus: str):
-    """One step of `calculus` ("beta", "i" or "im") at pos."""
-    match calculus:
-        case "beta":
-            return beta_step(t, pos)
-        case "i":
-            return step_i(t, pos)
-        case "im":
-            return step_im(t, pos)
-    raise ValueError(f"calculus must be beta, i, or im, not {calculus!r}")
+def reduction_sequence(t, calculus: str, choose):
+    """Yield (position, reduct) for each step of `calculus` from t until
+    no redex is left, contracting the redex at choose(positions), where
+    positions lists the redexes in lexicographic order."""
+    found = redex_positions(t, calculus)
+    if found:
+        require_plain(t, calculus)
+    while found:
+        pos = choose(found)
+        t = step(t, pos, calculus)
+        yield pos, t
+        found = redex_positions(t, calculus)
 
 
 def normalize(t, calculus: str, innermost: bool, max_steps: int):
@@ -209,12 +216,12 @@ def normalize(t, calculus: str, innermost: bool, max_steps: int):
     Raises FuelExhausted when the normal form is more than `max_steps`
     steps away.
     """
+    choose = _leftmost_innermost if innermost else itemgetter(0)
     steps = 0
-    while found := redex_positions(t, calculus):
-        if steps >= max_steps:
-            raise FuelExhausted(f"no normal form within {max_steps} steps")
-        t = step(t, _leftmost_innermost(found) if innermost else found[0], calculus)
+    for _, t in islice(reduction_sequence(t, calculus, choose), max_steps):
         steps += 1
+    if steps == max_steps and redex_positions(t, calculus):
+        raise FuelExhausted(f"no normal form within {max_steps} steps")
     return t, steps
 
 
@@ -254,13 +261,12 @@ def develop(t, contract, calculus: str):
     def dev(node):
         if not isinstance(node, App):
             return map_children(node, dev)
-        core, wrappers = peel_wrappers(node.fun)
         arg = dev(node.arg)
-        if isinstance(core, Lam) and (calculus == "im" or not wrappers) and contract(core):
-            contracted = open_term(dev(core.body), _elements_by_type(arg))
-            if calculus == "i":
-                return contracted
-            return apply_wrappers(Wrap(contracted, arg), tuple(dev(p) for p in wrappers))
+        redex = _redex(node, calculus)
+        if redex is not None and contract(redex[0]):
+            core, wrappers, _ = redex
+            return _contract(core, dev(core.body), tuple(dev(p) for p in wrappers),
+                             arg, calculus)
         fun = dev(node.fun)
         return node if fun is node.fun and arg is node.arg else App(fun, arg)
     return dev(t)
@@ -269,17 +275,13 @@ def develop(t, contract, calculus: str):
 def complete_development(t: MemTerm | SetTerm, calculus: str = "im"):
     """Simultaneous contraction of every visible redex."""
     _check_calculus(calculus)
-    if calculus == "i" and not is_wrapper_free(t):
-        raise IllTyped("plain development is defined on wrapper-free terms")
-    return develop(t, lambda core: True, calculus)
+    return develop(require_plain(t, calculus), lambda core: True, calculus)
 
 
 def parallel_reducts(t: MemTerm | SetTerm, calculus: str = "im") -> frozenset:
     """All one-parallel-step reducts: each redex contracted or not."""
     _check_calculus(calculus)
-    if calculus == "i" and not is_wrapper_free(t):
-        raise IllTyped("plain parallel reduction is defined on wrapper-free terms")
-    return _par_reducts(t, calculus, {})
+    return _par_reducts(require_plain(t, calculus), calculus, {})
 
 
 def _par_reducts(t, calculus: str, memo: dict) -> frozenset:
@@ -287,16 +289,12 @@ def _par_reducts(t, calculus: str, memo: dict) -> frozenset:
         return memo[t]
     kid_choices = [_par_reducts(c, calculus, memo) for c in children(t)]
     out = {rebuild(t, kids) for kids in product(*kid_choices)}
-    core, wrappers = peel_wrappers(t.fun) if isinstance(t, App) else (None, ())
-    if isinstance(core, Lam) and (calculus == "im" or not wrappers):
-        wrapper_choices = list(product(*(_par_reducts(p, calculus, memo) for p in wrappers)))
-        for b in _par_reducts(core.body, calculus, memo):
-            for a in _par_reducts(t.arg, calculus, memo):
-                contracted = open_term(b, _elements_by_type(a))
-                if calculus == "i":
-                    out.add(contracted)
-                else:
-                    out.update(apply_wrappers(Wrap(contracted, a), ws) for ws in wrapper_choices)
+    if (redex := _redex(t, calculus)) is not None:
+        core, wrappers, arg = redex
+        for ws in product(*(_par_reducts(p, calculus, memo) for p in wrappers)):
+            for b in _par_reducts(core.body, calculus, memo):
+                for a in _par_reducts(arg, calculus, memo):
+                    out.add(_contract(core, b, ws, a, calculus))
     memo[t] = result = frozenset(out)
     return result
 
@@ -309,7 +307,7 @@ def par_reduces(t, s, calculus: str = "im") -> bool:
 def random_parallel_reduct(t, rng: random.Random, calculus: str = "im"):
     """One parallel reduct sampled by a fair coin at every redex."""
     _check_calculus(calculus)
-    return develop(t, lambda core: rng.random() < 0.5, calculus)
+    return develop(require_plain(t, calculus), lambda core: rng.random() < 0.5, calculus)
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +319,7 @@ def beta_redexes(m: UntypedTerm) -> list[Position]:
 
 
 def beta_step(m: UntypedTerm, pos: Position) -> UntypedTerm:
-    node = subterm_at(m, pos)
-    if not (isinstance(node, UApp) and isinstance(node.fun, ULam)):
-        raise NotARedex(f"no beta redex at {list(pos)}")
-    return replace_at(m, pos, uopen(node.fun.body, node.arg))
+    return step(m, pos, "beta")
 
 
 # ---------------------------------------------------------------------------
@@ -342,12 +337,12 @@ def simulate_beta(t: MemTerm, m: UntypedTerm, pos: Position
     if not refines(t, m):
         raise ValueError("t does not refine m")
     n = beta_step(m, pos)
-    current: MemTerm = t
+    current: MemTerm = t  # wrapper-free, since it refines m
     steps: list[Step] = []
     while not refines(current, n):
         q = _residual_position(current, m, n, pos, ())
         assert q is not None, "mixed state without a remaining redex copy"
-        nxt = step_i(current, q)
+        nxt = step(current, q, "i")
         steps.append(Step("i", q, current, nxt))
         current = nxt
     assert steps, "a beta step must have at least one copy to contract"
@@ -417,7 +412,7 @@ def project_step(t: MemTerm, s: MemTerm, pos: Position, budget: int | None = Non
     n = beta_step(m, bpos)
 
     if budget is None:
-        copies = sum(1 for r in i_redexes(s) if _try_erased(s, r.position) == bpos)
+        copies = sum(1 for q in redex_positions(s, "i") if _try_erased(s, q) == bpos)
         budget = (1 + copies) * term_size(s) + term_size(s)
 
     explored = 0
@@ -430,11 +425,11 @@ def project_step(t: MemTerm, s: MemTerm, pos: Position, budget: int | None = Non
             return n, current, list(steps)
         if explored >= budget:
             break
-        for r in i_redexes(current):
-            nxt = step_i(current, r.position)
+        for q in redex_positions(current, "i"):
+            nxt = step(current, q, "i")
             if nxt not in seen:
                 seen.add(nxt)
-                queue.append((nxt, steps + (Step("i", r.position, current, nxt),)))
+                queue.append((nxt, steps + (Step("i", q, current, nxt),)))
     raise SearchBudgetExceeded(
         f"no completion within {budget} explored terms")
 

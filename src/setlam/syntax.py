@@ -484,14 +484,40 @@ def _pretty_annot(a: Type) -> str:
 _IDENT = re.compile(r"[a-z][A-Za-z0-9_']*\Z")
 
 
-def _pick_name(hint: str, used: set[str]) -> str:
+def _pick_name(hint: str, used: set[str], next_suffix: dict[str, int]) -> str:
+    """The hint (or "x"), suffixed by the least number that avoids `used`
+    if it is taken.  `next_suffix` maps a base to a suffix below which
+    every name is in `used`; it stays true, and saves the search, while
+    `used` only grows."""
     base = hint if _IDENT.match(hint) else "x"
     if base not in used:
         return base
-    n = 0
+    n = next_suffix.get(base, 0)
     while f"{base}{n}" in used:
         n += 1
+    next_suffix[base] = n
     return f"{base}{n}"
+
+
+def _name_chain(t, env: list[str]):
+    """Name the binders of the chain of abstractions at the top of t.
+
+    Returns ((abstraction, name) pairs, env extended by the names, the
+    chain's body).  A chain is a loop, so its depth costs no stack, and
+    its free names are computed once: binders bind no names, so every
+    body in the chain has the same free names.
+    """
+    taken = free_names(t) | set(env)
+    next_suffix: dict[str, int] = {}
+    env = list(env)
+    chain = []
+    while isinstance(t, (Lam, ULam)):
+        name = _pick_name(t.hint, taken, next_suffix)
+        taken.add(name)
+        env.append(name)
+        chain.append((t, name))
+        t = t.body
+    return chain, env, t
 
 
 def _pretty_term(t: MemTerm, env: list[str], fun_pos: bool) -> str:
@@ -503,12 +529,10 @@ def _pretty_term(t: MemTerm, env: list[str], fun_pos: bool) -> str:
         case BoundVar(index, annot):
             name = env[-1 - index] if index < len(env) else f"?{index - len(env)}"
             return f"{name}^{_pretty_annot(annot)}"
-        case Lam(hint, binder, body):
-            used = free_names(body) | set(env)
-            name = _pick_name(hint, used)
-            binder_s = "{" + ", ".join(_pretty_type(e) for e in binder.elements) + "}"
-            body_s = _pretty_term(body, env + [name], False)
-            s = f"\\{name}:{binder_s}. {body_s}"
+        case Lam():
+            chain, env, body = _name_chain(t, env)
+            s = "".join(f"\\{name}:{pretty(lam.binder)}. " for lam, name in chain)
+            s += _pretty_term(body, env, False)
             return f"({s})" if fun_pos else s
         case App(fun, arg):
             fun_s = _pretty_term(fun, env, True)
@@ -530,10 +554,9 @@ def _pretty_untyped(t: UntypedTerm, env: list[str], prec: int) -> str:
             return name
         case UBoundVar(index):
             return env[-1 - index] if index < len(env) else f"?{index - len(env)}"
-        case ULam(hint, body):
-            used = free_names(body) | set(env)
-            name = _pick_name(hint, used)
-            s = f"\\{name}. {_pretty_untyped(body, env + [name], 0)}"
+        case ULam():
+            chain, env, body = _name_chain(t, env)
+            s = "".join(f"\\{name}. " for _, name in chain) + _pretty_untyped(body, env, 0)
             return f"({s})" if prec >= 1 else s
         case UApp(fun, arg):
             s = f"{_pretty_untyped(fun, env, 1)} {_pretty_untyped(arg, env, 2)}"

@@ -65,9 +65,6 @@ class TypingContext:
                 return s
         return SetType(())
 
-    def domain(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.entries)
-
     def union(self, other: "TypingContext") -> "TypingContext":
         return TypingContext.of(self.entries + other.entries)
 
@@ -219,8 +216,15 @@ def _erase(t, pos: Position) -> UntypedTerm:
             return UVar(name)
         case BoundVar(index, _):
             return UBoundVar(index)
-        case Lam(hint, _, body):
-            return ULam(hint, _erase(body, pos + (0,)))
+        case Lam():
+            hints = []  # a binder chain is a loop, so its depth costs no stack
+            while isinstance(t, Lam):
+                hints.append(t.hint)
+                t = t.body
+            erased = _erase(t, pos + (0,) * len(hints))
+            for hint in reversed(hints):
+                erased = ULam(hint, erased)
+            return erased
         case App(fun, arg):
             return UApp(_erase(fun, pos + (0,)), _erase_set(arg, pos, 1))
         case Wrap():
@@ -433,7 +437,7 @@ def _erase_node(t, context: TypingContext, env: list[str], pos: Position):
             name = env[-1 - index]
             return CurryDerivation("var", context, UVar(name), annot, (), annot), UVar(name)
         case Lam(hint, binder, body):
-            name = _pick_name(hint, free_names(body) | set(env))
+            name = _pick_name(hint, free_names(body) | set(env), {})
             premise, body_subject = _erase_node(
                 body, context.bind(name, binder), env + [name], pos + (0,))
             assert not isinstance(premise.type_, SetType)

@@ -144,6 +144,25 @@ def test_check_deep_binder_chain(files, capsys):
     assert out == f"type: {' -> '.join(['a'] * 1_001)}\ncontext: (empty)\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["erase"], ["measure"], ["normalize"], ["normalize", "--calculus=i"], ["reduce"],
+    ["graph"], ["graph", "--format=dot"], ["chains"],
+])
+def test_deep_binder_chain_through_every_command(argv, files, capsys):
+    text = "".join(f"\\x{i}:{{a}}. " for i in range(1_000)) + "x0^a"
+    code, out, err = run(capsys, argv[0], files("deep.term", text), *argv[1:])
+    assert (code, err) == (0, "")
+    if argv[0] == "erase":
+        assert out == "".join(f"\\x{i}. " for i in range(1_000)) + "x0\n"
+
+
+def test_chains_argument_off_the_binder_exit_2(files, capsys):
+    # chains does not synthesize first: the contraction's binder check refuses
+    path = files("t.term", "(\\x:{a}. z^c) {y^b}")
+    code, out, err = run(capsys, "chains", path)
+    assert (code, out, err) == (2, "", "error: argument set-type {b} != binder {a}\n")
+
+
 def test_nesting_too_deep_exit_4(files, capsys):
     path = files("parens.term", "(" * 2_000 + "x^a" + ")" * 2_000)
     code, out, err = run(capsys, "check", path)

@@ -2,7 +2,9 @@
 
 `golden/cli.json` records, for every worked fixture of `corpus.py` and
 every command in COMMANDS, what `setlam.cli.main` printed and returned.
-The test replays each invocation in-process and compares all three.
+`golden/cli_errors.json` does the same for the error paths in
+ERROR_CASES, each with its own input files.  The tests replay each
+invocation in-process and compare all three.
 
 To regenerate after an intended output change, run from the repository
 root
@@ -28,7 +30,9 @@ import corpus
 from setlam.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "cli.json"
+GOLDEN_ERRORS = Path(__file__).parent / "golden" / "cli_errors.json"
 TERM = "TERM"  # stands for the fixture's file in each argv
+LAM = "LAM"  # stands for an untyped term's file
 
 COMMANDS = [
     ["check", TERM],
@@ -44,8 +48,42 @@ COMMANDS = [
 ]
 
 
+# A wrapped term with a plain redex: plain reduction must refuse it at
+# its first step, and memory reduction contracts it.
+WRAPPED = "(\\x:{a}. y^b) {z^a [w^b]}"
+IDENTITY_APPLIED = {TERM: "(\\x:{a}. x^a) y^a", LAM: "(\\x. x) y"}
+
+ERROR_CASES = [
+    *({"files": {TERM: WRAPPED}, "argv": argv} for argv in [
+        ["normalize", TERM, "--calculus=i"],
+        ["normalize", TERM, "--calculus=i", "--fuel=0"],
+        ["normalize", TERM, "--calculus=im"],
+        ["reduce", TERM, "--calculus=i"],
+        ["reduce", TERM, "--calculus=i", "--strategy=random", "--seed=3"],
+        ["reduce", TERM, "--calculus=i", "--steps=0"],
+        ["graph", TERM, "--calculus=i"],
+        ["graph", TERM, "--calculus=i", "--fuel=0"],
+        ["graph", TERM, "--calculus=im"],
+        ["chains", TERM],
+        ["chains", TERM, "--fuel=0"],
+    ]),
+    {"files": {TERM: "y^b [z^a]"}, "argv": ["normalize", TERM, "--calculus=i"]},
+    *({"files": IDENTITY_APPLIED, "argv": ["simulate", TERM, LAM, f"--pos={pos}"]}
+      for pos in ("0", "1", "0,0", "")),
+]
+
+
 def _argv(command: list[str], path: Path) -> list[str]:
     return [str(path) if a == TERM else a for a in command]
+
+
+def _write_files(files: dict[str, str], directory: Path) -> dict[str, str]:
+    paths = {}
+    for placeholder, text in files.items():
+        path = directory / f"{placeholder.lower()}.txt"
+        path.write_text(text, encoding="utf-8")
+        paths[placeholder] = str(path)
+    return paths
 
 
 @pytest.mark.parametrize("index", range(len(corpus.WORKED_TERMS)))
@@ -63,6 +101,17 @@ def test_cli_output_matches_golden(index, tmp_path, capsys):
             case["stdout"], case["stderr"], case["code"]), case["argv"]
 
 
+@pytest.mark.parametrize("index", range(len(ERROR_CASES)))
+def test_cli_error_paths_match_golden(index, tmp_path, capsys):
+    case = json.loads(GOLDEN_ERRORS.read_text(encoding="utf-8"))[index]
+    assert {k: case[k] for k in ("files", "argv")} == ERROR_CASES[index]
+    paths = _write_files(case["files"], tmp_path)
+    code = main([paths.get(a, a) for a in case["argv"]])
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err, code) == (
+        case["stdout"], case["stderr"], case["code"]), case["argv"]
+
+
 if __name__ == "__main__":
     import tempfile
     cases = []
@@ -76,6 +125,15 @@ if __name__ == "__main__":
                     code = main(_argv(command, path))
                 cases.append({"term": text, "argv": command, "stdout": out.getvalue(),
                               "stderr": err.getvalue(), "code": code})
+        errors = []
+        for case in ERROR_CASES:
+            paths = _write_files(case["files"], Path(scratch))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([paths.get(a, a) for a in case["argv"]])
+            errors.append({**case, "stdout": out.getvalue(),
+                           "stderr": err.getvalue(), "code": code})
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(cases, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {len(cases)} cases to {GOLDEN}")
+    for target, written in ((GOLDEN, cases), (GOLDEN_ERRORS, errors)):
+        target.write_text(json.dumps(written, indent=1) + "\n", encoding="utf-8")
+        print(f"wrote {len(written)} cases to {target}")

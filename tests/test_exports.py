@@ -17,8 +17,9 @@ REMOVED = {
                "term_key", "setterm_key", "_canonical_tuple", "EMPTY_SET_TYPE"],
     "binding": ["ushift", "uclose"],
     "reduction": ["_develop", "_walk", "_collect_redexes", "_collect_beta",
-                  "_par_set"],
-    "measure": ["height", "_simp"],
+                  "_par_set", "_is_redex", "_split_redex", "_lam_degree",
+                  "_elements_by_type"],
+    "measure": ["height", "_simp", "_wabs_degree"],
     "oracle": ["_has_cycle", "_label"],
     "cli": ["_TRACE_KINDS", "_steps_of", "_apply"],
 }

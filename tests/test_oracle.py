@@ -13,6 +13,7 @@ from setlam import (
 import corpus
 
 OMEGA = parse_untyped("(\\x. x x) (\\x. x x)")
+WRAPPED = parse_term("(\\x:{a}. y^b) {z^a [w^b]}")  # a plain redex, a wrapper
 SMALL = Fuel(max_nodes=300, max_depth=300)
 
 
@@ -40,6 +41,17 @@ def test_explore_collapses_alpha_variants():
     t = parse_term("(\\x:{a}.x^a) {(\\y:{a}.y^a) {z^a}}")
     g = explore(t, "i")
     assert g.node_count == len(set(g.nodes))
+
+
+def test_explore_plain_refuses_wrapped_terms():
+    with pytest.raises(IllTyped, match="plain reduction is defined on wrapper-free terms"):
+        explore(WRAPPED, "i")
+    with pytest.raises(IllTyped, match="plain reduction is defined on wrapper-free terms"):
+        normal_form(WRAPPED, "i")
+    # the guard is checked at the first step, which no fuel allows here
+    g = explore(WRAPPED, "i", Fuel(max_nodes=10, max_depth=0))
+    assert g.nodes == (WRAPPED,) and g.edges == () and g.truncated
+    assert explore(WRAPPED, "im").node_count == 2
 
 
 def test_graph_exports():

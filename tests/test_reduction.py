@@ -5,7 +5,8 @@ import random
 import pytest
 
 from setlam import (
-    IllTyped, MissingSubstituent, NotARedex, SearchBudgetExceeded, SetTerm,
+    FuelExhausted, IllTyped, MissingSubstituent, NotARedex, NotUniform,
+    SearchBudgetExceeded, SetTerm,
     Step, beta_redexes, beta_step, check, complete_development,
     corresponding_step, erase, erased_position, forgetful_reducts,
     i_redexes, is_uniform, minimal_context, par_reduces, parallel_reducts,
@@ -14,13 +15,18 @@ from setlam import (
     step_im, substitute, synthesize_type, weight,
 )
 from setlam.binding import open_term
-from setlam.reduction import redex_positions
+from setlam.measure import simp_d
+from setlam.reduction import normalize, redex_positions
 from setlam.syntax import Var, free_names, is_wrapper_free, pretty
 
 import corpus
 
 SIMPLE = parse_term("(\\x:{a}.x^a) {y^a}")
 DUP = parse_term(corpus.DUPLICATING)
+# A plain redex under a wrapped argument, and an argument whose set-type
+# differs from the binder (ill-typed, but every element has a type).
+WRAPPED = parse_term("(\\x:{a}. y^b) {z^a [w^b]}")
+MISMATCHED = parse_term("(\\x:{a}. z^c) {y^b}")
 
 
 # --- substitution -----------------------------------------------------------
@@ -431,6 +437,49 @@ def test_project_step_budget_zero():
     s = step_i(DUP, inner)
     with pytest.raises(SearchBudgetExceeded):
         project_step(DUP, s, inner, budget=0)
+
+
+# --- the wrapper-free guard and the binder check ----------------------------
+
+def test_plain_stepping_refuses_wrapped_terms():
+    for run in (lambda: step_i(WRAPPED, ()), lambda: normalize(WRAPPED, "i", False, 5),
+                lambda: complete_development(WRAPPED, "i"),
+                lambda: parallel_reducts(WRAPPED, "i")):
+        with pytest.raises(IllTyped, match="plain reduction is defined on wrapper-free terms"):
+            run()
+    # project_step erases its source first, which refuses the wrapper
+    with pytest.raises(NotUniform):
+        project_step(WRAPPED, step_im(WRAPPED, ()), ())
+
+
+def test_plain_guard_is_checked_at_the_first_step_only():
+    with pytest.raises(FuelExhausted):
+        normalize(WRAPPED, "i", False, 0)
+    no_plain_redex = parse_term("y^b [z^a]")
+    assert normalize(no_plain_redex, "i", False, 5) == (no_plain_redex, 0)
+    assert normalize(WRAPPED, "im", False, 5) == (parse_term("y^b [z^a [w^b]]"), 1)
+
+
+def test_not_a_redex_names_the_calculus():
+    with pytest.raises(NotARedex, match=r"no i redex at \[\]"):
+        step_i(parse_term("x^(a -> b) {y^a}"), ())
+    with pytest.raises(NotARedex, match=r"no im redex at \[0\]"):
+        step_im(SIMPLE, (0,))
+    with pytest.raises(NotARedex, match=r"no beta redex at \[0\]"):
+        beta_step(parse_untyped("(\\x. x) y"), (0,))
+
+
+def test_developments_check_the_binder():
+    heads = random.Random()
+    heads.random = lambda: 0.0  # every coin contracts
+    for run in (lambda: step_i(MISMATCHED, ()), lambda: step_im(MISMATCHED, ()),
+                lambda: complete_development(MISMATCHED, "i"),
+                lambda: complete_development(MISMATCHED, "im"),
+                lambda: random_parallel_reduct(MISMATCHED, heads, "im"),
+                lambda: parallel_reducts(MISMATCHED, "im"),
+                lambda: simp_d(MISMATCHED, 1)):
+        with pytest.raises(IllTyped, match=r"argument set-type \{b\} != binder \{a\}"):
+            run()
 
 
 def test_erased_position():

@@ -1,6 +1,7 @@
 """Canonical sets, alpha-equality, positions, parse/print round trips."""
 
 import dataclasses
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -151,6 +152,19 @@ def test_print_singleton_arrow():
 def test_print_lambda_parenthesized_in_function_position():
     t = parse_term("(\\x:{a}.x^a) {y^a}")
     assert pretty(t) == "(\\x:{a}. x^a) y^a"
+
+
+def test_print_deep_binder_chain():
+    # printing a binder chain is a loop, linear in its depth
+    m = UVar("y")
+    for _ in range(3_000):
+        m = ULam("x", m)
+    start = time.perf_counter()
+    text = pretty(m)
+    assert time.perf_counter() - start < 2
+    assert text.startswith("\\x. \\x0. \\x1. ") and text.endswith(". y")
+    # compare the text: deep terms compare by nested keys, which recurse
+    assert pretty(parse_untyped(text)) == text
 
 
 def test_print_picks_fresh_names_on_collision():
