@@ -8,7 +8,11 @@ substituents are supplied as a mapping from types to terms.
 
 Every operation here is one traversal, `_map_vars`, with its own
 treatment of variable occurrences; it works on annotated and untyped
-terms alike.
+terms alike, at any depth (its stack is explicit).  The index-only
+operations (`shift`, `open_term`, `uopen`) change only indices that
+point outside the subtree being visited, so they return a subtree
+whose stored `loose` index stays below that cut as it is, the same
+object, without visiting it; `locally_closed` reads `loose` alone.
 """
 
 from __future__ import annotations
@@ -22,14 +26,32 @@ from .syntax import (
 )
 
 
-def _map_vars(t, leaf, depth: int = 0):
+def _map_vars(t, leaf, indices_only: bool = False):
     """Rebuild t with every variable occurrence v replaced by leaf(v, d),
-    where d is the number of binders above v inside t."""
-    if isinstance(t, (Var, BoundVar, UVar, UBoundVar)):
-        return leaf(t, depth)
-    if isinstance(t, (Lam, ULam)):
-        depth += 1
-    return rebuild(t, [_map_vars(c, leaf, depth) for c in children(t)])
+    where d is the number of binders above v inside t.
+
+    With `indices_only`, leaf changes only indices v with v.index >= d,
+    so a subtree in which no index reaches that far is kept as it is.
+    """
+    done = []  # rebuilt subtrees, in post-order
+    stack = [(t, 0, None)]
+    while stack:
+        node, depth, kids = stack.pop()
+        if kids is not None:
+            start = len(done) - len(kids)
+            new = rebuild(node, done[start:])
+            del done[start:]
+            done.append(new)
+        elif indices_only and node.loose < depth:
+            done.append(node)
+        elif isinstance(node, (Var, BoundVar, UVar, UBoundVar)):
+            done.append(leaf(node, depth))
+        else:
+            kids = children(node)
+            stack.append((node, depth, kids))
+            depth += isinstance(node, (Lam, ULam))
+            stack.extend((k, depth, None) for k in reversed(kids))
+    return done[0]
 
 
 def _bound(v: BoundVar | UBoundVar, index: int):
@@ -45,7 +67,7 @@ def shift(t: MemTerm | SetTerm | UntypedTerm, d: int):
         if isinstance(v, (BoundVar, UBoundVar)) and v.index >= depth:
             return _bound(v, v.index + d)
         return v
-    return _map_vars(t, leaf)
+    return _map_vars(t, leaf, True)
 
 
 def _open(body, pick):
@@ -56,7 +78,7 @@ def _open(body, pick):
             if v.index > level:
                 return _bound(v, v.index - 1)
         return v
-    return _map_vars(body, leaf)
+    return _map_vars(body, leaf, True)
 
 
 def open_term(body: MemTerm | SetTerm, by_type: Mapping[Type, MemTerm]):
@@ -79,13 +101,15 @@ def uopen(body: UntypedTerm, replacement: UntypedTerm) -> UntypedTerm:
     return _open(body, lambda v: replacement)
 
 
-def close_term(t: MemTerm | SetTerm | UntypedTerm, name: str):
-    """Turn free occurrences of `name` into indices for a new binder."""
+def close_term(t: MemTerm | SetTerm | UntypedTerm, *names: str):
+    """Turn free occurrences of the names into indices for new binders,
+    one per name, the last name's innermost."""
+    binder = {name: len(names) - 1 - i for i, name in enumerate(names)}
+
     def leaf(v, level):
-        if isinstance(v, Var) and v.name == name:
-            return BoundVar(level, v.annot)
-        if isinstance(v, UVar) and v.name == name:
-            return UBoundVar(level)
+        if isinstance(v, (Var, UVar)) and v.name in binder:
+            index = level + binder[v.name]
+            return BoundVar(index, v.annot) if isinstance(v, Var) else UBoundVar(index)
         return v
     return _map_vars(t, leaf)
 
@@ -107,11 +131,4 @@ def subst_free(t: MemTerm | SetTerm, name: str, by_type: Mapping[Type, MemTerm])
 
 
 def locally_closed(t: MemTerm | SetTerm | UntypedTerm) -> bool:
-    escaping = []
-
-    def leaf(v, level):
-        if isinstance(v, (BoundVar, UBoundVar)) and v.index >= level:
-            escaping.append(v)
-        return v
-    _map_vars(t, leaf)
-    return not escaping
+    return t.loose < 0

@@ -57,13 +57,19 @@ class NotUniform(SetLamError):
 
 
 class InvalidDerivation(SetLamError):
-    """A derivation node does not match its rule schema."""
+    """A derivation node does not match its rule schema, or a value of
+    derivation JSON does not match the file format; then `json_path`
+    names the value, as in ``$.premises[1].ctx.x``."""
 
-    def __init__(self, path: tuple[int, ...], rule: str, reason: str):
-        super().__init__(f"invalid {rule} node at {list(path)}: {reason}")
+    def __init__(self, path: tuple[int, ...], rule: str, reason: str,
+                 json_path: str | None = None):
+        where = (f"derivation JSON at {json_path}" if json_path is not None
+                 else f"{rule} node at {list(path)}")
+        super().__init__(f"invalid {where}: {reason}")
         self.path = path
         self.rule = rule
         self.reason = reason
+        self.json_path = json_path
 
 
 class NotARedex(SetLamError):

@@ -29,10 +29,11 @@ from operator import itemgetter
 from .binding import open_term, uopen
 from .errors import FuelExhausted, IllTyped, NotARedex, SearchBudgetExceeded
 from .syntax import (
-    App, Lam, MemTerm, Position, SetTerm, SetType, Type, UApp, ULam,
-    UntypedTerm, Wrap, WrapperList, apply_wrappers, children,
-    is_wrapper_free, map_children, peel_wrappers, pretty, rebuild,
-    replace_at, subterm_at, subterms, term_size, type_height,
+    BETA_REDEX, I_REDEX, IM_REDEX, App, Lam, MemTerm, Position, SetTerm,
+    SetType, Type, UApp, ULam, UntypedTerm, Wrap, WrapperList,
+    apply_wrappers, children, is_wrapper_free, map_children,
+    peel_wrappers, pretty, rebuild, replace_at, subterm_at, subterms,
+    term_size, type_height,
 )
 from .typecheck import check, refines, subterm_type
 from . import binding, typecheck
@@ -102,15 +103,42 @@ def substitute(t: MemTerm | SetTerm, name: str, binder: SetType,
 # Redex enumeration and single steps
 
 
+# The flag bit of the nodes whose subtree holds a redex of each calculus.
+_REDEX_FLAG = {"beta": BETA_REDEX, "i": I_REDEX, "im": IM_REDEX}
+
+
+def _redex_flag(calculus: str) -> int:
+    try:
+        return _REDEX_FLAG[calculus]
+    except KeyError:
+        raise ValueError(f"calculus must be beta, i, or im, not {calculus!r}") from None
+
+
 def _redex(node, calculus: str) -> tuple | None:
     """(w-abstraction, its wrappers, argument) when node is a redex that a
     step of `calculus` may contract, else None."""
-    if calculus not in ("beta", "i", "im"):
-        raise ValueError(f"calculus must be beta, i, or im, not {calculus!r}")
+    _redex_flag(calculus)  # rejects an unknown calculus
     if not isinstance(node, UApp if calculus == "beta" else App):
         return None
     core, wrappers = peel_wrappers(node.fun) if calculus == "im" else (node.fun, ())
     return (core, wrappers, node.arg) if isinstance(core, (Lam, ULam)) else None
+
+
+def _redex_sites(t, calculus: str):
+    """(position, redex) for every redex of `calculus` in t, in
+    lexicographic order; subtrees whose flags hold no such redex are
+    skipped."""
+    flag = _redex_flag(calculus)
+    stack = [((), t)]
+    while stack:
+        pos, here = stack.pop()
+        if not here.flags & flag:
+            continue
+        if (redex := _redex(here, calculus)) is not None:
+            yield pos, redex
+        kids = children(here)
+        for i in range(len(kids) - 1, -1, -1):
+            stack.append(((*pos, i), kids[i]))
 
 
 def _contract(core, body, wrappers: WrapperList, arg, calculus: str):
@@ -134,13 +162,12 @@ def redexes(t: MemTerm | SetTerm) -> list[Redex]:
     """All applied w-abstractions with their degrees, in lexicographic
     position order."""
     found: list[Redex] = []
-    for pos, sub in subterms(t):
-        if (redex := _redex(sub, "im")) is not None:
-            try:
-                degree = redex_degree(redex[0])
-            except IllTyped:
-                degree = None
-            found.append(Redex(pos, len(redex[1]), degree))
+    for pos, redex in _redex_sites(t, "im"):
+        try:
+            degree = redex_degree(redex[0])
+        except IllTyped:
+            degree = None
+        found.append(Redex(pos, len(redex[1]), degree))
     return found
 
 
@@ -152,7 +179,7 @@ def i_redexes(t: MemTerm | SetTerm) -> list[Redex]:
 def redex_positions(t, calculus: str) -> list[Position]:
     """Positions of the redexes a step of `calculus` may contract, in
     lexicographic order (no degrees are computed)."""
-    return [pos for pos, sub in subterms(t) if _redex(sub, calculus) is not None]
+    return [pos for pos, _ in _redex_sites(t, calculus)]
 
 
 def require_plain(t, calculus: str):
@@ -256,9 +283,14 @@ def develop(t, contract, calculus: str):
     asks contract(w-abstraction) whether to contract it (only for
     redexes `calculus` may contract), then develops the body and the
     wrappers; everything else is a congruence.  A contracted memory
-    redex keeps its argument as a wrapper; a plain one erases it.
+    redex keeps its argument as a wrapper; a plain one erases it.  A
+    subtree whose flags hold no redex of `calculus` is kept as it is.
     """
+    flag = _redex_flag(calculus)
+
     def dev(node):
+        if not node.flags & flag:
+            return node
         if not isinstance(node, App):
             return map_children(node, dev)
         arg = dev(node.arg)

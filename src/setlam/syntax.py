@@ -12,6 +12,12 @@ variables are names.  Every node stores a structural key, computed once
 at construction from its children's keys; identity (``==`` and hashing)
 and the global structural order come from that key alone.  A binder's
 printing hint is not part of it, so ``==`` is exactly alpha-equivalence.
+Term nodes also store, in O(arity) from their children, `loose` (the
+largest de Bruijn index pointing outside the node, -1 when locally
+closed) and `flags` (which kinds of redex, and whether a wrapper, occur
+in the subtree); `typecheck` caches a node's typing on it the first
+time it is asked for.  None of these is part of the key, so they change
+neither identity, nor order, nor printing.
 All sets are kept canonical (sorted by key, duplicates removed); the
 smart constructors ``SetType.of`` and ``SetTerm.of`` normalize, the
 dataclass constructors insist on already canonical input.
@@ -45,6 +51,7 @@ __all__ = [
     "MemTerm", "Var", "BoundVar", "Lam", "App", "Wrap", "SetTerm",
     "UntypedTerm", "UVar", "UBoundVar", "ULam", "UApp",
     "WrapperList", "Position",
+    "BETA_REDEX", "I_REDEX", "IM_REDEX", "WRAPPER",
     "parse", "pretty",
     "parse_type", "parse_untyped", "parse_term", "parse_set_type",
     "children", "rebuild", "map_children", "subterms", "nodes",
@@ -63,11 +70,20 @@ class _Node:
     construction from the keys its children already store.  Two nodes
     are equal when they have the same class and equal keys; the hash is
     the key's (not cached: hashing a key walks it, so caching at
-    construction would make building a term quadratic).
+    construction would make building a term quadratic).  Term nodes
+    also store `loose` and `flags` (see `_set_meta`), and `typing`,
+    which stays None until `typecheck` stores the node's typing there.
     """
 
+    typing = None
+
     def __eq__(self, other):
-        return type(other) is type(self) and self.key == other.key
+        if type(other) is not type(self):
+            return False
+        try:
+            return self.key == other.key
+        except RecursionError:  # keys nested deeper than the interpreter compares
+            return _keys_equal(self.key, other.key)
 
     def __hash__(self):
         return hash(self.key)
@@ -76,8 +92,45 @@ class _Node:
         return pretty(self)
 
 
+def _keys_equal(a: tuple, b: tuple) -> bool:
+    """Key equality with an explicit stack, at any nesting depth."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        if type(x) is tuple and type(y) is tuple and len(x) == len(y):
+            stack.extend(zip(x, y))
+        elif type(x) is tuple or type(y) is tuple or x != y:
+            return False
+    return True
+
+
 def _set_key(node: _Node, key: tuple) -> None:
     object.__setattr__(node, "key", key)
+
+
+# Flag bits of a term node: the redexes a step of each calculus may
+# contract (as `reduction._redex` recognizes them) and the wrappers that
+# occur in the subtree rooted at the node.
+BETA_REDEX, I_REDEX, IM_REDEX, WRAPPER = 1, 2, 4, 8
+_CONTAINS = BETA_REDEX | I_REDEX | IM_REDEX | WRAPPER
+# The node itself is an abstraction under zero or more wrappers, so an
+# application of it is a memory redex.
+_W_ABSTRACTION = 16
+
+
+def _set_meta(node: _Node, key: tuple, loose: int, flags: int) -> None:
+    """Store a term node's key, its largest loose index (-1 when it is
+    locally closed) and its flags."""
+    vars(node).update(key=key, loose=loose, flags=flags)
+
+
+def _contained(*parts: _Node) -> int:
+    flags = 0
+    for part in parts:
+        flags |= part.flags
+    return flags & _CONTAINS
 
 
 _key = operator.attrgetter("key")
@@ -166,7 +219,7 @@ class Var(_Node):
     annot: Type
 
     def __post_init__(self):
-        _set_key(self, (1, self.name, self.annot.key))
+        _set_meta(self, (1, self.name, self.annot.key), -1, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,7 +230,7 @@ class BoundVar(_Node):
     annot: Type
 
     def __post_init__(self):
-        _set_key(self, (0, self.index, self.annot.key))
+        _set_meta(self, (0, self.index, self.annot.key), self.index, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,7 +242,9 @@ class Lam(_Node):
     def __post_init__(self):
         if not self.binder.elements:
             raise ValueError("binder set-type must be non-empty")
-        _set_key(self, (2, self.binder.key, self.body.key))
+        body = self.body
+        _set_meta(self, (2, self.binder.key, body.key), max(body.loose - 1, -1),
+                  (body.flags & _CONTAINS) | _W_ABSTRACTION)
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,7 +255,13 @@ class App(_Node):
     def __post_init__(self):
         if not self.arg.elements:
             raise ValueError("application argument must be non-empty")
-        _set_key(self, (3, self.fun.key, self.arg.key))
+        fun, arg = self.fun, self.arg
+        flags = _contained(fun, arg)
+        if isinstance(fun, Lam):
+            flags |= I_REDEX
+        if fun.flags & _W_ABSTRACTION:
+            flags |= IM_REDEX
+        _set_meta(self, (3, fun.key, arg.key), max(fun.loose, arg.loose), flags)
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,7 +270,9 @@ class Wrap(_Node):
     payload: "SetTerm"
 
     def __post_init__(self):
-        _set_key(self, (4, self.head.key, self.payload.key))
+        head, payload = self.head, self.payload
+        _set_meta(self, (4, head.key, payload.key), max(head.loose, payload.loose),
+                  _contained(head, payload) | WRAPPER | (head.flags & _W_ABSTRACTION))
 
 
 MemTerm = Union[Var, BoundVar, Lam, App, Wrap]
@@ -221,6 +284,11 @@ class SetTerm(_Set):
 
     elements: tuple[MemTerm, ...]
     _what = "set-term"
+
+    def __post_init__(self):
+        super().__post_init__()
+        vars(self).update(loose=max((e.loose for e in self.elements), default=-1),
+                          flags=_contained(*self.elements))
 
 # A wrapper list is the sequence of payloads between an abstraction and
 # its argument, outermost last: apply_wrappers(t, (p, q)) == t[p][q].
@@ -236,7 +304,7 @@ class UVar(_Node):
     name: str
 
     def __post_init__(self):
-        _set_key(self, (1, self.name))
+        _set_meta(self, (1, self.name), -1, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,7 +312,7 @@ class UBoundVar(_Node):
     index: int
 
     def __post_init__(self):
-        _set_key(self, (0, self.index))
+        _set_meta(self, (0, self.index), self.index, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,7 +321,8 @@ class ULam(_Node):
     body: "UntypedTerm"
 
     def __post_init__(self):
-        _set_key(self, (2, self.body.key))
+        body = self.body
+        _set_meta(self, (2, body.key), max(body.loose - 1, -1), body.flags)
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,7 +331,11 @@ class UApp(_Node):
     arg: "UntypedTerm"
 
     def __post_init__(self):
-        _set_key(self, (3, self.fun.key, self.arg.key))
+        fun, arg = self.fun, self.arg
+        flags = fun.flags | arg.flags
+        if isinstance(fun, ULam):
+            flags |= BETA_REDEX
+        _set_meta(self, (3, fun.key, arg.key), max(fun.loose, arg.loose), flags)
 
 
 UntypedTerm = Union[UVar, UBoundVar, ULam, UApp]
@@ -402,7 +475,7 @@ def replace_at(t, pos: Position, new):
 
 
 def is_wrapper_free(t: MemTerm | SetTerm) -> bool:
-    return not any(isinstance(s, Wrap) for s in nodes(t))
+    return not t.flags & WRAPPER
 
 
 def free_occurrences(t: MemTerm | SetTerm) -> Iterator[tuple[str, Type]]:
@@ -675,13 +748,18 @@ def parse_set_type(text: str) -> SetType:
 
 
 def _parse_type(toks: _Tokens) -> Type:
+    domains = []  # an arrow chain is a loop, so its length costs no stack
     domain = _parse_settype_atom(toks)
-    if toks.peek() == "->":
+    while toks.peek() == "->":
         toks.next()
-        return Arrow(domain, _parse_type(toks))
+        domains.append(domain)
+        domain = _parse_settype_atom(toks)
     if len(domain.elements) != 1:
         toks.error("a braced set of types must be followed by ->")
-    return domain.elements[0]
+    result = domain.elements[0]
+    for domain in reversed(domains):
+        result = Arrow(domain, result)
+    return result
 
 
 def _parse_settype_atom(toks: _Tokens) -> SetType:

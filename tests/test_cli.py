@@ -83,6 +83,38 @@ def test_decorate_invalid_exit_2(files, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text, where", [
+    ("{}", "$.rule"),
+    ("[]", "$"),
+    ('"str"', "$"),
+    ('{"rule": "var", "ctx": {"x": "a"}, "term": "x", "type": "a"}', "$.ctx.x"),
+])
+def test_decorate_malformed_json_exit_2(text, where, files, capsys):
+    code, out, err = run(capsys, "decorate", files("d.json", text))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: invalid derivation JSON at {where}: expected ")
+
+
+def test_decorate_deep_binder_chain(files, capsys):
+    # The JSON of an n-binder chain's derivation nests 2n levels deep and
+    # holds n subjects of up to n binders each, so its size is quadratic:
+    # 520 binders nest beyond the interpreter's default recursion limit
+    # (1,000) in 3.7 MB.
+    from setlam import TypingContext, erase_derivation
+    from setlam.typecheck import derivation_to_json
+    text = "".join(f"\\x{i}:{{a}}. " for i in range(520)) + "x0^a"
+    data = derivation_to_json(erase_derivation(parse_term(text), TypingContext()))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(5_000)  # the encoder recurses once per level
+    try:
+        encoded = json.dumps(data)
+    finally:
+        sys.setrecursionlimit(limit)
+    code, out, err = run(capsys, "decorate", files("deep.json", encoded))
+    assert (code, err) == (0, "")
+    assert out == text + "\n"
+
+
 def test_reduce_trace_round_trips(files, capsys):
     path = files("t.term", corpus.GOLDEN_ERASING)
     code, out, _ = run(capsys, "reduce", path, "--calculus=im", "--steps=5")

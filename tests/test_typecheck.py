@@ -4,9 +4,10 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from setlam import (
-    Base, InvalidDerivation, NotTypable, NotUniform, SetTerm, SetType,
+    Base, InvalidDerivation, SetLamError, NotTypable, NotUniform, SetTerm, SetType,
     TypingContext, UnboundOrWrongAnnotation, Var, check, check_curry,
     decorate, derivation_from_json, derivation_to_json, erase,
     erase_derivation, is_uniform, minimal_context, parse_set_type,
@@ -271,3 +272,61 @@ def test_corpus_decorations_round_trip(corpus, sn_samples):
         assert check_curry(d).type_ == synthesize_type(inferred.term)
         assert decorate(d) == inferred.term
         assert erase(inferred.term) == m
+
+
+# --- derivation JSON schema and deep derivations ----------------------------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=6) | st.sampled_from(["var", "many", "intro", "elim", "x", "a", "a -> b"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["rule", "ctx", "term", "type", "premises", "select", "x"]),
+        inner, max_size=6),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_only_setlam_errors_escape_derivation_json(value):
+    try:
+        check_curry(derivation_from_json(json.dumps(value)))
+    except SetLamError:
+        pass
+
+
+@pytest.mark.parametrize("value, message", [
+    ({}, 'invalid derivation JSON at $.rule: expected one of "var", "many", "intro", "elim"'),
+    ([], "invalid derivation JSON at $: expected an object, found array"),
+    ("str", "invalid derivation JSON at $: expected an object, found string"),
+    ({"rule": "var", "ctx": {"x": "a"}, "term": "x", "type": "a"},
+     "invalid derivation JSON at $.ctx.x: expected a list of type strings, found string"),
+    ({**SELFAPP_DERIVATION, "premises": [{**SELFAPP_DERIVATION["premises"][0], "premises": [
+        SELFAPP_DERIVATION["premises"][0]["premises"][0],
+        {**SELFAPP_DERIVATION["premises"][0]["premises"][1], "ctx": {"x": ["a", 3]}}]}]},
+     "invalid derivation JSON at $.premises[0].premises[1].ctx.x[1]:"
+     " expected a type string, found number"),
+    ({"rule": "var", "term": "x", "type": {"a": 1}},
+     "invalid derivation JSON at $.type: expected a type string or a list of them, found object"),
+    ({"rule": "var", "term": 7, "type": "a"},
+     "invalid derivation JSON at $.term: expected an untyped term string, found number"),
+    ({"rule": "var", "term": "x", "type": "a", "premises": {}},
+     "invalid derivation JSON at $.premises: expected a list of derivation nodes, found object"),
+    ({"rule": "var", "term": "x", "type": "a", "select": None},
+     "invalid derivation JSON at $.select: expected a type string, found null"),
+])
+def test_derivation_json_schema_errors_name_the_path(value, message):
+    with pytest.raises(InvalidDerivation) as error:
+        derivation_from_json(json.dumps(value))
+    assert str(error.value) == message
+
+
+def _binder_chain(n):
+    return parse_term("".join(f"\\x{i}:{{a}}. " for i in range(n)) + "x0^a")
+
+
+def test_erase_derivation_of_a_deep_binder_chain_round_trips():
+    t = _binder_chain(1_000)
+    d = erase_derivation(t, TypingContext())
+    assert check_curry(d).type_ == synthesize_type(t)
+    assert decorate(d) == t
+    assert pretty(d.subject) == "".join(f"\\x{i}. " for i in range(1_000)) + "x0"
