@@ -88,7 +88,7 @@ def test_decorate_invalid_exit_2(files, capsys):
     ("[]", "$"),
     ('"str"', "$"),
     ('{"rule": "var", "ctx": {"x": "a"}, "term": "x", "type": "a"}', "$.ctx.x"),
-])
+], ids=["no-rule", "array", "string", "ctx-string"])
 def test_decorate_malformed_json_exit_2(text, where, files, capsys):
     code, out, err = run(capsys, "decorate", files("d.json", text))
     assert (code, out) == (2, "")

@@ -3,8 +3,9 @@
 Each stored value is compared with a recomputation from scratch: the
 fold with the positional walk `_synth`, `loose` and the flags with a
 walk over every subterm, the pruned redex search with the unpruned
-filter.  The binding operations must hand back untouched subtrees as
-the same objects, and a second typing of a node must visit no node.
+filter.  The index operations of `binding` must visit only the nodes
+they rebuild and hand back the others as the same objects, and a
+second typing of a node must visit no node.
 """
 
 import pytest
@@ -14,7 +15,7 @@ from setlam import (
     App, Base, BoundVar, Lam, NotTypable, SetTerm, SetType, UBoundVar,
     ULam, Var, Wrap, erase, parse_term, step_im, synthesize_type,
 )
-from setlam import syntax, typecheck
+from setlam import binding, syntax, typecheck
 from setlam.typecheck import subterm_type
 from setlam.binding import open_term, shift, uopen
 from setlam.reduction import _redex, _substituents, redex_positions
@@ -190,39 +191,47 @@ def test_unknown_calculus_is_rejected():
 
 # --- binding keeps untouched subtrees ---------------------------------------
 
-def test_shift_of_closed_term_is_the_same_object(corpus):
-    for entry in corpus:
-        assert shift(entry.term, 3) is entry.term
-        m = erase(entry.term)
-        assert shift(m, 3) is m
-
-
-def _untouched(body):
-    """Subtrees of body that no index of the opened binder reaches."""
-    out = []
+def _touched(body):
+    """The inner nodes of body whose subtree an index of the opened
+    binder reaches (the only ones an index operation must rebuild), and
+    the maximal subtrees no such index reaches."""
+    touched, untouched = [], []
     stack = [(body, 0)]
     while stack:
         node, depth = stack.pop()
         if node.loose < depth:
-            out.append(node)
-            continue
-        inner = depth + isinstance(node, (Lam, ULam))
-        stack.extend((k, inner) for k in children(node))
-    return out
+            untouched.append(node)
+        elif not isinstance(node, (BoundVar, UBoundVar)):
+            touched.append(node)
+            inner = depth + isinstance(node, (Lam, ULam))
+            stack.extend((k, inner) for k in children(node))
+    return touched, untouched
 
 
-def test_open_keeps_untouched_closed_subtrees(corpus):
+def test_index_operations_visit_only_what_they_change(corpus, monkeypatch):
+    visited = []
+    counted = binding.children
+
+    def counting(node):
+        visited.append(node)
+        return counted(node)
+    monkeypatch.setattr(binding, "children", counting)
     opened = 0
     for entry in corpus:
+        for t in (entry.term, erase(entry.term)):
+            visited.clear()
+            assert shift(t, 3) is t and visited == []
         for pos in redex_positions(entry.term, "i"):
             redex = syntax.subterm_at(entry.term, pos)
-            core = redex.fun
-            result = open_term(core.body, _substituents(core.binder, redex.arg))
-            kept = {id(s) for s in nodes(result)}
-            assert all(id(s) in kept for s in _untouched(core.body))
             m = erase(redex)
-            result = uopen(m.fun.body, m.arg)
-            kept = {id(s) for s in nodes(result)}
-            assert all(id(s) in kept for s in _untouched(m.fun.body))
+            for body, opened_body in (
+                    (redex.fun.body, lambda b: open_term(b, _substituents(redex.fun.binder,
+                                                                          redex.arg))),
+                    (m.fun.body, lambda b: uopen(b, m.arg))):
+                touched, untouched = _touched(body)
+                visited.clear()
+                kept = {id(s) for s in nodes(opened_body(body))}
+                assert sorted(map(id, visited)) == sorted(map(id, touched))
+                assert all(id(s) in kept for s in untouched)
             opened += 1
     assert opened > 50

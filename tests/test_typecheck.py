@@ -313,7 +313,8 @@ def test_only_setlam_errors_escape_derivation_json(value):
      "invalid derivation JSON at $.premises: expected a list of derivation nodes, found object"),
     ({"rule": "var", "term": "x", "type": "a", "select": None},
      "invalid derivation JSON at $.select: expected a type string, found null"),
-])
+], ids=["no-rule", "array", "string", "ctx-string", "nested-ctx-number", "type-object",
+        "term-number", "premises-object", "select-null"])
 def test_derivation_json_schema_errors_name_the_path(value, message):
     with pytest.raises(InvalidDerivation) as error:
         derivation_from_json(json.dumps(value))
