@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IllTyped
-from .syntax import WRAPPER, MemTerm, SetTerm, Wrap, children, is_wrapper_free, pretty
+from .syntax import WRAPPER, MemTerm, SetTerm, Wrap, is_wrapper_free, nodes, pretty
 from .reduction import develop, redex_degree, redexes
 from .typecheck import synthesize_type
 
@@ -29,14 +29,7 @@ __all__ = [
 def weight(t: MemTerm | SetTerm) -> int:
     """Number of wrapper nodes, including inside payloads and sets;
     subtrees whose flags hold no wrapper are not visited."""
-    count = 0
-    stack = [t]
-    while stack:
-        here = stack.pop()
-        if here.flags & WRAPPER:
-            count += isinstance(here, Wrap)
-            stack.extend(children(here))
-    return count
+    return sum(isinstance(s, Wrap) for s in nodes(t, WRAPPER))
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,12 @@ step.  Memory reduction ("im") contracts to ``body{x := args} [args] L``,
 keeping the argument as a wrapper, so nothing is erased.  Untyped beta
 reduction ("beta") opens the body with the argument.
 
-A beta step on an untyped term is simulated by contracting every copy
-of the redex in a refining annotated term, and a single annotated step
-is projected back to a beta step plus a bounded search for the
-completing reduction.
+A development is a structural recursion run on `syntax.run`, so it
+works at any depth.  A beta step on an untyped term is simulated by
+contracting, one by one, the copies of the redex in a refining
+annotated term, found by the redex search; a single annotated step is
+projected back to a beta step plus a bounded search for the completing
+reduction.
 """
 
 from __future__ import annotations
@@ -29,11 +31,11 @@ from operator import itemgetter
 from .binding import open_term, uopen
 from .errors import FuelExhausted, IllTyped, NotARedex, SearchBudgetExceeded
 from .syntax import (
-    BETA_REDEX, I_REDEX, IM_REDEX, App, Lam, MemTerm, Position, SetTerm,
-    SetType, Type, UApp, ULam, UntypedTerm, Wrap, WrapperList,
-    apply_wrappers, children, is_wrapper_free, map_children,
-    peel_wrappers, pretty, rebuild, replace_at, subterm_at, subterms,
-    term_size, type_height,
+    BETA_REDEX, I_REDEX, IM_REDEX, WRAPPER, App, Lam, MemTerm, Position, SetTerm,
+    SetType, Type, UApp, ULam, UntypedTerm, Wrap, WrapperList, _subterm_paths,
+    apply_wrappers, children, is_wrapper_free, peel_wrappers, pretty,
+    rebuild, replace_at, run, subterm_at, subterms, term_size,
+    type_height,
 )
 from .typecheck import check, refines, subterm_type
 from . import binding, typecheck
@@ -128,17 +130,9 @@ def _redex_sites(t, calculus: str):
     """(position, redex) for every redex of `calculus` in t, in
     lexicographic order; subtrees whose flags hold no such redex are
     skipped."""
-    flag = _redex_flag(calculus)
-    stack = [((), t)]
-    while stack:
-        pos, here = stack.pop()
-        if not here.flags & flag:
-            continue
+    for path, here in _subterm_paths(t, _redex_flag(calculus)):
         if (redex := _redex(here, calculus)) is not None:
-            yield pos, redex
-        kids = children(here)
-        for i in range(len(kids) - 1, -1, -1):
-            stack.append(((*pos, i), kids[i]))
+            yield tuple(path), redex
 
 
 def _contract(core, body, wrappers: WrapperList, arg, calculus: str):
@@ -264,7 +258,7 @@ def _leftmost_innermost(found: list[Position]) -> Position:
 def forgetful_reducts(t: MemTerm | SetTerm) -> list[tuple[Position, MemTerm | SetTerm]]:
     """All ways to drop one wrapper node (with its payload), by position."""
     return [(pos, replace_at(t, pos, sub.head))
-            for pos, sub in subterms(t) if isinstance(sub, Wrap)]
+            for pos, sub in subterms(t, WRAPPER) if isinstance(sub, Wrap)]
 
 
 # ---------------------------------------------------------------------------
@@ -288,20 +282,24 @@ def develop(t, contract, calculus: str):
     """
     flag = _redex_flag(calculus)
 
-    def dev(node):
-        if not node.flags & flag:
-            return node
+    def dev(node):  # a sub-call is made only for a subtree that holds such a redex
         if not isinstance(node, App):
-            return map_children(node, dev)
-        arg = dev(node.arg)
+            kids = []
+            for kid in children(node):
+                kids.append((yield dev(kid)) if kid.flags & flag else kid)
+            return rebuild(node, kids)
+        arg = (yield dev(node.arg)) if node.arg.flags & flag else node.arg
         redex = _redex(node, calculus)
         if redex is not None and contract(redex[0]):
             core, wrappers, _ = redex
-            return _contract(core, dev(core.body), tuple(dev(p) for p in wrappers),
-                             arg, calculus)
-        fun = dev(node.fun)
+            body = (yield dev(core.body)) if core.body.flags & flag else core.body
+            developed = []
+            for payload in wrappers:
+                developed.append((yield dev(payload)) if payload.flags & flag else payload)
+            return _contract(core, body, tuple(developed), arg, calculus)
+        fun = (yield dev(node.fun)) if node.fun.flags & flag else node.fun
         return node if fun is node.fun and arg is node.arg else App(fun, arg)
-    return dev(t)
+    return run(dev(t)) if t.flags & flag else t
 
 
 def complete_development(t: MemTerm | SetTerm, calculus: str = "im"):
@@ -369,43 +367,20 @@ def simulate_beta(t: MemTerm, m: UntypedTerm, pos: Position
     if not refines(t, m):
         raise ValueError("t does not refine m")
     n = beta_step(m, pos)
+    target = subterm_at(n, pos)
     current: MemTerm = t  # wrapper-free, since it refines m
     steps: list[Step] = []
     while not refines(current, n):
-        q = _residual_position(current, m, n, pos, ())
+        # Contract the first copy of the redex (in canonical order) not yet
+        # contracted: a copy is a subterm whose position erases to pos.
+        q = next((q for q in redex_positions(current, "i") if _try_erased(current, q) == pos
+                  and not refines(subterm_at(current, q), target)), None)
         assert q is not None, "mixed state without a remaining redex copy"
         nxt = step(current, q, "i")
         steps.append(Step("i", q, current, nxt))
         current = nxt
     assert steps, "a beta step must have at least one copy to contract"
     return n, current, steps
-
-
-def _residual_position(sub, m: UntypedTerm, n: UntypedTerm,
-                       bpos: Position, at: Position) -> Position | None:
-    """First (in canonical order) uncontracted copy of the redex.
-
-    `sub` refines m except that some copies of the redex at bpos are
-    already contracted toward n; returns None when none remain.
-    """
-    if bpos == ():
-        if refines(sub, n):
-            return None
-        return at
-    match m, n:
-        case (ULam(_, mbody), ULam(_, nbody)):
-            return _residual_position(sub.body, mbody, nbody, bpos[1:], at + (0,))
-        case (UApp(mfun, marg), UApp(nfun, narg)):
-            if bpos[0] == 0:
-                return _residual_position(sub.fun, mfun, nfun, bpos[1:], at + (0,))
-            for i, e in enumerate(sub.arg.elements):
-                if refines(e, narg):
-                    continue
-                q = _residual_position(e, marg, narg, bpos[1:], at + (1 + i,))
-                if q is not None:
-                    return q
-            return None
-    raise AssertionError("redex path does not match the untyped term")
 
 
 def erased_position(t: MemTerm, pos: Position) -> Position:

@@ -15,9 +15,14 @@ printing hint is not part of it, so ``==`` is exactly alpha-equivalence.
 Term nodes also store, in O(arity) from their children, `loose` (the
 largest de Bruijn index pointing outside the node, -1 when locally
 closed) and `flags` (which kinds of redex, and whether a wrapper, occur
-in the subtree); `typecheck` caches a node's typing on it the first
-time it is asked for.  None of these is part of the key, so they change
-neither identity, nor order, nor printing.
+in the subtree); `typecheck` caches a node's typing and its erasure on
+it the first time either is asked for.  None of these is part of the
+key, so they change neither identity, nor order, nor printing.
+
+Every walk works at any depth: `subterms`, `nodes`, the printer and
+`type_height` keep an explicit stack, and a walker written as a plain
+structural recursion runs on the trampoline `run`, which keeps its
+pending calls in a list instead of on the interpreter stack.
 All sets are kept canonical (sorted by key, duplicates removed); the
 smart constructors ``SetType.of`` and ``SetTerm.of`` normalize, the
 dataclass constructors insist on already canonical input.
@@ -42,7 +47,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Generator, Iterable, Iterator, Union
 
 from .errors import InvalidPosition, ParseError
 
@@ -54,7 +59,7 @@ __all__ = [
     "BETA_REDEX", "I_REDEX", "IM_REDEX", "WRAPPER",
     "parse", "pretty",
     "parse_type", "parse_untyped", "parse_term", "parse_set_type",
-    "children", "rebuild", "map_children", "subterms", "nodes",
+    "run", "children", "rebuild", "subterms", "nodes",
     "subterm_at", "replace_at", "positions",
     "free_occurrences", "free_names", "is_wrapper_free", "type_height",
     "apply_wrappers", "peel_wrappers", "term_size",
@@ -71,11 +76,13 @@ class _Node:
     are equal when they have the same class and equal keys; the hash is
     the key's (not cached: hashing a key walks it, so caching at
     construction would make building a term quadratic).  Term nodes
-    also store `loose` and `flags` (see `_set_meta`), and `typing`,
-    which stays None until `typecheck` stores the node's typing there.
+    also store `loose` and `flags` (see `_set_meta`), and `typing` and
+    `erasure`, which stay None until `typecheck` stores the node's
+    typing or erasure there.
     """
 
     typing = None
+    erasure = None
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -345,16 +352,23 @@ def type_height(t: Type | SetType) -> int:
     """Arrow nesting depth: bases are 0, an arrow is 1 + max of its sides.
 
     A set-type takes the max over its elements, 0 when empty (empty
-    set-types occur only as wrapper payload types).
+    set-types occur only as wrapper payload types).  So the height is
+    the largest number of arrows above a base.
     """
-    match t:
-        case Base():
-            return 0
-        case Arrow(domain, codomain):
-            return 1 + max(type_height(domain), type_height(codomain))
-        case SetType(elements):
-            return max((type_height(e) for e in elements), default=0)
-    raise TypeError(f"not a type: {t!r}")
+    height = 0
+    stack = [(t, 0)]
+    while stack:
+        t, arrows = stack.pop()
+        match t:
+            case Base():
+                height = max(height, arrows)
+            case Arrow(domain, codomain):
+                stack += [(domain, arrows + 1), (codomain, arrows + 1)]
+            case SetType(elements):
+                stack += [(e, arrows) for e in elements]
+            case _:
+                raise TypeError(f"not a type: {t!r}")
+    return height
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +378,31 @@ def type_height(t: Type | SetType) -> int:
 # 1+i; wrapper head = 0, payload element i = 1+i; for a top-level set,
 # element i = i.  Set elements are indexed in canonical order.  A
 # position is the path of child indices from the root.
+
+
+def run(walk: Generator):
+    """Run a structural recursion written as generators, with its pending
+    calls on an explicit stack, so that its depth costs no interpreter
+    stack.
+
+    A walker makes a sub-call as ``value = yield walker(child, ...)`` and
+    returns its result with ``return``; `run` sends each sub-call's
+    result back to its caller and returns the outermost result.  An
+    exception raised in any call ends the whole run.
+    """
+    stack = [walk]
+    value = None
+    while True:
+        try:
+            call = stack[-1].send(value)
+        except StopIteration as returned:
+            stack.pop()
+            if not stack:
+                return returned.value
+            value = returned.value
+        else:
+            stack.append(call)
+            value = None
 
 
 def children(t) -> list:
@@ -419,27 +458,41 @@ def _rebuild_set(s: SetTerm, kids: list) -> SetTerm:
     return SetTerm.of(kids)
 
 
-def map_children(t, f):
-    """Rebuild t with f applied to each child, in order."""
-    return rebuild(t, [f(c) for c in children(t)])
-
-
-def subterms(t) -> Iterator[tuple[Position, object]]:
-    """Every (position, subterm) of t in lexicographic (pre-)order."""
-    stack = [((), t)]
+def _subterm_paths(t, flags: int) -> Iterator[tuple[list[int], object]]:
+    """(path, subterm) for every subterm of t in lexicographic
+    (pre-)order, skipping, when `flags` is not 0, each subtree whose
+    flags hold none of them.  `path` is one list, the position of the
+    current subterm, changed in place at each step: a subterm n deep
+    costs O(1) to reach, and its position O(n) only where it is kept."""
+    path: list[int] = []
+    stack = [(t, 0, -1)]  # (subterm, its depth, its child index)
     while stack:
-        pos, here = stack.pop()
-        yield pos, here
+        here, depth, i = stack.pop()
+        if flags and not here.flags & flags:
+            continue
+        if depth:
+            del path[depth - 1:]
+            path.append(i)
+        yield path, here
         kids = children(here)
-        for i in range(len(kids) - 1, -1, -1):
-            stack.append(((*pos, i), kids[i]))
+        for j in range(len(kids) - 1, -1, -1):
+            stack.append((kids[j], depth + 1, j))
 
 
-def nodes(t) -> Iterator:
-    """Every subterm of t in pre-order, without the cost of positions."""
+def subterms(t, flags: int = 0) -> Iterator[tuple[Position, object]]:
+    """Every (position, subterm) of t in lexicographic (pre-)order; with
+    `flags`, a subtree whose flags hold none of them is skipped."""
+    return ((tuple(path), here) for path, here in _subterm_paths(t, flags))
+
+
+def nodes(t, flags: int = 0) -> Iterator:
+    """Every subterm of t in pre-order, without the cost of positions;
+    with `flags`, a subtree whose flags hold none of them is skipped."""
     stack = [t]
     while stack:
         here = stack.pop()
+        if flags and not here.flags & flags:
+            continue
         yield here
         stack.extend(reversed(children(here)))
 
@@ -520,11 +573,10 @@ def pretty(x) -> str:
         case SetType():
             return "{" + ", ".join(_pretty_type(e) for e in x.elements) + "}"
         case SetTerm():
-            return "{" + ", ".join(_pretty_term(e, [], False) for e in x.elements) + "}"
-        case Var() | BoundVar() | Lam() | App() | Wrap():
-            return _pretty_term(x, [], False)
-        case UVar() | UBoundVar() | ULam() | UApp():
-            return _pretty_untyped(x, [], 0)
+            return "{" + ", ".join(_pretty_term(e) for e in x.elements) + "}"
+        case (Var() | BoundVar() | Lam() | App() | Wrap()
+              | UVar() | UBoundVar() | ULam() | UApp()):
+            return _pretty_term(x)
     raise TypeError(f"cannot print {x!r}")
 
 
@@ -540,12 +592,7 @@ def _pretty_type(t: Type) -> str:
 
 
 def _pretty_domain(s: SetType) -> str:
-    if len(s.elements) == 1:
-        only = s.elements[0]
-        if isinstance(only, Base):
-            return only.name
-        return f"({_pretty_type(only)})"
-    return "{" + ", ".join(_pretty_type(e) for e in s.elements) + "}"
+    return _pretty_annot(s.elements[0]) if len(s.elements) == 1 else pretty(s)
 
 
 def _pretty_annot(a: Type) -> str:
@@ -573,68 +620,80 @@ def _pick_name(hint: str, used: set[str], next_suffix: dict[str, int]) -> str:
 
 
 def _name_chain(t, env: list[str]):
-    """Name the binders of the chain of abstractions at the top of t.
+    """Name the binders of the chain of abstractions at the top of t,
+    under the binder names env.
 
-    Returns ((abstraction, name) pairs, env extended by the names, the
-    chain's body).  A chain is a loop, so its depth costs no stack, and
-    its free names are computed once: binders bind no names, so every
-    body in the chain has the same free names.
+    Returns ((abstraction, name) pairs, the chain's body).  The chain's
+    free names are computed once, not once per binder: binders bind no
+    names, so every body in the chain has the same free names.
     """
     taken = free_names(t) | set(env)
     next_suffix: dict[str, int] = {}
-    env = list(env)
     chain = []
     while isinstance(t, (Lam, ULam)):
         name = _pick_name(t.hint, taken, next_suffix)
         taken.add(name)
-        env.append(name)
         chain.append((t, name))
         t = t.body
-    return chain, env, t
+    return chain, t
 
 
-def _pretty_term(t: MemTerm, env: list[str], fun_pos: bool) -> str:
-    # fun_pos: printed as the function of an application or the head of
-    # a wrapper, where a lambda needs parentheses.
-    match t:
-        case Var(name, annot):
-            return f"{name}^{_pretty_annot(annot)}"
-        case BoundVar(index, annot):
-            name = env[-1 - index] if index < len(env) else f"?{index - len(env)}"
-            return f"{name}^{_pretty_annot(annot)}"
-        case Lam():
-            chain, env, body = _name_chain(t, env)
-            s = "".join(f"\\{name}:{pretty(lam.binder)}. " for lam, name in chain)
-            s += _pretty_term(body, env, False)
-            return f"({s})" if fun_pos else s
-        case App(fun, arg):
-            fun_s = _pretty_term(fun, env, True)
-            if len(arg.elements) == 1 and isinstance(arg.elements[0], (Var, BoundVar)):
-                return f"{fun_s} {_pretty_term(arg.elements[0], env, False)}"
-            inner = ", ".join(_pretty_term(e, env, False) for e in arg.elements)
-            return f"{fun_s} {{{inner}}}"
-        case Wrap(head, payload):
-            head_s = _pretty_term(head, env, True)
-            inner = ", ".join(_pretty_term(e, env, False) for e in payload.elements)
-            return f"{head_s} [{inner}]"
-    raise TypeError(f"not a term: {t!r}")
+def _pretty_term(t) -> str:
+    """The text of an annotated or untyped term.
 
-
-def _pretty_untyped(t: UntypedTerm, env: list[str], prec: int) -> str:
-    # prec 0: anywhere; 1: function position; 2: argument position.
-    match t:
-        case UVar(name):
-            return name
-        case UBoundVar(index):
-            return env[-1 - index] if index < len(env) else f"?{index - len(env)}"
-        case ULam():
-            chain, env, body = _name_chain(t, env)
-            s = "".join(f"\\{name}. " for _, name in chain) + _pretty_untyped(body, env, 0)
-            return f"({s})" if prec >= 1 else s
-        case UApp(fun, arg):
-            s = f"{_pretty_untyped(fun, env, 1)} {_pretty_untyped(arg, env, 2)}"
-            return f"({s})" if prec >= 2 else s
-    raise TypeError(f"not an untyped term: {t!r}")
+    An explicit stack holds what is left to print, last piece on top: a
+    string is emitted as it is, a number ends the scope of that many
+    binder names, and a (term, precedence) pair prints the term.  At
+    precedence 1 (the function of an application or the head of a
+    wrapper) an abstraction is parenthesized, at 2 (an untyped argument)
+    an application too.
+    """
+    out: list[str] = []
+    env: list[str] = []  # names of the binders in scope, innermost last
+    stack: list = [(t, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        if type(item) is int:
+            del env[len(env) - item:]
+            continue
+        t, prec = item
+        kind = type(t)
+        if kind is Var:
+            out.append(f"{t.name}^{_pretty_annot(t.annot)}")
+        elif kind is UVar:
+            out.append(t.name)
+        elif kind is BoundVar or kind is UBoundVar:
+            name = env[-1 - t.index] if t.index < len(env) else f"?{t.index - len(env)}"
+            out.append(f"{name}^{_pretty_annot(t.annot)}" if kind is BoundVar else name)
+        elif kind is Lam or kind is ULam:
+            chain, body = _name_chain(t, env)
+            if prec:
+                out.append("(")
+                stack.append(")")
+            for lam, name in chain:
+                out.append(f"\\{name}:{pretty(lam.binder)}. " if kind is Lam else f"\\{name}. ")
+                env.append(name)
+            stack += [len(chain), (body, 0)]
+        elif kind is App and len(t.arg) == 1 and type(t.arg.elements[0]) in (Var, BoundVar):
+            stack += [(t.arg.elements[0], 0), " ", (t.fun, 1)]
+        elif kind is App or kind is Wrap:
+            fun, arg = (t.fun, t.arg) if kind is App else (t.head, t.payload)
+            opening, closing = (" {", "}") if kind is App else (" [", "]")
+            stack.append(closing)
+            for e in reversed(arg.elements[1:]):
+                stack += [(e, 0), ", "]
+            stack += [(arg.elements[0], 0), opening, (fun, 1)]
+        elif kind is UApp:
+            if prec == 2:
+                out.append("(")
+                stack.append(")")
+            stack += [(t.arg, 2), " ", (t.fun, 1)]
+        else:
+            raise TypeError(f"not a term: {t!r}")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -5,18 +5,21 @@ bottom-up by its annotations, and type synthesis never consults a
 context.  `check` adds the context audit for free occurrences.
 
 A node's typing is therefore a function of the node alone, and it is
-computed once: `_typing` folds a term bottom-up, children first, into
+computed once: `_cached` folds a term bottom-up, children first, into
 (type, loose occurrences, free occurrences) per node and stores the
 result on each node it visits (`typing`), so asking again, for the node
 or for a larger term built around it, costs only the new nodes.  An
 abstraction validates the annotations of the occurrences it binds and
 passes the others up.  The positional walk `_synth` runs only when the
 fold rejects a term, to report the first error in position order.  The
-module also hosts the derivation checker for the assignment system on
-untyped terms: derivations are explicit trees supplied as JSON, the
-checker validates each node against its rule schema, `decorate` turns a
-valid derivation into an annotated term and `erase_derivation` inverts
-it for uniform terms.
+erasure is cached the same way (`erasure`), so `refines` is a
+comparison with it.  The module also hosts the derivation checker for
+the assignment system on untyped terms: derivations are explicit trees
+supplied as JSON, the checker validates each node against its rule
+schema, `decorate` turns a valid derivation into an annotated term and
+`erase_derivation` inverts it for uniform terms.  The walks over terms
+and derivations that follow their structure are plain recursions run
+on `syntax.run`, so they work at any depth.
 """
 
 from __future__ import annotations
@@ -31,10 +34,10 @@ from .errors import (
     InvalidDerivation, NotTypable, NotUniform, UnboundOrWrongAnnotation,
 )
 from .syntax import (
-    App, Arrow, BoundVar, Lam, MemTerm, Position, SetTerm, SetType,
+    App, Arrow, BoundVar, Lam, MemTerm, SetTerm, SetType,
     Type, UApp, UBoundVar, ULam, UntypedTerm, UVar, Var, Wrap,
-    _name_chain, children, free_occurrences, parse_type, parse_untyped,
-    pretty,
+    _name_chain, _subterm_paths, children, free_occurrences, parse_type,
+    parse_untyped, pretty, run,
 )
 
 __all__ = [
@@ -141,30 +144,37 @@ def _typed(t, strict: bool) -> tuple:
     Raises the positional walk's error where the fold rejects t, or,
     when `strict`, where an index of t points outside it.
     """
-    typing = _typing(t)
+    typing = _cached(t, "typing", _node_typing)
     if typing is not _ILL_FORMED and not (strict and typing[1]):
         return typing
-    _synth(t, (), (), strict)
+    run(_synth(t, [], [], strict))
     raise AssertionError("the typing fold rejects a term that synthesizes")
 
 
-def _typing(t):
-    """The stored typing of t, after folding every node below t that
-    has none yet, children first, with an explicit stack."""
-    if t.typing is not None:
-        return t.typing
+def _cached(t, attribute: str, node_value):
+    """The value stored on t under `attribute`, after storing one on every
+    node below t that has none yet, children first, with an explicit
+    stack: node_value(node) computes it from the children's."""
+    value = getattr(t, attribute)
+    if value is not None:
+        return value
     stack = [(t, None)]
     while stack:
         node, kids = stack.pop()
-        if node.typing is not None:
-            continue
-        if kids is None:
+        if kids is not None:
+            node.__dict__[attribute] = node_value(node)
+        elif getattr(node, attribute) is None:  # not done through another path
             kids = children(node)
             stack.append((node, kids))
-            stack.extend((k, None) for k in kids if k.typing is None)
-        else:
-            object.__setattr__(node, "typing", _node_typing(node))
-    return t.typing
+            stack.extend([(k, None) for k in kids if getattr(k, attribute) is None])
+    return getattr(t, attribute)
+
+
+def _set_value(s: SetTerm, attribute: str, node_value):
+    """The value of an argument or payload set, whose elements have theirs."""
+    if getattr(s, attribute) is None:
+        s.__dict__[attribute] = node_value(s)
+    return getattr(s, attribute)
 
 
 def _node_typing(t):
@@ -187,7 +197,7 @@ def _node_typing(t):
                 loose = loose[1:]
             return Arrow(binder, body_type), tuple((i - 1, a) for i, a in loose), free
         case App(fun, arg):
-            arg_typing = _typing_of_set(arg)
+            arg_typing = _set_value(arg, "typing", _node_typing)
             if fun.typing is _ILL_FORMED or arg_typing is _ILL_FORMED:
                 return _ILL_FORMED
             fun_type = fun.typing[0]
@@ -195,7 +205,7 @@ def _node_typing(t):
                 return _ILL_FORMED
             return fun_type.codomain, *_merge([fun.typing, arg_typing])
         case Wrap(head, payload):
-            payload_typing = _typing_of_set(payload)
+            payload_typing = _set_value(payload, "typing", _node_typing)
             if head.typing is _ILL_FORMED or payload_typing is _ILL_FORMED:
                 return _ILL_FORMED
             return head.typing[0], *_merge([head.typing, payload_typing])
@@ -208,14 +218,6 @@ def _node_typing(t):
                 return _ILL_FORMED  # set-term elements with equal types
             return result, *_merge(typings)
     raise TypeError(f"not a term: {t!r}")
-
-
-def _typing_of_set(s: SetTerm):
-    """The typing of an argument or payload set, whose elements (the
-    children of its application or wrapper) are already typed."""
-    if s.typing is None:
-        object.__setattr__(s, "typing", _node_typing(s))
-    return s.typing
 
 
 def _merge(typings: list) -> tuple:
@@ -241,51 +243,60 @@ def _merge(typings: list) -> tuple:
     return loose, free
 
 
-def _synth(t, binders: tuple[SetType, ...], pos: Position, strict: bool):
-    """The positional walk: raises the first error of t in position
-    order, with its position.  Typings come from the fold; this walk
-    runs only to report why the fold rejected a term."""
+def _synth(t, binders: list[SetType], pos: list[int], strict: bool):
+    """The positional walk, run on `run`: raises the first error of t in
+    position order, with its position.  `binders` and `pos` are shared
+    lists that each sub-call extends and restores.  Typings come from
+    the fold; this walk runs only to report why the fold rejected a
+    term."""
     match t:
         case Var(_, annot):
             return annot
         case BoundVar(index, annot):
             if index >= len(binders):
                 if strict:
-                    raise NotTypable(pos, f"dangling bound variable {index}")
+                    raise NotTypable(tuple(pos), f"dangling bound variable {index}")
             elif annot not in binders[-1 - index]:
-                raise NotTypable(pos, "occurrence annotation not in binder set")
+                raise NotTypable(tuple(pos), "occurrence annotation not in binder set")
             return annot
-        case Lam():
-            chain = []  # a binder chain is a loop, so its depth costs no stack
-            while isinstance(t, Lam):
-                chain.append(t.binder)
-                t = t.body
-            result = _synth(t, binders + tuple(chain), pos + (0,) * len(chain), strict)
-            for binder in reversed(chain):
-                result = Arrow(binder, result)
-            return result
+        case Lam(_, binder, body):
+            binders.append(binder)
+            pos.append(0)
+            body_type = yield _synth(body, binders, pos, strict)
+            binders.pop()
+            pos.pop()
+            return Arrow(binder, body_type)
         case App(fun, arg):
-            fun_type = _synth(fun, binders, pos + (0,), strict)
+            pos.append(0)
+            fun_type = yield _synth(fun, binders, pos, strict)
+            pos.pop()
             if not isinstance(fun_type, Arrow):
-                raise NotTypable(pos, f"applied term has non-arrow type {fun_type}")
-            arg_type = _synth_set(arg, binders, pos, 1, strict)
+                raise NotTypable(tuple(pos), f"applied term has non-arrow type {fun_type}")
+            arg_type = yield _synth_set(arg, binders, pos, 1, strict)
             if arg_type != fun_type.domain:
                 raise NotTypable(
-                    pos, f"argument set-type {arg_type} != domain {fun_type.domain}")
+                    tuple(pos), f"argument set-type {arg_type} != domain {fun_type.domain}")
             return fun_type.codomain
         case Wrap(head, payload):
-            _synth_set(payload, binders, pos, 1, strict)
-            return _synth(head, binders, pos + (0,), strict)
+            yield _synth_set(payload, binders, pos, 1, strict)
+            pos.append(0)
+            head_type = yield _synth(head, binders, pos, strict)
+            pos.pop()
+            return head_type
         case SetTerm():
-            return _synth_set(t, binders, pos, 0, strict)
+            return (yield _synth_set(t, binders, pos, 0, strict))
     raise TypeError(f"not a term: {t!r}")
 
 
-def _synth_set(s: SetTerm, binders, pos: Position, offset: int, strict: bool) -> SetType:
-    types = [_synth(e, binders, pos + (offset + i,), strict)
-             for i, e in enumerate(s.elements)]
+def _synth_set(s: SetTerm, binders: list[SetType], pos: list[int], offset: int,
+               strict: bool):
+    types = []
+    for i, e in enumerate(s.elements):
+        pos.append(offset + i)
+        types.append((yield _synth(e, binders, pos, strict)))
+        pos.pop()
     if len(set(types)) != len(types):
-        raise NotTypable(pos, "set-term elements with equal types")
+        raise NotTypable(tuple(pos), "set-term elements with equal types")
     return SetType.of(types)
 
 
@@ -317,67 +328,59 @@ def minimal_context(t: MemTerm | SetTerm) -> TypingContext:
 # Refinement, uniformity, erasure
 
 
+# The erasure of a node that does not erase to one untyped term.
+_NOT_UNIFORM = "not uniform"
+
+
 def refines(t: MemTerm | SetTerm, m: UntypedTerm) -> bool:
     """Whether t erases, elementwise through set-terms, to m."""
-    match t, m:
-        case (Var(x, _), UVar(y)):
-            return x == y
-        case (BoundVar(i, _), UBoundVar(j)):
-            return i == j
-        case (Lam(_, _, body), ULam(_, ubody)):
-            return refines(body, ubody)
-        case (App(fun, arg), UApp(ufun, uarg)):
-            return refines(fun, ufun) and refines(arg, uarg)
-        case (SetTerm(elements), _):
-            return len(elements) > 0 and all(refines(e, m) for e in elements)
-        case _:
-            return False
+    return m == _cached(t, "erasure", _node_erasure)
 
 
 def erase(t: MemTerm | SetTerm) -> UntypedTerm:
-    """The unique untyped term t refines; NotUniform where that fails."""
-    return _erase(t, ())
+    """The unique untyped term t refines; NotUniform where that fails.
+
+    The position is that of the first failing node in position order: a
+    wrapper, or a node whose children all erase but not to one term (an
+    application or a set-term whose elements erase differently, or an
+    empty set-term).
+    """
+    erasure = _cached(t, "erasure", _node_erasure)
+    if erasure is not _NOT_UNIFORM:
+        return erasure
+    for path, node in _subterm_paths(t, 0):
+        if node.erasure is _NOT_UNIFORM and (
+                isinstance(node, Wrap)
+                or all(k.erasure is not _NOT_UNIFORM for k in children(node))):
+            raise NotUniform(tuple(path))
+    raise AssertionError("no failing node below a term that does not erase")
 
 
-def _erase(t, pos: Position) -> UntypedTerm:
+def _node_erasure(t):
+    """The erasure of t from its children's, or _NOT_UNIFORM."""
     match t:
         case Var(name, _):
             return UVar(name)
         case BoundVar(index, _):
             return UBoundVar(index)
-        case Lam():
-            hints = []  # a binder chain is a loop, so its depth costs no stack
-            while isinstance(t, Lam):
-                hints.append(t.hint)
-                t = t.body
-            erased = _erase(t, pos + (0,) * len(hints))
-            for hint in reversed(hints):
-                erased = ULam(hint, erased)
-            return erased
+        case Lam(hint, _, body):
+            return _NOT_UNIFORM if body.erasure is _NOT_UNIFORM else ULam(hint, body.erasure)
         case App(fun, arg):
-            return UApp(_erase(fun, pos + (0,)), _erase_set(arg, pos, 1))
+            arg_erasure = _set_value(arg, "erasure", _node_erasure)
+            if fun.erasure is _NOT_UNIFORM or arg_erasure is _NOT_UNIFORM:
+                return _NOT_UNIFORM
+            return UApp(fun.erasure, arg_erasure)
         case Wrap():
-            raise NotUniform(pos)
-        case SetTerm():
-            return _erase_set(t, pos, 0)
+            return _NOT_UNIFORM
+        case SetTerm(elements):
+            if not elements or any(e.erasure != elements[0].erasure for e in elements[1:]):
+                return _NOT_UNIFORM
+            return elements[0].erasure
     raise TypeError(f"not a term: {t!r}")
 
 
-def _erase_set(s: SetTerm, pos: Position, offset: int) -> UntypedTerm:
-    if not s.elements:
-        raise NotUniform(pos)
-    erased = [_erase(e, pos + (offset + i,)) for i, e in enumerate(s.elements)]
-    if any(e != erased[0] for e in erased[1:]):
-        raise NotUniform(pos)
-    return erased[0]
-
-
 def is_uniform(t: MemTerm | SetTerm) -> bool:
-    try:
-        erase(t)
-    except NotUniform:
-        return False
-    return True
+    return _cached(t, "erasure", _node_erasure) is not _NOT_UNIFORM
 
 
 # ---------------------------------------------------------------------------
@@ -399,35 +402,10 @@ class CurryDerivation:
     select: Type | None = field(default=None)
 
 
-def _fold_tree(root, enter, leave):
-    """Depth-first fold of a derivation-shaped tree, with an explicit
-    stack so that its depth costs no interpreter stack.
-
-    enter(node, path) runs before the node's premises and returns them;
-    leave(node, path, values) runs after them, with the values leave
-    returned for the premises in order, and returns the node's value.
-    A premise's path is its parent's extended by its index.
-    """
-    values: list = []
-    stack = [(root, (), None)]
-    while stack:
-        node, path, premises = stack.pop()
-        if premises is None:
-            premises = enter(node, path)
-            stack.append((node, path, premises))
-            stack.extend((p, path + (i,), None) for i, p in reversed(list(enumerate(premises))))
-        else:
-            start = len(values) - len(premises)
-            value = leave(node, path, values[start:])
-            del values[start:]
-            values.append(value)
-    return values[0]
-
-
 _RULES = ("var", "many", "intro", "elim")
 
 
-def _json_path(path: Position) -> str:
+def _json_path(path: list[int]) -> str:
     return "$" + "".join(f".premises[{i}]" for i in path)
 
 
@@ -454,18 +432,18 @@ def derivation_from_json(data: str | dict) -> CurryDerivation:
         finally:
             sys.setrecursionlimit(old_limit)
     parsed: dict = {}  # each distinct type string and type list is parsed once
-    fields: dict[Position, tuple] = {}
 
-    def bad(path: Position, where: str, expected: str, value):
-        raise InvalidDerivation(path, "derivation",
-                                f"expected {expected}, found {_json_kind(value)}", where)
+    def bad(path: list[int], where: str, expected: str, value):
+        raise InvalidDerivation(tuple(path), "derivation",
+                                f"expected {expected}, found {_json_kind(value)}",
+                                _json_path(path) + where)
 
     def type_of(text: str) -> Type:
         if text not in parsed:
             parsed[text] = parse_type(text)
         return parsed[text]
 
-    def types_of(value, path: Position, where: str) -> SetType:
+    def types_of(value, path: list[int], where: str) -> SetType:
         if not isinstance(value, list):
             bad(path, where, "a list of type strings", value)
         for i, text in enumerate(value):
@@ -475,80 +453,85 @@ def derivation_from_json(data: str | dict) -> CurryDerivation:
             parsed[tuple(value)] = SetType.of(map(type_of, value))
         return parsed[tuple(value)]
 
-    def enter(d, path):
-        at = _json_path(path)
+    def node(d, path: list[int]):
         if not isinstance(d, dict):
-            bad(path, at, "an object", d)
+            bad(path, "", "an object", d)
         rule = d.get("rule")
         if rule not in _RULES:
-            raise InvalidDerivation(path, "derivation", "expected one of "
-                                    + ", ".join(f'"{r}"' for r in _RULES), f"{at}.rule")
+            raise InvalidDerivation(tuple(path), "derivation", "expected one of "
+                                    + ", ".join(f'"{r}"' for r in _RULES),
+                                    _json_path(path) + ".rule")
         ctx = d.get("ctx", {})
         if not isinstance(ctx, dict):
-            bad(path, f"{at}.ctx", "an object", ctx)
+            bad(path, ".ctx", "an object", ctx)
         context = TypingContext.of(
-            {x: types_of(value, path, f"{at}.ctx.{x}") for x, value in ctx.items()})
+            {x: types_of(value, path, f".ctx.{x}") for x, value in ctx.items()})
         term = d.get("term")
         if not isinstance(term, str):
-            bad(path, f"{at}.term", "an untyped term string", term)
+            bad(path, ".term", "an untyped term string", term)
         subject = parse_untyped(term)
         raw_type = d.get("type")
         if isinstance(raw_type, list):
-            type_: Type | SetType = types_of(raw_type, path, f"{at}.type")
+            type_: Type | SetType = types_of(raw_type, path, ".type")
         elif isinstance(raw_type, str):
             type_ = type_of(raw_type)
         else:
-            bad(path, f"{at}.type", "a type string or a list of them", raw_type)
-        premises = d.get("premises", [])
-        if not isinstance(premises, list):
-            bad(path, f"{at}.premises", "a list of derivation nodes", premises)
-        fields[path] = rule, context, subject, type_
-        return premises
-
-    def leave(d, path, premises):
+            bad(path, ".type", "a type string or a list of them", raw_type)
+        raw_premises = d.get("premises", [])
+        if not isinstance(raw_premises, list):
+            bad(path, ".premises", "a list of derivation nodes", raw_premises)
+        premises = []
+        for i, premise in enumerate(raw_premises):
+            path.append(i)
+            premises.append((yield node(premise, path)))
+            path.pop()
         select = None
         if "select" in d:
             if not isinstance(d["select"], str):
-                bad(path, f"{_json_path(path)}.select", "a type string", d["select"])
+                bad(path, ".select", "a type string", d["select"])
             select = type_of(d["select"])
-        return CurryDerivation(*fields.pop(path), tuple(premises), select)
+        return CurryDerivation(rule, context, subject, type_, tuple(premises), select)
 
-    return _fold_tree(data, enter, leave)
+    return run(node(data, []))
 
 
 def derivation_to_json(d: CurryDerivation) -> dict:
-    def leave(node, path, premises):
+    def node(d):
+        premises = []
+        for premise in d.premises:
+            premises.append((yield node(premise)))
         out: dict = {
-            "rule": node.rule,
-            "ctx": {n: [pretty(e) for e in s.elements] for n, s in node.context.entries},
-            "term": pretty(node.subject),
-            "type": ([pretty(e) for e in node.type_.elements]
-                     if isinstance(node.type_, SetType) else pretty(node.type_)),
+            "rule": d.rule,
+            "ctx": {n: [pretty(e) for e in s.elements] for n, s in d.context.entries},
+            "term": pretty(d.subject),
+            "type": ([pretty(e) for e in d.type_.elements]
+                     if isinstance(d.type_, SetType) else pretty(d.type_)),
         }
         if premises:
             out["premises"] = premises
-        if node.select is not None:
-            out["select"] = pretty(node.select)
+        if d.select is not None:
+            out["select"] = pretty(d.select)
         return out
-    return _fold_tree(d, _premises, leave)
-
-
-def _premises(d: CurryDerivation, path: Position) -> tuple:
-    return d.premises
+    return run(node(d))
 
 
 def check_curry(d: CurryDerivation) -> Judgement:
-    """Validate every node against its rule schema; return the root judgement."""
-    _fold_tree(d, _premises, _check_node)
+    """Validate every node against its rule schema, premises before their
+    node; return the root judgement."""
+    run(_check(d, []))
     return Judgement(d.context, d.subject, d.type_)
 
 
-def _fail(path, rule, reason):
-    raise InvalidDerivation(path, rule, reason)
+def _fail(path: list[int], rule, reason):
+    raise InvalidDerivation(tuple(path), rule, reason)
 
 
-def _check_node(d: CurryDerivation, path: Position, _) -> None:
-    """Check one node against its rule schema, after its premises."""
+def _check(d: CurryDerivation, path: list[int]):
+    """Check d's premises, then d against its rule schema."""
+    for i, premise in enumerate(d.premises):
+        path.append(i)
+        yield _check(premise, path)
+        path.pop()
     match d.rule:
         case "var":
             if not isinstance(d.subject, UVar):
@@ -575,9 +558,9 @@ def _check_node(d: CurryDerivation, path: Position, _) -> None:
                 _fail(path, "many", "premise types do not form the conclusion set")
             for i, p in enumerate(d.premises):
                 if p.context != d.context:
-                    _fail(path + (i,), p.rule, "premise context differs")
+                    _fail([*path, i], p.rule, "premise context differs")
                 if p.subject != d.subject:
-                    _fail(path + (i,), p.rule, "premise subject differs")
+                    _fail([*path, i], p.rule, "premise subject differs")
         case "intro":
             if not isinstance(d.subject, ULam):
                 _fail(path, "intro", "subject is not an abstraction")
@@ -617,44 +600,43 @@ def _check_node(d: CurryDerivation, path: Position, _) -> None:
             _fail(path, str(other), "unknown rule")
 
 
-def decorate(d: CurryDerivation) -> MemTerm:
+def decorate(d: CurryDerivation) -> MemTerm | SetTerm:
     """Annotated term encoding a valid derivation; checks to its judgement.
 
     An occurrence of a name becomes an index when an enclosing intro
     node binds the name (the innermost one); a free occurrence otherwise.
+    A derivation whose root is a many node gives a set-term.
     """
     check_curry(d)
     binders: dict[str, list[int]] = {}  # name -> depths of the intro nodes binding it
-    depth = 0
+    scope: list[str] = []  # the names the enclosing intro nodes bind, innermost last
 
-    def enter(node, path):
-        nonlocal depth
-        if node.rule == "intro":
-            binders.setdefault(node.subject.hint, []).append(depth)
-            depth += 1
-        return node.premises
-
-    def leave(node, path, premises):
-        nonlocal depth
+    def term(node):
         match node.rule:
             case "var":
                 name = node.subject.name
                 if binders.get(name):
-                    return BoundVar(depth - 1 - binders[name][-1], node.type_)
+                    return BoundVar(len(scope) - 1 - binders[name][-1], node.type_)
                 return Var(name, node.type_)
             case "many":
-                return SetTerm.of(premises)
+                elements = []
+                for premise in node.premises:
+                    elements.append((yield term(premise)))
+                return SetTerm.of(elements)
             case "intro":
-                depth -= 1
-                binders[node.subject.hint].pop()
-                return Lam(node.subject.hint, node.type_.domain, premises[0])
+                name = node.subject.hint
+                binders.setdefault(name, []).append(len(scope))
+                scope.append(name)
+                body = yield term(node.premises[0])
+                binders[scope.pop()].pop()
+                return Lam(name, node.type_.domain, body)
             case "elim":
-                return App(*premises)
+                fun = yield term(node.premises[0])
+                arg = yield term(node.premises[1])
+                return App(fun, arg)
         raise AssertionError(f"unreachable rule {node.rule}")
 
-    t = _fold_tree(d, enter, leave)
-    assert isinstance(t, (Var, BoundVar, Lam, App))
-    return t
+    return run(term(d))
 
 
 def erase_derivation(t: MemTerm, context: TypingContext) -> CurryDerivation:
@@ -666,29 +648,31 @@ def erase_derivation(t: MemTerm, context: TypingContext) -> CurryDerivation:
     typing errors when t does not check under the context.
     """
     check(context, t)
-    node, _ = _erase_node(t, context, [], ())
-    return node
+    erase(t)  # raises NotUniform where t does not erase
+    return run(_derivation(t, context, []))
 
 
-def _erase_node(t, context: TypingContext, env: list[str], pos: Position):
+def _derivation(t, context: TypingContext, env: list[str]):
+    """The derivation of the uniform term t under the context; env names
+    the binders above t, innermost last, in a list that each sub-call
+    extends and restores."""
     match t:
-        case Var(name, annot):
-            return CurryDerivation("var", context, UVar(name), annot, (), annot), UVar(name)
-        case BoundVar(index, annot):
-            name = env[-1 - index]
-            return CurryDerivation("var", context, UVar(name), annot, (), annot), UVar(name)
+        case Var() | BoundVar():
+            subject = UVar(t.name if isinstance(t, Var) else env[-1 - t.index])
+            return CurryDerivation("var", context, subject, t.annot, (), t.annot)
         case Lam():
-            # a binder chain is a loop, so its depth costs no stack
-            chain, inner_env, body = _name_chain(t, env)
+            chain, body = _name_chain(t, env)
+            names = [name for _, name in chain]
             contexts = [context]
             for lam, name in chain:
                 contexts.append(contexts[-1].bind(name, lam.binder))
-            node, subject = _erase_node(body, contexts.pop(), inner_env, pos + (0,) * len(chain))
+            env += names
+            node = yield _derivation(body, contexts.pop(), env)
+            del env[len(env) - len(names):]
             # Close the body over the whole chain at once, then open the
             # binders one by one: an open visits only the paths to the
             # occurrences it replaces.
-            names = [name for _, name in chain]
-            subject = close_term(subject, *names)
+            subject = close_term(node.subject, *names)
             for name in reversed(names):
                 subject = ULam(name, subject)
             subjects = [subject]
@@ -696,44 +680,29 @@ def _erase_node(t, context: TypingContext, env: list[str], pos: Position):
                 subjects.append(uopen(subjects[-1].body, UVar(name)))
             for (lam, _), outer, subject in zip(reversed(chain), reversed(contexts),
                                                 reversed(subjects)):
-                assert not isinstance(node.type_, SetType)
                 node = CurryDerivation(
                     "intro", outer, subject, Arrow(lam.binder, node.type_), (node,))
-            return node, subject
+            return node
         case App(fun, arg):
-            fun_p, fun_subject = _erase_node(fun, context, env, pos + (0,))
-            arg_p, arg_subject = _erase_set_node(arg, context, env, pos)
-            assert isinstance(fun_p.type_, Arrow)
-            subject = UApp(fun_subject, arg_subject)
-            node = CurryDerivation(
-                "elim", context, subject, fun_p.type_.codomain, (fun_p, arg_p))
-            return node, subject
-        case Wrap():
-            raise NotUniform(pos)
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _erase_set_node(s: SetTerm, context: TypingContext, env: list[str], pos: Position):
-    nodes = []
-    subjects = []
-    for i, e in enumerate(s.elements):
-        node, subject = _erase_node(e, context, env, pos + (1 + i,))
-        nodes.append(node)
-        subjects.append(subject)
-    if any(sub != subjects[0] for sub in subjects[1:]):
-        raise NotUniform(pos)
-    types = [n.type_ for n in nodes]
-    node = CurryDerivation(
-        "many", context, subjects[0], SetType.of(types), tuple(nodes))
-    return node, subjects[0]
+            fun_node = yield _derivation(fun, context, env)
+            elements = []
+            for e in arg.elements:
+                elements.append((yield _derivation(e, context, env)))
+            arg_node = CurryDerivation("many", context, elements[0].subject,  # all alike
+                                       SetType.of(e.type_ for e in elements), tuple(elements))
+            return CurryDerivation("elim", context, UApp(fun_node.subject, arg_node.subject),
+                                   fun_node.type_.codomain, (fun_node, arg_node))
+    raise TypeError(f"not a uniform wrapper-free term: {t!r}")
 
 
 def canonical_derivation(d: CurryDerivation) -> CurryDerivation:
     """Sort many premises by type and normalize select fields."""
-    def leave(node, path, premises):
-        if node.rule == "many":
-            premises = sorted(premises, key=lambda p: p.type_.key)
-        select = (node.type_ if node.rule == "var" and not isinstance(node.type_, SetType)
-                  else None)
-        return replace(node, premises=tuple(premises), select=select)
-    return _fold_tree(d, _premises, leave)
+    def node(d):
+        premises = []
+        for premise in d.premises:
+            premises.append((yield node(premise)))
+        if d.rule == "many":
+            premises.sort(key=lambda p: p.type_.key)
+        select = d.type_ if d.rule == "var" and not isinstance(d.type_, SetType) else None
+        return replace(d, premises=tuple(premises), select=select)
+    return run(node(d))

@@ -12,6 +12,7 @@ from setlam.cli import main
 from setlam import parse_term, parse_untyped, pretty
 
 import corpus
+from deep import shape
 
 
 @pytest.fixture
@@ -93,6 +94,15 @@ def test_decorate_malformed_json_exit_2(text, where, files, capsys):
     code, out, err = run(capsys, "decorate", files("d.json", text))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: invalid derivation JSON at {where}: expected ")
+
+
+def test_decorate_many_root_prints_the_set_term(files, capsys):
+    derivation = {
+        "rule": "many", "ctx": {"x": ["a"]}, "term": "x", "type": ["a"],
+        "premises": [{"rule": "var", "ctx": {"x": ["a"]}, "term": "x", "type": "a"}],
+    }
+    code, out, err = run(capsys, "decorate", files("d.json", json.dumps(derivation)))
+    assert (code, out, err) == (0, "{x^a}\n", "")
 
 
 def test_decorate_deep_binder_chain(files, capsys):
@@ -193,6 +203,43 @@ def test_chains_argument_off_the_binder_exit_2(files, capsys):
     path = files("t.term", "(\\x:{a}. z^c) {y^b}")
     code, out, err = run(capsys, "chains", path)
     assert (code, out, err) == (2, "", "error: argument set-type {b} != binder {a}\n")
+
+
+# Shapes of tests/deep.py at 10,000, each through commands that reach a
+# walker that no longer uses the interpreter stack: A's redex has degree
+# 10,000 (type_height, through the measure W), B is a spine of 10,000
+# arguments (the cached erasure, the printer), C the same spine
+# ill-typed at its root (_synth), D a redex at the bottom of such a
+# spine (develop, through W; the redex search, through simulate), E an
+# untyped spine (the printer).  `measure` is left out: on A and D it
+# prints one stage of about 10,000 nodes per degree, 10,000 of them.
+@pytest.mark.parametrize("name, argv", [
+    ("A", ["chains"]),
+    ("B", ["erase"]), ("B", ["normalize"]), ("B", ["reduce"]), ("B", ["graph"]),
+    ("D", ["chains"]),
+    ("E", ["graph", "--calculus=beta"]),
+], ids=lambda v: v if isinstance(v, str) else "-".join(v))
+def test_deep_shape_through_a_command(name, argv, files, capsys):
+    path = files("deep.lam" if name == "E" else "deep.term", shape(name, 10_000))
+    code, out, err = run(capsys, argv[0], path, *argv[1:])
+    assert (code, err) == (0, "")
+    if argv[0] == "erase":
+        assert out == "y" + " z" * 10_000 + "\n"
+
+
+def test_deep_ill_typed_spine_exit_2(files, capsys):
+    code, out, err = run(capsys, "check", files("deep.term", shape("C", 10_000)))
+    assert (code, out) == (2, "")
+    assert err == "error: not typable at []: argument set-type {b} != domain {a}\n"
+
+
+def test_simulate_at_the_bottom_of_a_deep_spine(files, capsys):
+    term = files("deep.term", shape("D", 10_000))
+    lam = files("deep.lam", "(\\x. y) w" + " z" * 10_000)
+    code, out, err = run(capsys, "simulate", term, lam, "--pos=" + ",".join(["0"] * 10_000))
+    assert (code, err) == (0, "")
+    steps = json.loads(out)["steps"]
+    assert [s["position"] for s in steps] == [[0] * 10_000]
 
 
 def test_nesting_too_deep_exit_4(files, capsys):

@@ -14,11 +14,14 @@ MODULES = ["syntax", "binding", "typecheck", "reduction", "measure", "oracle", "
 REMOVED = {
     "syntax": ["alpha_eq", "canonicalize", "untyped_key", "ufree_names",
                "untyped_size", "_children", "type_key", "settype_key",
-               "term_key", "setterm_key", "_canonical_tuple", "EMPTY_SET_TYPE"],
+               "term_key", "setterm_key", "_canonical_tuple", "EMPTY_SET_TYPE",
+               "_pretty_untyped", "map_children"],
     "binding": ["ushift", "uclose"],
+    "typecheck": ["_fold_tree", "_typing", "_typing_of_set", "_erase", "_erase_set",
+                  "_erase_node", "_erase_set_node", "_check_node", "_premises"],
     "reduction": ["_develop", "_walk", "_collect_redexes", "_collect_beta",
                   "_par_set", "_is_redex", "_split_redex", "_lam_degree",
-                  "_elements_by_type"],
+                  "_elements_by_type", "_residual_position"],
     "measure": ["height", "_simp", "_wabs_degree"],
     "oracle": ["_has_cycle", "_label"],
     "cli": ["_TRACE_KINDS", "_steps_of", "_apply"],

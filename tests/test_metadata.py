@@ -42,9 +42,9 @@ def _outcome(f, t):
 
 def _assert_fold_matches_walk(t):
     for strict, typed in ((True, synthesize_type), (False, subterm_type)):
-        walked = _outcome(lambda u: typecheck._synth(u, (), (), strict), t)
+        walked = _outcome(lambda u: syntax.run(typecheck._synth(u, [], [], strict)), t)
         assert _outcome(typed, t) == walked
-    rejected = typecheck._typing(t) is typecheck._ILL_FORMED
+    rejected = typecheck._cached(t, "typing", typecheck._node_typing) is typecheck._ILL_FORMED
     assert rejected == (_outcome(subterm_type, t)[0] == "error")
 
 
@@ -123,6 +123,24 @@ def test_second_typing_walks_no_node(monkeypatch):
     around = Lam("g", SetType.of([Base("d")]), t)
     synthesize_type(around)
     assert calls == [around]
+
+
+def test_second_erasure_walks_no_node(monkeypatch):
+    t = parse_term("\\f:{a -> b}. \\x:{a}. f^(a -> b) {x^a} {(\\z:{c}. v^a) w^c}")
+    calls = []
+    counted = typecheck.children
+
+    def counting(node):
+        calls.append(node)
+        return counted(node)
+    monkeypatch.setattr(typecheck, "children", counting)
+    monkeypatch.setattr(syntax, "children", counting)
+    first = erase(t)
+    assert len(calls) == sum(1 for _ in nodes(t))
+    calls.clear()
+    assert erase(t) is first
+    assert typecheck.refines(t, first)
+    assert calls == []
 
 
 # --- loose and flags --------------------------------------------------------

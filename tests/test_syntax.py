@@ -13,7 +13,7 @@ from setlam import (
     replace_at, subterm_at,
 )
 from setlam.binding import locally_closed, shift
-from setlam.syntax import _Node, positions, term_size, type_height
+from setlam.syntax import _Node, positions, run, term_size, type_height
 
 a, b, c = Base("a"), Base("b"), Base("c")
 
@@ -271,6 +271,26 @@ def test_shift_of_locally_closed_term_returns_the_term(corpus):
             if t is not None:
                 assert locally_closed(t)
                 assert shift(t, 3) is t
+
+
+# --- the trampoline ---------------------------------------------------------
+
+def test_run_returns_from_sub_calls_100_000_deep():
+    def depth(n):
+        if n == 0:
+            return 0
+        return 1 + (yield depth(n - 1))
+    assert run(depth(100_000)) == 100_000
+
+
+def test_run_passes_an_exception_in_a_sub_call_to_its_caller():
+    def fail_at_the_bottom(n):
+        if n == 0:
+            raise ValueError("bottom")
+        yield fail_at_the_bottom(n - 1)
+        raise AssertionError("a failed sub-call does not return")
+    with pytest.raises(ValueError, match="bottom"):
+        run(fail_at_the_bottom(5_000))
 
 
 def test_type_height_clauses():

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from setlam import (
-    Base, InvalidDerivation, SetLamError, NotTypable, NotUniform, SetTerm, SetType,
-    TypingContext, UnboundOrWrongAnnotation, Var, check, check_curry,
+    App, Base, BoundVar, InvalidDerivation, Lam, SetLamError, NotTypable, NotUniform,
+    SetTerm, SetType, TypingContext, UApp, UBoundVar, ULam, UnboundOrWrongAnnotation,
+    UVar, Var, check, check_curry,
     decorate, derivation_from_json, derivation_to_json, erase,
     erase_derivation, is_uniform, minimal_context, parse_set_type,
     parse_term, parse_type, parse_untyped, pretty, refines, set_type_of,
@@ -39,6 +40,11 @@ SELFAPP_DERIVATION = {
              ]},
         ],
     }],
+}
+
+MANY_ROOT_DERIVATION = {
+    "rule": "many", "ctx": {"x": ["a"]}, "term": "x", "type": ["a"],
+    "premises": [{"rule": "var", "ctx": {"x": ["a"]}, "term": "x", "type": "a"}],
 }
 
 
@@ -190,6 +196,13 @@ def test_decorate_var_and_many_nodes():
     assert decorate(var_node) == Var("x", Base("b"))
 
 
+def test_decorate_many_root_gives_the_set_term():
+    d = derivation_from_json(json.dumps(MANY_ROOT_DERIVATION))
+    decorated = decorate(d)
+    assert decorated == SetTerm.of([Var("x", Base("a"))])
+    assert check(d.context, decorated) == d.type_
+
+
 def test_derivation_json_round_trip():
     d = derivation_from_json(json.dumps(SELFAPP_DERIVATION))
     assert derivation_from_json(json.dumps(derivation_to_json(d))) == d
@@ -234,6 +247,47 @@ def test_refines_fails_after_inner_step():
     t1 = step_i(t, inner)
     assert not is_uniform(t1)
     assert not any(refines(t1, n) for n in (m, erase(parse_term(corpus.DUPLICATING_AFTER_ARG))))
+
+
+def structural_refines(t, m) -> bool:
+    """The structural definition of refinement, the reference for the
+    comparison with the cached erasure."""
+    match t, m:
+        case (Var(x, _), UVar(y)):
+            return x == y
+        case (BoundVar(i, _), UBoundVar(j)):
+            return i == j
+        case (Lam(_, _, body), ULam(_, ubody)):
+            return structural_refines(body, ubody)
+        case (App(fun, arg), UApp(ufun, uarg)):
+            return structural_refines(fun, ufun) and structural_refines(arg, uarg)
+        case (SetTerm(elements), _):
+            return len(elements) > 0 and all(structural_refines(e, m) for e in elements)
+        case _:
+            return False
+
+
+def test_refines_agrees_with_the_structural_definition(corpus):
+    from setlam import redexes, step_im
+    terms = []
+    for entry in corpus:
+        terms.append(entry.term)
+        for r in redexes(entry.term)[:2]:
+            # a plain step inside one argument element can break uniformity;
+            # a memory step leaves a wrapper, which refines nothing
+            terms.append(step_im(entry.term, r.position))
+            if r.wrapper_count == 0:
+                terms.append(step_i(entry.term, r.position))
+    terms += [SetTerm.of([parse_term("x^a"), parse_term("x^b")]),
+              SetTerm.of([parse_term("x^a"), parse_term("y^a")])]
+    untyped = list(dict.fromkeys(erase(t) for t in terms if is_uniform(t)))
+    assert any(not is_uniform(t) for t in terms) and len(untyped) > 100
+    agreed = 0
+    for t in terms:
+        for m in untyped:
+            assert refines(t, m) == structural_refines(t, m)
+            agreed += 1
+    assert agreed > 50_000
 
 
 def test_bijection_between_set_term_and_set_type(corpus):
