@@ -210,8 +210,8 @@ def test_chains_argument_off_the_binder_exit_2(files, capsys):
 # 10,000 (type_height, through the measure W), B is a spine of 10,000
 # arguments (the cached erasure, the printer), C the same spine
 # ill-typed at its root (_synth), D a redex at the bottom of such a
-# spine (develop, through W; the redex search, through simulate), E an
-# untyped spine (the printer).  `measure` is left out: on A and D it
+# spine (develop, through W; the redex search, through simulate at
+# 3,000), E an untyped spine (the printer).  `measure` is left out: on A and D it
 # prints one stage of about 10,000 nodes per degree, 10,000 of them.
 @pytest.mark.parametrize("name, argv", [
     ("A", ["chains"]),
@@ -234,12 +234,13 @@ def test_deep_ill_typed_spine_exit_2(files, capsys):
 
 
 def test_simulate_at_the_bottom_of_a_deep_spine(files, capsys):
-    term = files("deep.term", shape("D", 10_000))
-    lam = files("deep.lam", "(\\x. y) w" + " z" * 10_000)
-    code, out, err = run(capsys, "simulate", term, lam, "--pos=" + ",".join(["0"] * 10_000))
+    # 3,000 deep: beyond the interpreter stack, and cheaper than 10,000
+    term = files("deep.term", shape("D", 3_000))
+    lam = files("deep.lam", "(\\x. y) w" + " z" * 3_000)
+    code, out, err = run(capsys, "simulate", term, lam, "--pos=" + ",".join(["0"] * 3_000))
     assert (code, err) == (0, "")
     steps = json.loads(out)["steps"]
-    assert [s["position"] for s in steps] == [[0] * 10_000]
+    assert [s["position"] for s in steps] == [[0] * 3_000]
 
 
 def test_nesting_too_deep_exit_4(files, capsys):
