@@ -70,6 +70,23 @@ ERROR_CASES = [
     {"files": {TERM: "y^b [z^a]"}, "argv": ["normalize", TERM, "--calculus=i"]},
     *({"files": IDENTITY_APPLIED, "argv": ["simulate", TERM, LAM, f"--pos={pos}"]}
       for pos in ("0", "1", "0,0", "")),
+    # Parse errors: the message and its line:column, byte for byte.
+    *({"files": {TERM: text}, "argv": ["check", TERM]} for text in [
+        "x^a $ y^a",  # an unexpected character
+        "(\\x:{a}. x^a",  # a missing )
+        "y^({a} -> b) {z^a",  # a missing }
+        "y^a [z^b",  # a missing ]
+        "x^a )",  # trailing input
+        "\t(\\x:{a}.\r\n\t\tx^a)\r\n\t{y^a} $",  # line 3, after CRLF and tabs
+        "\t(\\x:{a}.\r\n\t\tx^a)\r\n\t\t{y^a\r\n",  # end of input on line 4
+        "\\x:{a",  # end of input inside a binder
+        "x^(a ->)",  # bad type strings
+        "x^({a, b})",
+        "x^A",
+    ]),
+    {"files": {LAM: "\\x"}, "argv": ["infer-sn", LAM]},
+    {"files": {LAM: "(\\x. x) )"}, "argv": ["graph", LAM, "--calculus=beta"]},
+    {"files": {TERM: "y^a", LAM: "\\x. x # y"}, "argv": ["simulate", TERM, LAM, "--pos="]},
 ]
 
 
