@@ -7,7 +7,8 @@ identical inputs and flags.
 
 Exit codes: 0 ok, 1 parse error, 2 type or derivation error or bad
 usage, 3 non-uniform term, 4 fuel/SN/search failure or input nested too
-deeply, 5 internal invariant violation (always a bug).
+deeply (derivation JSON nested beyond about 20,000 levels), 5 internal
+invariant violation (always a bug).
 """
 
 from __future__ import annotations

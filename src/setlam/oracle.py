@@ -7,13 +7,15 @@ variable applied to strongly normalizing arguments, an abstraction with
 a strongly normalizing body, or a head redex whose contractum and
 argument are both strongly normalizing).  `infer_sn` follows that
 structure to build an annotated refinement of any strongly normalizing
-untyped term, re-checking its own output on every call.
+untyped term, re-checking its own output on every call.  It runs on the
+trampoline `syntax.run`, so only its fuel bounds its depth.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import count
 
 from .binding import close_term, locally_closed, subst_free, uopen
 from .errors import (
@@ -22,7 +24,7 @@ from .errors import (
 from .syntax import (
     App, Arrow, Base, Lam, MemTerm, Position, SetTerm, SetType,
     Type, UApp, UBoundVar, ULam, UntypedTerm, UVar, Var, free_names,
-    pretty,
+    pretty, replace_at, run, subterm_at,
 )
 from .reduction import normalize, redex_positions, require_plain, step
 from .typecheck import TypingContext, check, refines, synthesize_type
@@ -180,40 +182,6 @@ class InferredTyping:
     type_: Type
 
 
-class _FreshNames:
-    """Deterministic fresh bases b0, b1, ... and variables v0, v1, ...
-
-    Variable names avoid every name free in the inference's input.
-    """
-
-    def __init__(self, avoid: set[str]):
-        self.avoid = avoid
-        self.base_counter = 0
-        self.var_counter = 0
-
-    def base(self) -> Base:
-        name = f"b{self.base_counter}"
-        self.base_counter += 1
-        return Base(name)
-
-    def var(self) -> str:
-        while True:
-            name = f"v{self.var_counter}"
-            self.var_counter += 1
-            if name not in self.avoid:
-                return name
-
-
-class _FuelMeter:
-    def __init__(self, amount: int):
-        self.left = amount
-
-    def tick(self) -> None:
-        if self.left <= 0:
-            raise NotSNWithinFuel("inference fuel exhausted")
-        self.left -= 1
-
-
 def infer_sn(m: UntypedTerm, fuel: Fuel = DEFAULT_FUEL) -> InferredTyping:
     """Type a strongly normalizing untyped term by its SN structure.
 
@@ -221,19 +189,100 @@ def infer_sn(m: UntypedTerm, fuel: Fuel = DEFAULT_FUEL) -> InferredTyping:
     checks at.  Head redexes are handled by inferring the contractum,
     un-substituting the argument copies (same-typed copies unified to
     one representative) and rebuilding through head subject expansion.
-    The result is re-verified on every call; fresh base types are drawn
-    deterministically per run.
+    The result is re-verified on every call.  Fresh base types b0, b1,
+    ... and variables v0, v1, ... (avoiding the names free in m) are
+    drawn deterministically per run; each call spends one unit of
+    fuel.max_nodes.
     """
-    import sys
-    meter = _FuelMeter(fuel.max_nodes)
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 20_000))
-    try:
-        return _infer(m, _FreshNames(free_names(m)), meter)
-    except RecursionError:
-        raise NotSNWithinFuel("inference recursion exceeded the interpreter stack") from None
-    finally:
-        sys.setrecursionlimit(old_limit)
+    avoid = free_names(m)
+    bases = (Base(f"b{i}") for i in count())
+    variables = (name for name in (f"v{i}" for i in count()) if name not in avoid)
+    calls = iter(range(fuel.max_nodes))
+
+    def infer(m):
+        if next(calls, None) is None:
+            raise NotSNWithinFuel("inference fuel exhausted")
+        head, args = _spine(m)
+        match head:
+            case UVar(name):
+                inferred = []
+                for a in args:
+                    inferred.append((yield infer(a)))
+                result_type: Type = next(bases)
+                head_type = result_type
+                for sub in reversed(inferred):
+                    head_type = Arrow(SetType.of([sub.type_]), head_type)
+                term: MemTerm = Var(name, head_type)
+                context = TypingContext.of([(name, SetType.of([head_type]))])
+                for sub in inferred:
+                    term = App(term, SetTerm.of([sub.term]))
+                    context = context.union(sub.context)
+                result = InferredTyping(term, context, result_type)
+            case ULam(hint, body) if not args:
+                opened_name = next(variables)
+                sub = yield infer(uopen(body, UVar(opened_name)))
+                binder = sub.context.get(opened_name)
+                if not binder.elements:  # a vacuous binder must be non-empty
+                    binder = SetType.of([next(bases)])
+                result = InferredTyping(
+                    Lam(hint, binder, close_term(sub.term, opened_name)),
+                    sub.context.without(opened_name), Arrow(binder, sub.type_))
+            case ULam(hint, body):
+                result = yield from head_redex(hint, body, args[0], args[1:])
+            case UBoundVar():
+                raise AssertionError("inference input must be locally closed")
+            case _:
+                raise TypeError(f"not an untyped term: {m!r}")
+        if not refines(result.term, m):
+            raise AssertionError("inference produced a non-refinement")
+        if check(result.context, result.term) != result.type_:
+            raise AssertionError("inference produced an ill-typed term")
+        return result
+
+    def head_redex(hint, body, arg, rest):
+        contractum = uopen(body, arg)
+        for a in rest:
+            contractum = UApp(contractum, a)
+        whole = yield infer(contractum)
+        arg_typing = yield infer(arg)
+
+        # Split the inferred term along the argument spine.
+        spine_args: list[SetTerm] = []
+        head_term = whole.term
+        for _ in rest:
+            spine_args.append(head_term.arg)
+            head_term = head_term.fun
+        spine_args.reverse()
+
+        opened_name = next(variables)
+        copies: list[MemTerm] = []
+        unsubstituted = yield _unsubstitute(head_term, body, opened_name, 0, copies)
+        if copies:
+            by_type: dict[Type, MemTerm] = {}
+            for copy in copies:
+                assert locally_closed(copy), "argument copy escapes its binders"
+                copy_type = synthesize_type(copy)
+                if copy_type not in by_type or copy.key < by_type[copy_type].key:
+                    by_type[copy_type] = copy
+            binder = SetType.of(by_type)
+            substituents = SetTerm.of(by_type.values())
+            context = whole.context
+        else:
+            binder = SetType.of([arg_typing.type_])
+            substituents = SetTerm.of([arg_typing.term])
+            context = whole.context.union(arg_typing.context)
+
+        # Unifying same-typed copies may have changed subterms of the body;
+        # head subject expansion re-checks the reassembled term.  Its
+        # abstraction then gets the original binder hint back.
+        expanded = head_subject_expansion(
+            unsubstituted, opened_name, binder, substituents, spine_args, context)
+        at = (0,) * (len(spine_args) + 1)
+        lam = subterm_at(expanded, at)
+        return InferredTyping(replace_at(expanded, at, Lam(hint, lam.binder, lam.body)),
+                              context, whole.type_)
+
+    return run(infer(m))
 
 
 def _spine(m: UntypedTerm) -> tuple[UntypedTerm, list[UntypedTerm]]:
@@ -244,134 +293,26 @@ def _spine(m: UntypedTerm) -> tuple[UntypedTerm, list[UntypedTerm]]:
     return m, list(reversed(args))
 
 
-def _infer(m: UntypedTerm, fresh: _FreshNames, meter: _FuelMeter) -> InferredTyping:
-    meter.tick()
-    head, args = _spine(m)
-    match head:
-        case UVar(name):
-            result = _infer_head_variable(name, args, fresh, meter)
-        case ULam(hint, body) if not args:
-            result = _infer_abstraction(hint, body, fresh, meter)
-        case ULam(hint, body):
-            result = _infer_head_redex(hint, body, args[0], args[1:], fresh, meter)
-        case UBoundVar():
-            raise AssertionError("inference input must be locally closed")
-        case _:
-            raise TypeError(f"not an untyped term: {m!r}")
-    if not refines(result.term, m):
-        raise AssertionError("inference produced a non-refinement")
-    if check(result.context, result.term) != result.type_:
-        raise AssertionError("inference produced an ill-typed term")
-    return result
-
-
-def _infer_head_variable(name: str, args: list[UntypedTerm],
-                         fresh: _FreshNames, meter: _FuelMeter) -> InferredTyping:
-    inferred = [_infer(a, fresh, meter) for a in args]
-    result_type: Type = fresh.base()
-    head_type = result_type
-    for sub in reversed(inferred):
-        head_type = Arrow(SetType.of([sub.type_]), head_type)
-    term: MemTerm = Var(name, head_type)
-    for sub in inferred:
-        term = App(term, SetTerm.of([sub.term]))
-    context = TypingContext.of([(name, SetType.of([head_type]))])
-    for sub in inferred:
-        context = context.union(sub.context)
-    return InferredTyping(term, context, result_type)
-
-
-def _infer_abstraction(hint: str, body: UntypedTerm,
-                       fresh: _FreshNames, meter: _FuelMeter) -> InferredTyping:
-    opened_name = fresh.var()
-    sub = _infer(uopen(body, UVar(opened_name)), fresh, meter)
-    binder = sub.context.get(opened_name)
-    if not binder.elements:
-        binder = SetType.of([fresh.base()])  # vacuous binder must be non-empty
-    term = Lam(hint, binder, close_term(sub.term, opened_name))
-    return InferredTyping(
-        term, sub.context.without(opened_name), Arrow(binder, sub.type_))
-
-
-def _infer_head_redex(hint: str, body: UntypedTerm, arg: UntypedTerm,
-                      rest: list[UntypedTerm], fresh: _FreshNames,
-                      meter: _FuelMeter) -> InferredTyping:
-    contractum = uopen(body, arg)
-    for a in rest:
-        contractum = UApp(contractum, a)
-    whole = _infer(contractum, fresh, meter)
-    arg_typing = _infer(arg, fresh, meter)
-
-    # Split the inferred term along the argument spine.
-    spine_args: list[SetTerm] = []
-    head_term = whole.term
-    for _ in rest:
-        assert isinstance(head_term, App)
-        spine_args.append(head_term.arg)
-        head_term = head_term.fun
-    spine_args.reverse()
-
-    opened_name = fresh.var()
-    unsubstituted, copies = _unsubstitute(head_term, body, UVar(opened_name), 0)
-    if copies:
-        by_type: dict[Type, MemTerm] = {}
-        for copy in copies:
-            assert locally_closed(copy), "argument copy escapes its binders"
-            copy_type = synthesize_type(copy)
-            if copy_type not in by_type or copy.key < by_type[copy_type].key:
-                by_type[copy_type] = copy
-        binder = SetType.of(by_type)
-        substituents = SetTerm.of(by_type.values())
-        context = whole.context
-    else:
-        binder = SetType.of([arg_typing.type_])
-        substituents = SetTerm.of([arg_typing.term])
-        context = whole.context.union(arg_typing.context)
-
-    # Unifying same-typed copies may have changed subterms of the body;
-    # head subject expansion re-checks the reassembled term.
-    expanded = head_subject_expansion(
-        unsubstituted, opened_name, binder, substituents, list(spine_args), context)
-    expanded = _rename_binder(expanded, hint)
-    return InferredTyping(expanded, context, whole.type_)
-
-
-def _rename_binder(expanded: MemTerm, hint: str) -> MemTerm:
-    # Restore the original binder hint on the rebuilt head abstraction.
-    head = expanded
-    spine: list[SetTerm] = []
-    while isinstance(head, App):
-        spine.append(head.arg)
-        head = head.fun
-    assert isinstance(head, Lam)
-    head = Lam(hint, head.binder, head.body)
-    for arg in reversed(spine):
-        head = App(head, arg)
-    return head
-
-
-def _unsubstitute(term, pattern: UntypedTerm, variable: UVar, depth: int):
+def _unsubstitute(term, pattern: UntypedTerm, name: str, depth: int, copies: list):
     """Rewrite, at every position where `pattern` has the bound variable
     `depth`, the corresponding subterm of `term` into an occurrence of
-    `variable`; collect the displaced subterms."""
+    the free variable `name`; append the displaced subterms to copies,
+    in term order."""
     match pattern:
         case UBoundVar(index) if index == depth:
-            return Var(variable.name, synthesize_type(term)), [term]
+            copies.append(term)
+            return Var(name, synthesize_type(term))
         case UBoundVar() | UVar():
-            return term, []
+            return term
         case ULam(_, pbody):
-            assert isinstance(term, Lam)
-            new_body, copies = _unsubstitute(term.body, pbody, variable, depth + 1)
-            return Lam(term.hint, term.binder, new_body), copies
+            body = yield _unsubstitute(term.body, pbody, name, depth + 1, copies)
+            return Lam(term.hint, term.binder, body)
         case UApp(pfun, parg):
-            assert isinstance(term, App)
-            new_fun, copies = _unsubstitute(term.fun, pfun, variable, depth)
-            new_elements = []
+            fun = yield _unsubstitute(term.fun, pfun, name, depth, copies)
+            elements = []
             for e in term.arg.elements:
-                new_e, more = _unsubstitute(e, parg, variable, depth)
-                new_elements.append(new_e)
-                copies.extend(more)
-            return App(new_fun, SetTerm.of(new_elements)), copies
+                elements.append((yield _unsubstitute(e, parg, name, depth, copies)))
+            return App(fun, SetTerm.of(elements))
     raise TypeError(f"not an untyped term: {pattern!r}")
 
 

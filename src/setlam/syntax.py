@@ -19,10 +19,11 @@ in the subtree); `typecheck` caches a node's typing and its erasure on
 it the first time either is asked for.  None of these is part of the
 key, so they change neither identity, nor order, nor printing.
 
-Every walk works at any depth: `subterms`, `nodes`, the printer and
-`type_height` keep an explicit stack, and a walker written as a plain
-structural recursion runs on the trampoline `run`, which keeps its
-pending calls in a list instead of on the interpreter stack.
+Every walk works at any depth: `subterms`, `nodes`, the printer,
+`type_height` and the comparison of keys too deep for the interpreter
+keep an explicit stack, and a walker written as a plain structural
+recursion (the parser among them) runs on the trampoline `run`, which
+keeps its pending calls in a list instead of on the interpreter stack.
 All sets are kept canonical (sorted by key, duplicates removed); the
 smart constructors ``SetType.of`` and ``SetTerm.of`` normalize, the
 dataclass constructors insist on already canonical input.
@@ -47,6 +48,8 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
+from functools import cmp_to_key
+from itertools import islice
 from typing import Generator, Iterable, Iterator, Union
 
 from .errors import InvalidPosition, ParseError
@@ -90,7 +93,7 @@ class _Node:
         try:
             return self.key == other.key
         except RecursionError:  # keys nested deeper than the interpreter compares
-            return _keys_equal(self.key, other.key)
+            return _compare_keys(self.key, other.key) == 0
 
     def __hash__(self):
         return hash(self.key)
@@ -99,18 +102,23 @@ class _Node:
         return pretty(self)
 
 
-def _keys_equal(a: tuple, b: tuple) -> bool:
-    """Key equality with an explicit stack, at any nesting depth."""
+def _compare_keys(a: tuple, b: tuple) -> int:
+    """-1, 0 or 1 as key a sorts before, equal to or after key b, in the
+    interpreter's tuple order, with an explicit stack at any depth."""
     stack = [(a, b)]
     while stack:
         x, y = stack.pop()
         if x is y:
             continue
-        if type(x) is tuple and type(y) is tuple and len(x) == len(y):
-            stack.extend(zip(x, y))
-        elif type(x) is tuple or type(y) is tuple or x != y:
-            return False
-    return True
+        if type(x) is tuple and type(y) is tuple:
+            stack.append((len(x), len(y)))  # a proper prefix sorts first
+            stack.extend(reversed(list(zip(x, y))))
+        elif x != y:
+            return -1 if x < y else 1
+    return 0
+
+
+_deep_key = cmp_to_key(lambda a, b: _compare_keys(a.key, b.key))
 
 
 def _set_key(node: _Node, key: tuple) -> None:
@@ -178,17 +186,21 @@ class _Set(_Node):
 
     def __post_init__(self):
         keys = tuple(e.key for e in self.elements)
-        if any(a >= b for a, b in zip(keys, keys[1:])):
+        try:
+            ordered = all(map(operator.lt, keys, keys[1:]))
+        except RecursionError:  # keys nested deeper than the interpreter compares
+            ordered = all(_compare_keys(a, b) < 0 for a, b in zip(keys, keys[1:]))
+        if not ordered:
             raise ValueError(f"{self._what} elements must be strictly sorted")
         _set_key(self, keys)
 
     @classmethod
     def of(cls, elements: Iterable):
-        out = []
-        for e in sorted(elements, key=_key):
-            if not out or out[-1].key != e.key:
-                out.append(e)
-        return cls(tuple(out))
+        elements = list(elements)
+        try:
+            return cls(_sorted_unique(elements, _key))
+        except RecursionError:  # keys nested deeper than the interpreter compares
+            return cls(_sorted_unique(elements, _deep_key))
 
     def __contains__(self, item) -> bool:
         return item in self.elements
@@ -198,6 +210,15 @@ class _Set(_Node):
 
     def __len__(self) -> int:
         return len(self.elements)
+
+
+def _sorted_unique(elements: list, key) -> tuple:
+    """The elements sorted by key, each key kept once."""
+    out = []
+    for e in sorted(elements, key=key):
+        if not out or key(out[-1]) != key(e):
+            out.append(e)
+    return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -700,69 +721,59 @@ def _pretty_term(t) -> str:
 # Parsing
 
 
-_TOKEN = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<arrow>->)"
-    r"|(?P<name>[a-z][A-Za-z0-9_']*)"
-    r"|(?P<sym>[\\.:,^(){}\[\]])"
-)
+# A token, or (as the empty string) a character that starts none.
+_TOKEN = re.compile(r"(->|[a-z][A-Za-z0-9_']*|[\\.:,^(){}\[\]])|\S")
 
 
 class _Tokens:
+    """The tokens of a text and the parser's place in them.  A token's
+    line and column are computed only for the error that reports them."""
+
     def __init__(self, text: str):
-        self.tokens: list[tuple[str, int, int]] = []
-        line, col = 1, 1
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if m is None:
-                raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-            value = m.group(0)
-            if m.lastgroup != "ws":
-                self.tokens.append((value, line, col))
-            newlines = value.count("\n")
-            if newlines:
-                line += newlines
-                col = len(value) - value.rfind("\n")
-            else:
-                col += len(value)
-            pos = m.end()
-        self.tokens.append(("", line, col))  # end marker
+        self.text = text
+        self.tokens = _TOKEN.findall(text)
+        if "" in self.tokens:
+            self.index = self.tokens.index("")
+            self.error(None)
+        self.tokens.append("")  # end marker
         self.index = 0
 
     def peek(self) -> str:
-        return self.tokens[self.index][0]
+        return self.tokens[self.index]
 
-    def next(self) -> str:
-        value, _, _ = self.tokens[self.index]
+    def take(self, token: str) -> bool:
+        """Consume the current token if it is `token`."""
+        if self.tokens[self.index] != token:
+            return False
         self.index += 1
-        return value
+        return True
 
     def expect(self, token: str) -> None:
-        value, line, col = self.tokens[self.index]
-        if value != token:
-            shown = value if value else "end of input"
-            raise ParseError(f"expected {token!r}, found {shown!r}", line, col)
-        self.index += 1
-
-    def error(self, message: str):
-        _, line, col = self.tokens[self.index]
-        raise ParseError(message, line, col)
+        if not self.take(token):
+            self.error(f"expected {token!r}, found {self.shown()!r}")
 
     def name(self) -> str:
-        value, line, col = self.tokens[self.index]
-        if not value or not value[0].isalpha():
-            shown = value if value else "end of input"
-            raise ParseError(f"expected identifier, found {shown!r}", line, col)
+        value = self.tokens[self.index]
+        if not value[:1].isalpha():
+            self.error(f"expected identifier, found {self.shown()!r}")
         self.index += 1
         return value
 
     def at_name(self) -> bool:
-        value = self.peek()
-        return bool(value) and value[0].isalpha()
+        return self.tokens[self.index][:1].isalpha()
 
-    def done(self) -> bool:
-        return self.peek() == ""
+    def shown(self) -> str:
+        return self.tokens[self.index] or "end of input"
+
+    def error(self, message: str | None):
+        """Raise a ParseError at the current token; with no message, the
+        current token is a character that starts no token."""
+        text = self.text
+        match = next(islice(_TOKEN.finditer(text), self.index, None), None)
+        offset = match.start() if match else len(text)
+        line = text.count("\n", 0, offset) + 1
+        column = offset - text.rfind("\n", 0, offset)
+        raise ParseError(message or f"unexpected character {text[offset]!r}", line, column)
 
 
 def parse(text: str, kind: str) -> Type | UntypedTerm | MemTerm:
@@ -773,16 +784,14 @@ def parse(text: str, kind: str) -> Type | UntypedTerm | MemTerm:
     toks = _Tokens(text)
     match kind:
         case "type":
-            result = _parse_type(toks)
+            walk = _type(toks)
         case "untyped":
-            result = _parse_untyped(toks, [])
+            walk = _untyped(toks, [])
         case "annotated":
-            result = _parse_aterm(toks, [])
+            walk = _term(toks, [])
         case _:
             raise ValueError(f"unknown parse kind {kind!r}")
-    if not toks.done():
-        toks.error(f"trailing input {toks.peek()!r}")
-    return result
+    return _parse_all(toks, walk)
 
 
 def parse_type(text: str) -> Type:
@@ -800,146 +809,125 @@ def parse_term(text: str) -> MemTerm:
 def parse_set_type(text: str) -> SetType:
     """A braced or bare set-type, e.g. "{a, b -> c}"."""
     toks = _Tokens(text)
-    result = _parse_settype(toks)
-    if not toks.done():
+    return _parse_all(toks, _type(toks, True))
+
+
+def _parse_all(toks: _Tokens, walk: Generator):
+    result = run(walk)
+    if toks.peek():
         toks.error(f"trailing input {toks.peek()!r}")
     return result
 
 
-def _parse_type(toks: _Tokens) -> Type:
-    domains = []  # an arrow chain is a loop, so its length costs no stack
-    domain = _parse_settype_atom(toks)
-    while toks.peek() == "->":
-        toks.next()
+# The grammar's walkers run on `run`: a sub-call (``yield``) is made where
+# the grammar nests, into brackets and set elements; binder chains,
+# application spines and arrow chains are loops.  `env` names the
+# binders in scope, innermost last, in one list that each walker extends
+# and restores.
+
+
+def _elements(toks: _Tokens, walker, closing: str, *args):
+    """The elements of a bracketed, comma-separated list, whose opening
+    bracket is consumed, each parsed by a sub-call to walker."""
+    elements = [(yield walker(toks, *args))]
+    while toks.take(","):
+        elements.append((yield walker(toks, *args)))
+    toks.expect(closing)
+    return elements
+
+
+def _type(toks: _Tokens, as_set: bool = False):
+    """An arrow chain of set-type atoms.  With as_set, a set-type: a
+    braced set not followed by "->" is the set itself, any other type the
+    set of that one type."""
+    domains = []
+    while True:
+        if toks.take("{"):
+            domain = SetType.of((yield from _elements(toks, _type, "}")))
+        elif toks.take("("):
+            domain = SetType.of([(yield _type(toks))])
+            toks.expect(")")
+        else:
+            domain = SetType.of([Base(toks.name())])
+        if not toks.take("->"):
+            break
         domains.append(domain)
-        domain = _parse_settype_atom(toks)
+    if as_set and not domains:
+        return domain
     if len(domain.elements) != 1:
         toks.error("a braced set of types must be followed by ->")
     result = domain.elements[0]
     for domain in reversed(domains):
         result = Arrow(domain, result)
-    return result
+    return SetType.of([result]) if as_set else result
 
 
-def _parse_settype_atom(toks: _Tokens) -> SetType:
-    if toks.peek() == "{":
-        toks.next()
-        elements = [_parse_type(toks)]
-        while toks.peek() == ",":
-            toks.next()
-            elements.append(_parse_type(toks))
-        toks.expect("}")
-        return SetType.of(elements)
-    if toks.peek() == "(":
-        toks.next()
-        inner = _parse_type(toks)
-        toks.expect(")")
-        return SetType.of([inner])
-    return SetType.of([Base(toks.name())])
+def _index(name: str, env: list[str]) -> int:
+    """The de Bruijn index of the innermost binder of name in env, -1
+    when name is free."""
+    for depth, binder in enumerate(reversed(env)):
+        if binder == name:
+            return depth
+    return -1
 
 
-def _parse_settype(toks: _Tokens) -> SetType:
-    if toks.peek() == "{":
-        toks.next()
-        elements = [_parse_type(toks)]
-        while toks.peek() == ",":
-            toks.next()
-            elements.append(_parse_type(toks))
-        toks.expect("}")
-        if toks.peek() == "->":  # the braces were an arrow domain: bare type
-            toks.next()
-            return SetType.of([Arrow(SetType.of(elements), _parse_type(toks))])
-        return SetType.of(elements)
-    return SetType.of([_parse_type(toks)])
-
-
-def _parse_annot(toks: _Tokens) -> Type:
-    if toks.peek() == "(":
-        toks.next()
-        inner = _parse_type(toks)
-        toks.expect(")")
-        return inner
-    return Base(toks.name())
-
-
-def _parse_untyped(toks: _Tokens, env: list[str]) -> UntypedTerm:
-    names = []  # a binder chain is a loop, so its depth costs no stack
-    while toks.peek() == "\\":
-        toks.next()
+def _untyped(toks: _Tokens, env: list[str]):
+    names = []
+    while toks.take("\\"):
         names.append(toks.name())
         toks.expect(".")
-    env = env + names
-    term = _parse_untyped_atom(toks, env)
-    while toks.at_name() or toks.peek() == "(":
-        term = UApp(term, _parse_untyped_atom(toks, env))
+    env += names
+    term = None
+    while True:
+        if toks.take("("):
+            atom = yield _untyped(toks, env)
+            toks.expect(")")
+        elif term is None or toks.at_name():
+            name = toks.name()
+            index = _index(name, env)
+            atom = UBoundVar(index) if index >= 0 else UVar(name)
+        else:
+            break
+        term = atom if term is None else UApp(term, atom)
+    del env[len(env) - len(names):]
     for name in reversed(names):
         term = ULam(name, term)
     return term
 
 
-def _parse_untyped_atom(toks: _Tokens, env: list[str]) -> UntypedTerm:
-    if toks.peek() == "(":
-        toks.next()
-        inner = _parse_untyped(toks, env)
-        toks.expect(")")
-        return inner
-    name = toks.name()
-    return _lookup_untyped(name, env)
-
-
-def _lookup_untyped(name: str, env: list[str]) -> UntypedTerm:
-    for depth, binder in enumerate(reversed(env)):
-        if binder == name:
-            return UBoundVar(depth)
-    return UVar(name)
-
-
-def _parse_aterm(toks: _Tokens, env: list[str]) -> MemTerm:
-    binders = []  # a binder chain is a loop, so its depth costs no stack
-    while toks.peek() == "\\":
-        toks.next()
+def _term(toks: _Tokens, env: list[str]):
+    binders = []
+    while toks.take("\\"):
         name = toks.name()
         toks.expect(":")
-        binders.append((name, _parse_settype(toks)))
+        binders.append((name, (yield from _type(toks, True))))
         toks.expect(".")
-    env = env + [name for name, _ in binders]
-    term = _parse_aterm_atom(toks, env)
+    env += [name for name, _ in binders]
+    term = None
     while True:
-        if toks.at_name() or toks.peek() == "(":
-            term = App(term, SetTerm.of([_parse_aterm_atom(toks, env)]))
-        elif toks.peek() == "{":
-            toks.next()
-            elements = [_parse_aterm(toks, env)]
-            while toks.peek() == ",":
-                toks.next()
-                elements.append(_parse_aterm(toks, env))
-            toks.expect("}")
-            term = App(term, SetTerm.of(elements))
-        elif toks.peek() == "[":
-            toks.next()
-            elements = [_parse_aterm(toks, env)]
-            while toks.peek() == ",":
-                toks.next()
-                elements.append(_parse_aterm(toks, env))
-            toks.expect("]")
-            term = Wrap(term, SetTerm.of(elements))
+        if toks.take("("):
+            atom = yield _term(toks, env)
+            toks.expect(")")
+        elif term is None or toks.at_name():
+            name = toks.name()
+            toks.expect("^")
+            if toks.take("("):
+                annot = yield from _type(toks)
+                toks.expect(")")
+            else:
+                annot = Base(toks.name())
+            index = _index(name, env)
+            atom = BoundVar(index, annot) if index >= 0 else Var(name, annot)
+        elif toks.take("{"):
+            term = App(term, SetTerm.of((yield from _elements(toks, _term, "}", env))))
+            continue
+        elif toks.take("["):
+            term = Wrap(term, SetTerm.of((yield from _elements(toks, _term, "]", env))))
+            continue
         else:
             break
+        term = atom if term is None else App(term, SetTerm.of([atom]))
+    del env[len(env) - len(binders):]
     for name, binder in reversed(binders):
         term = Lam(name, binder, term)
     return term
-
-
-def _parse_aterm_atom(toks: _Tokens, env: list[str]) -> MemTerm:
-    if toks.peek() == "(":
-        toks.next()
-        inner = _parse_aterm(toks, env)
-        toks.expect(")")
-        return inner
-    name = toks.name()
-    toks.expect("^")
-    annot = _parse_annot(toks)
-    for depth, binder in enumerate(reversed(env)):
-        if binder == name:
-            return BoundVar(depth, annot)
-    return Var(name, annot)

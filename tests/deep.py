@@ -1,4 +1,4 @@
-"""Deep inputs: every command on five term shapes of size n.
+"""Deep inputs: every command on six term shapes of size n.
 
 Run from the repository root as
 
@@ -15,6 +15,8 @@ does not collect this file; `tests/test_cli.py` imports its shapes.
     C  B with its last argument z^b                   an ill-typed spine
     D  (\\x:{a}. y^(a -> ... -> a)) {w^a} z^a ... z^a  a redex under a spine of N arguments
     E  y z ... z                                      an untyped spine of N arguments
+    F  ( ... (y^(a -> a) z^a) ... )                   N nested parentheses
+                                                      (and "( ... (y z) ... )")
 
 Two kinds of run are skipped above a limit, with a line that says so:
 
@@ -59,6 +61,8 @@ def shape(name: str, n: int) -> str:
         return f"(\\x:{{a}}. y^({_arrows(n)})) {{w^a}}" + " z^a" * n
     if name == "E":
         return "y" + " z" * n
+    if name == "F":
+        return "(" * n + "y^(a -> a) z^a" + ")" * n
     raise ValueError(f"no shape {name!r}")
 
 
@@ -81,11 +85,11 @@ def runs(n: int, directory: str):
     """(shape, argv, why it is skipped or None) of every run at size n,
     with its files written."""
     paths = {}
-    for name in "ABCDE":
+    for name in "ABCDEF":
         paths[name] = os.path.join(directory, f"{name}.{'lam' if name == 'E' else 'term'}")
         with open(paths[name], "w", encoding="utf-8") as handle:
             handle.write(shape(name, n))
-    for name in "ABCD":
+    for name in "ABCDF":
         for argv in TERM_COMMANDS:
             skip = None
             if argv[0] == "measure" and name in "AD" and n > MEASURE_LIMIT:
@@ -98,8 +102,12 @@ def runs(n: int, directory: str):
         handle.write("(\\x. y) w" + " z" * n)
     yield "D", ["simulate", paths["D"], os.path.join(directory, "D.lam"),
                 "--pos=" + ",".join(["0"] * n)], None
-    for argv in UNTYPED_COMMANDS:
-        yield "E", [argv[0], paths["E"], *argv[1:]], None
+    # F's erasure, for the commands that read an untyped term
+    with open(os.path.join(directory, "F.lam"), "w", encoding="utf-8") as handle:
+        handle.write("(" * n + "y z" + ")" * n)
+    for name, path in (("E", paths["E"]), ("F", os.path.join(directory, "F.lam"))):
+        for argv in UNTYPED_COMMANDS:
+            yield name, [argv[0], path, *argv[1:]], None
 
 
 def run_command(argv: list[str]) -> tuple[int, float, str]:

@@ -243,10 +243,34 @@ def test_simulate_at_the_bottom_of_a_deep_spine(files, capsys):
     assert [s["position"] for s in steps] == [[0] * 3_000]
 
 
-def test_nesting_too_deep_exit_4(files, capsys):
-    path = files("parens.term", "(" * 2_000 + "x^a" + ")" * 2_000)
-    code, out, err = run(capsys, "check", path)
-    assert (code, out, err) == (4, "", "error: input nested too deeply\n")
+NESTED_OUTPUT = {
+    "check": "type: a\ncontext: y:{a -> a}, z:{a}\n",
+    "erase": "y z\n",
+    "normalize": "y^(a -> a) z^a\nsteps: 0\n",
+}
+
+
+# Shape F of tests/deep.py: the parser reads parentheses on the trampoline.
+@pytest.mark.parametrize("command", ["check", "erase", "normalize", "graph"])
+def test_nested_parentheses_through_a_command(command, files, capsys):
+    code, out, err = run(capsys, command, files("parens.term", shape("F", 10_000)))
+    assert (code, err) == (0, "")
+    if command == "graph":
+        assert json.loads(out)["nodes"] == ["y^(a -> a) z^a"]
+    else:
+        assert out == NESTED_OUTPUT[command]
+
+
+def test_set_elements_that_agree_down_a_long_path(files, capsys):
+    # The two elements, and the two arrow types of y's domain, agree on
+    # 1,500 levels of their keys: deeper than the interpreter compares.
+    binders = "".join(f"\\x{i}:{{a}}. " for i in range(1, 1_501))
+    arrows = " -> ".join(["a"] * 1_500)
+    text = (f"y^({{{arrows} -> a, {arrows} -> b}} -> a) "
+            f"{{{binders}x0^a, {binders}x0^b}}")
+    code, out, err = run(capsys, "check", files("deep.term", text))
+    assert (code, err) == (0, "")
+    assert out.startswith("type: a\ncontext: x0:{a, b}, y:{{a -> ")
 
 
 def test_measure_json(files, capsys):
@@ -287,6 +311,12 @@ def test_infer_sn_omega_exit_4(files, capsys):
     path = files("m.lam", "(\\x. x x) (\\x. x x)")
     code, _, _ = run(capsys, "infer-sn", path, "--fuel=1000")
     assert code == 4
+
+
+def test_infer_sn_omega_runs_out_of_fuel_at_the_default(files, capsys):
+    path = files("m.lam", "(\\x. x x) (\\x. x x)")
+    code, out, err = run(capsys, "infer-sn", path)
+    assert (code, out, err) == (4, "", "error: inference fuel exhausted\n")
 
 
 def test_graph_formats(files, capsys):

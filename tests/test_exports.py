@@ -10,12 +10,16 @@ import setlam
 MODULES = ["syntax", "binding", "typecheck", "reduction", "measure", "oracle", "cli"]
 
 # Aliases, duplicated walks and second definitions of identity folded
-# into one canonical name each, and unused constants.
+# into one canonical name each, unused constants, and the pieces of
+# walkers now written as one recursion on the trampoline.
 REMOVED = {
     "syntax": ["alpha_eq", "canonicalize", "untyped_key", "ufree_names",
                "untyped_size", "_children", "type_key", "settype_key",
                "term_key", "setterm_key", "_canonical_tuple", "EMPTY_SET_TYPE",
-               "_pretty_untyped", "map_children"],
+               "_pretty_untyped", "map_children", "_keys_equal", "_lookup_untyped",
+               "_parse_type", "_parse_settype", "_parse_settype_atom", "_parse_annot",
+               "_parse_untyped", "_parse_untyped_atom", "_parse_aterm",
+               "_parse_aterm_atom"],
     "binding": ["ushift", "uclose"],
     "typecheck": ["_fold_tree", "_typing", "_typing_of_set", "_erase", "_erase_set",
                   "_erase_node", "_erase_set_node", "_check_node", "_premises"],
@@ -23,7 +27,8 @@ REMOVED = {
                   "_par_set", "_is_redex", "_split_redex", "_lam_degree",
                   "_elements_by_type", "_residual_position"],
     "measure": ["height", "_simp", "_wabs_degree"],
-    "oracle": ["_has_cycle", "_label"],
+    "oracle": ["_has_cycle", "_label", "_FreshNames", "_FuelMeter", "_rename_binder",
+               "_infer", "_infer_head_variable", "_infer_abstraction", "_infer_head_redex"],
     "cli": ["_TRACE_KINDS", "_steps_of", "_apply"],
 }
 

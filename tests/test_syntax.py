@@ -293,6 +293,33 @@ def test_run_passes_an_exception_in_a_sub_call_to_its_caller():
         run(fail_at_the_bottom(5_000))
 
 
+# --- keys deeper than the interpreter compares ------------------------------
+
+def _chain(n: int, leaf):
+    for _ in range(n):
+        leaf = Lam("x", SetType.of([a]), leaf)
+    return leaf
+
+
+def _arrows(n: int, codomain):
+    for _ in range(n):
+        codomain = Arrow(SetType.of([a]), codomain)
+    return codomain
+
+
+def test_sets_of_elements_that_agree_down_a_long_path():
+    # equal but for their last leaf: their keys agree 3,000 levels deep
+    low, high = _chain(3_000, Var("y", a)), _chain(3_000, Var("y", b))
+    for s in (SetTerm.of([low, high]), SetTerm.of([high, low])):
+        assert s.elements[0] is low and s.elements[1] is high
+    assert SetTerm.of([low, _chain(3_000, Var("y", a))]).elements == (low,)
+    with pytest.raises(ValueError, match="strictly sorted"):
+        SetTerm((high, low))
+    low_type, high_type = _arrows(3_000, a), _arrows(3_000, b)
+    assert SetType.of([high_type, low_type]).elements == (low_type, high_type)
+    assert SetType.of([low_type, high_type]) == SetType.of([high_type, low_type])
+
+
 def test_type_height_clauses():
     assert type_height(a) == 0
     assert type_height(parse_type("{a} -> a")) == 1
