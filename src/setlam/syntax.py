@@ -734,7 +734,7 @@ class _Tokens:
         self.tokens = _TOKEN.findall(text)
         if "" in self.tokens:
             self.index = self.tokens.index("")
-            self.error(None)
+            self.error()
         self.tokens.append("")  # end marker
         self.index = 0
 
@@ -765,12 +765,12 @@ class _Tokens:
     def shown(self) -> str:
         return self.tokens[self.index] or "end of input"
 
-    def error(self, message: str | None):
+    def error(self, message: str | None = None):
         """Raise a ParseError at the current token; with no message, the
         current token is a character that starts no token."""
         text = self.text
-        match = next(islice(_TOKEN.finditer(text), self.index, None), None)
-        offset = match.start() if match else len(text)
+        found = next(islice(_TOKEN.finditer(text), self.index, None), None)
+        offset = found.start() if found else len(text)
         line = text.count("\n", 0, offset) + 1
         column = offset - text.rfind("\n", 0, offset)
         raise ParseError(message or f"unexpected character {text[offset]!r}", line, column)
@@ -840,23 +840,23 @@ def _type(toks: _Tokens, as_set: bool = False):
     """An arrow chain of set-type atoms.  With as_set, a set-type: a
     braced set not followed by "->" is the set itself, any other type the
     set of that one type."""
-    domains = []
+    domains = []  # the atoms before each "->"
     while True:
         if toks.take("{"):
-            domain = SetType.of((yield from _elements(toks, _type, "}")))
+            atom = SetType.of((yield from _elements(toks, _type, "}")))
         elif toks.take("("):
-            domain = SetType.of([(yield _type(toks))])
+            atom = SetType.of([(yield _type(toks))])
             toks.expect(")")
         else:
-            domain = SetType.of([Base(toks.name())])
+            atom = SetType.of([Base(toks.name())])
         if not toks.take("->"):
             break
-        domains.append(domain)
+        domains.append(atom)
     if as_set and not domains:
-        return domain
-    if len(domain.elements) != 1:
+        return atom
+    if len(atom.elements) != 1:
         toks.error("a braced set of types must be followed by ->")
-    result = domain.elements[0]
+    result = atom.elements[0]
     for domain in reversed(domains):
         result = Arrow(domain, result)
     return SetType.of([result]) if as_set else result
