@@ -250,6 +250,7 @@ def infer_sn(m: UntypedTerm, fuel: Fuel = DEFAULT_FUEL) -> InferredTyping:
         spine_args: list[SetTerm] = []
         head_term = whole.term
         for _ in rest:
+            assert isinstance(head_term, App)
             spine_args.append(head_term.arg)
             head_term = head_term.fun
         spine_args.reverse()
@@ -305,9 +306,11 @@ def _unsubstitute(term, pattern: UntypedTerm, name: str, depth: int, copies: lis
         case UBoundVar() | UVar():
             return term
         case ULam(_, pbody):
+            assert isinstance(term, Lam)
             body = yield _unsubstitute(term.body, pbody, name, depth + 1, copies)
             return Lam(term.hint, term.binder, body)
         case UApp(pfun, parg):
+            assert isinstance(term, App)
             fun = yield _unsubstitute(term.fun, pfun, name, depth, copies)
             elements = []
             for e in term.arg.elements:
