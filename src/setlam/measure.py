@@ -12,7 +12,7 @@ step, which bounds the length of every reduction sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import IllTyped
 from .syntax import WRAPPER, MemTerm, SetTerm, Wrap, is_wrapper_free, nodes, pretty
@@ -32,8 +32,7 @@ def weight(t: MemTerm | SetTerm) -> int:
     return sum(isinstance(s, Wrap) for s in nodes(t, WRAPPER))
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
+class DegreeProfile(NamedTuple):
     """Redex count per degree; max_degree is 0 when there are none."""
 
     max_degree: int
@@ -82,8 +81,7 @@ def W(t: MemTerm) -> int:
     return weight(simp_full(t))
 
 
-@dataclass(frozen=True)
-class MeasureReport:
+class MeasureReport(NamedTuple):
     """Full-simplification transcript of a wrapper-free term."""
 
     term: MemTerm

@@ -14,8 +14,8 @@ trampoline `syntax.run`, so only its fuel bounds its depth.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import count
+from typing import NamedTuple
 
 from .binding import close_term, locally_closed, subst_free, uopen
 from .errors import (
@@ -37,8 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Fuel:
+class Fuel(NamedTuple):
     max_nodes: int = 10_000
     max_depth: int = 10_000
 
@@ -46,8 +45,7 @@ class Fuel:
 DEFAULT_FUEL = Fuel()
 
 
-@dataclass(frozen=True)
-class ReductionGraph:
+class ReductionGraph(NamedTuple):
     calculus: str
     nodes: tuple
     edges: tuple[tuple[int, Position, int], ...]
@@ -175,8 +173,7 @@ def head_subject_expansion(body: MemTerm, name: str, binder: SetType,
     return expanded
 
 
-@dataclass(frozen=True)
-class InferredTyping:
+class InferredTyping(NamedTuple):
     term: MemTerm
     context: TypingContext
     type_: Type
@@ -213,10 +210,10 @@ def infer_sn(m: UntypedTerm, fuel: Fuel = DEFAULT_FUEL) -> InferredTyping:
                 for sub in reversed(inferred):
                     head_type = Arrow(SetType.of([sub.type_]), head_type)
                 term: MemTerm = Var(name, head_type)
-                context = TypingContext.of([(name, SetType.of([head_type]))])
                 for sub in inferred:
                     term = App(term, SetTerm.of([sub.term]))
-                    context = context.union(sub.context)
+                context = TypingContext.of([(name, SetType.of([head_type]))] + [
+                    entry for sub in inferred for entry in sub.context.entries])
                 result = InferredTyping(term, context, result_type)
             case ULam(hint, body) if not args:
                 opened_name = next(variables)

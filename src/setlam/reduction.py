@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
 from itertools import islice, product
 from operator import itemgetter
+from typing import NamedTuple
 
 from .binding import open_term, uopen
 from .errors import FuelExhausted, IllTyped, NotARedex, SearchBudgetExceeded
@@ -52,8 +52,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Redex:
+class Redex(NamedTuple):
     """An applied w-abstraction: ``(\\x:A. body) L args`` at `position`."""
 
     position: Position
@@ -61,8 +60,7 @@ class Redex:
     degree: int | None  # height of the w-abstraction's type; None if unsynthesizable
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     kind: str  # the calculus of the step; only "i" is built
     position: Position
     source: object

@@ -26,7 +26,7 @@ recursion (the parser among them) runs on the trampoline `run`, which
 keeps its pending calls in a list instead of on the interpreter stack.
 All sets are kept canonical (sorted by key, duplicates removed); the
 smart constructors ``SetType.of`` and ``SetTerm.of`` normalize, the
-dataclass constructors insist on already canonical input.
+plain constructors insist on already canonical input.
 
 Concrete grammar (whitespace-insensitive, application left-associative,
 lambda bodies extend right, a postfix ``[...]`` wrapper attaches to the
@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import islice
 from typing import Generator, Iterable, Iterator, Union
@@ -72,20 +71,37 @@ Position = tuple[int, ...]
 
 
 class _Node:
-    """Every AST class: identity, hashing and printing in one place.
+    """Every AST class: identity, hashing, immutability and printing in
+    one place.
 
-    Each node stores `key`, its structural sort key, computed once at
-    construction from the keys its children already store.  Two nodes
-    are equal when they have the same class and equal keys; the hash is
-    the key's (not cached: hashing a key walks it, so caching at
-    construction would make building a term quadratic).  Term nodes
-    also store `loose` and `flags` (see `_set_meta`), and `typing` and
-    `erasure`, which stay None until `typecheck` stores the node's
-    typing or erasure there.
+    `__init__` checks a node's fields and stores them, with what is
+    derived from them, in its dict one key at a time, so that the dicts
+    of a class share one key table (`dict.update` from keywords would
+    copy a table into every node); assigning or deleting an attribute
+    raises AttributeError.  `__match_args__` names the fields, for
+    positional patterns and the repr.  Each node stores `key`, its
+    structural sort key, computed once from the keys its children
+    already store.  Two nodes are equal when they have the same class
+    and equal keys; the hash is the key's (not cached: hashing a key
+    walks it, so caching at construction would make building a term
+    quadratic).  Term nodes also store `loose` (their largest loose
+    index, -1 when locally closed) and `flags`; `typing` and `erasure`
+    stay None until `typecheck` stores them in the node's dict.
+    `typecheck.TypingContext` is a node keyed by its entries.
     """
 
     typing = None
     erasure = None
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -121,10 +137,6 @@ def _compare_keys(a: tuple, b: tuple) -> int:
 _deep_key = cmp_to_key(lambda a, b: _compare_keys(a.key, b.key))
 
 
-def _set_key(node: _Node, key: tuple) -> None:
-    object.__setattr__(node, "key", key)
-
-
 # Flag bits of a term node: the redexes a step of each calculus may
 # contract (as `reduction._redex` recognizes them) and the wrappers that
 # occur in the subtree rooted at the node.
@@ -133,12 +145,6 @@ _CONTAINS = BETA_REDEX | I_REDEX | IM_REDEX | WRAPPER
 # The node itself is an abstraction under zero or more wrappers, so an
 # application of it is a memory redex.
 _W_ABSTRACTION = 16
-
-
-def _set_meta(node: _Node, key: tuple, loose: int, flags: int) -> None:
-    """Store a term node's key, its largest loose index (-1 when it is
-    locally closed) and its flags."""
-    vars(node).update(key=key, loose=loose, flags=flags)
 
 
 def _contained(*parts: _Node) -> int:
@@ -155,44 +161,44 @@ _key = operator.attrgetter("key")
 # Types
 
 
-@dataclass(frozen=True, eq=False)
 class Base(_Node):
-    name: str
+    __match_args__ = ("name",)
 
-    def __post_init__(self):
-        _set_key(self, (0, self.name))
+    def __init__(self, name: str):
+        node = vars(self)
+        node["name"], node["key"] = name, (0, name)
 
 
-@dataclass(frozen=True, eq=False)
 class Arrow(_Node):
-    domain: "SetType"
-    codomain: "Type"
+    __match_args__ = ("domain", "codomain")
 
-    def __post_init__(self):
-        if not self.domain.elements:
+    def __init__(self, domain: SetType, codomain: Type):
+        if not domain.elements:
             raise ValueError("arrow domain must be a non-empty set-type")
-        _set_key(self, (1, self.domain.key, self.codomain.key))
+        node = vars(self)
+        node["domain"], node["codomain"], node["key"] = (
+            domain, codomain, (1, domain.key, codomain.key))
 
 
 Type = Union[Base, Arrow]
 
 
-@dataclass(frozen=True, eq=False)
 class _Set(_Node):
     """Canonical duplicate-free sequence, strictly sorted by key; the
     set's key is the tuple of its element keys."""
 
-    elements: tuple
+    __match_args__ = ("elements",)
 
-    def __post_init__(self):
-        keys = tuple(e.key for e in self.elements)
+    def __init__(self, elements: tuple):
+        keys = tuple(e.key for e in elements)
         try:
             ordered = all(map(operator.lt, keys, keys[1:]))
         except RecursionError:  # keys nested deeper than the interpreter compares
             ordered = all(_compare_keys(a, b) < 0 for a, b in zip(keys, keys[1:]))
         if not ordered:
             raise ValueError(f"{self._what} elements must be strictly sorted")
-        _set_key(self, keys)
+        node = vars(self)
+        node["elements"], node["key"] = elements, keys
 
     @classmethod
     def of(cls, elements: Iterable):
@@ -221,17 +227,16 @@ def _sorted_unique(elements: list, key) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True, eq=False)
 class SetType(_Set):
     """Canonical duplicate-free sequence of types."""
 
     elements: tuple[Type, ...]
     _what = "set-type"
 
-    def union(self, other: "SetType") -> "SetType":
+    def union(self, other: SetType) -> SetType:
         return SetType.of(self.elements + other.elements)
 
-    def subset_of(self, other: "SetType") -> bool:
+    def subset_of(self, other: SetType) -> bool:
         return all(e in other.elements for e in self.elements)
 
 
@@ -239,84 +244,82 @@ class SetType(_Set):
 # Annotated terms
 
 
-@dataclass(frozen=True, eq=False)
 class Var(_Node):
     """Free variable occurrence, annotated with its type."""
 
-    name: str
-    annot: Type
+    __match_args__ = ("name", "annot")
 
-    def __post_init__(self):
-        _set_meta(self, (1, self.name, self.annot.key), -1, 0)
+    def __init__(self, name: str, annot: Type):
+        node = vars(self)
+        node["name"], node["annot"], node["key"], node["loose"], node["flags"] = (
+            name, annot, (1, name, annot.key), -1, 0)
 
 
-@dataclass(frozen=True, eq=False)
 class BoundVar(_Node):
     """Bound occurrence as the de Bruijn distance to its binder."""
 
-    index: int
-    annot: Type
+    __match_args__ = ("index", "annot")
 
-    def __post_init__(self):
-        _set_meta(self, (0, self.index, self.annot.key), self.index, 0)
+    def __init__(self, index: int, annot: Type):
+        node = vars(self)
+        node["index"], node["annot"], node["key"], node["loose"], node["flags"] = (
+            index, annot, (0, index, annot.key), index, 0)
 
 
-@dataclass(frozen=True, eq=False)
 class Lam(_Node):
-    hint: str  # printing only: not part of the key
-    binder: SetType
-    body: "MemTerm"
+    """Abstraction; `hint` is for printing only, not in the key."""
 
-    def __post_init__(self):
-        if not self.binder.elements:
+    __match_args__ = ("hint", "binder", "body")
+
+    def __init__(self, hint: str, binder: SetType, body: MemTerm):
+        if not binder.elements:
             raise ValueError("binder set-type must be non-empty")
-        body = self.body
-        _set_meta(self, (2, self.binder.key, body.key), max(body.loose - 1, -1),
-                  (body.flags & _CONTAINS) | _W_ABSTRACTION)
+        node = vars(self)
+        (node["hint"], node["binder"], node["body"], node["key"], node["loose"],
+         node["flags"]) = (hint, binder, body, (2, binder.key, body.key),
+                           max(body.loose - 1, -1), (body.flags & _CONTAINS) | _W_ABSTRACTION)
 
 
-@dataclass(frozen=True, eq=False)
 class App(_Node):
-    fun: "MemTerm"
-    arg: "SetTerm"
+    __match_args__ = ("fun", "arg")
 
-    def __post_init__(self):
-        if not self.arg.elements:
+    def __init__(self, fun: MemTerm, arg: SetTerm):
+        if not arg.elements:
             raise ValueError("application argument must be non-empty")
-        fun, arg = self.fun, self.arg
         flags = _contained(fun, arg)
         if isinstance(fun, Lam):
             flags |= I_REDEX
         if fun.flags & _W_ABSTRACTION:
             flags |= IM_REDEX
-        _set_meta(self, (3, fun.key, arg.key), max(fun.loose, arg.loose), flags)
+        node = vars(self)
+        node["fun"], node["arg"], node["key"], node["loose"], node["flags"] = (
+            fun, arg, (3, fun.key, arg.key), max(fun.loose, arg.loose), flags)
 
 
-@dataclass(frozen=True, eq=False)
 class Wrap(_Node):
-    head: "MemTerm"
-    payload: "SetTerm"
+    __match_args__ = ("head", "payload")
 
-    def __post_init__(self):
-        head, payload = self.head, self.payload
-        _set_meta(self, (4, head.key, payload.key), max(head.loose, payload.loose),
-                  _contained(head, payload) | WRAPPER | (head.flags & _W_ABSTRACTION))
+    def __init__(self, head: MemTerm, payload: SetTerm):
+        node = vars(self)
+        node["head"], node["payload"], node["key"], node["loose"], node["flags"] = (
+            head, payload, (4, head.key, payload.key), max(head.loose, payload.loose),
+            _contained(head, payload) | WRAPPER | (head.flags & _W_ABSTRACTION))
 
 
 MemTerm = Union[Var, BoundVar, Lam, App, Wrap]
 
 
-@dataclass(frozen=True, eq=False)
 class SetTerm(_Set):
     """Canonical duplicate-free (up to alpha) sequence of terms."""
 
     elements: tuple[MemTerm, ...]
     _what = "set-term"
 
-    def __post_init__(self):
-        super().__post_init__()
-        vars(self).update(loose=max((e.loose for e in self.elements), default=-1),
-                          flags=_contained(*self.elements))
+    def __init__(self, elements: tuple):
+        super().__init__(elements)
+        node = vars(self)
+        node["loose"], node["flags"] = (max((e.loose for e in elements), default=-1),
+                                        _contained(*elements))
 
 # A wrapper list is the sequence of payloads between an abstraction and
 # its argument, outermost last: apply_wrappers(t, (p, q)) == t[p][q].
@@ -327,43 +330,43 @@ WrapperList = tuple[SetTerm, ...]
 # Untyped terms
 
 
-@dataclass(frozen=True, eq=False)
 class UVar(_Node):
-    name: str
+    __match_args__ = ("name",)
 
-    def __post_init__(self):
-        _set_meta(self, (1, self.name), -1, 0)
+    def __init__(self, name: str):
+        node = vars(self)
+        node["name"], node["key"], node["loose"], node["flags"] = name, (1, name), -1, 0
 
 
-@dataclass(frozen=True, eq=False)
 class UBoundVar(_Node):
-    index: int
+    __match_args__ = ("index",)
 
-    def __post_init__(self):
-        _set_meta(self, (0, self.index), self.index, 0)
+    def __init__(self, index: int):
+        node = vars(self)
+        node["index"], node["key"], node["loose"], node["flags"] = index, (0, index), index, 0
 
 
-@dataclass(frozen=True, eq=False)
 class ULam(_Node):
-    hint: str  # printing only: not part of the key
-    body: "UntypedTerm"
+    """Untyped abstraction; `hint` is for printing only, not in the key."""
 
-    def __post_init__(self):
-        body = self.body
-        _set_meta(self, (2, body.key), max(body.loose - 1, -1), body.flags)
+    __match_args__ = ("hint", "body")
+
+    def __init__(self, hint: str, body: UntypedTerm):
+        node = vars(self)
+        node["hint"], node["body"], node["key"], node["loose"], node["flags"] = (
+            hint, body, (2, body.key), max(body.loose - 1, -1), body.flags)
 
 
-@dataclass(frozen=True, eq=False)
 class UApp(_Node):
-    fun: "UntypedTerm"
-    arg: "UntypedTerm"
+    __match_args__ = ("fun", "arg")
 
-    def __post_init__(self):
-        fun, arg = self.fun, self.arg
+    def __init__(self, fun: UntypedTerm, arg: UntypedTerm):
         flags = fun.flags | arg.flags
         if isinstance(fun, ULam):
             flags |= BETA_REDEX
-        _set_meta(self, (3, fun.key, arg.key), max(fun.loose, arg.loose), flags)
+        node = vars(self)
+        node["fun"], node["arg"], node["key"], node["loose"], node["flags"] = (
+            fun, arg, (3, fun.key, arg.key), max(fun.loose, arg.loose), flags)
 
 
 UntypedTerm = Union[UVar, UBoundVar, ULam, UApp]

@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 from .binding import close_term, uopen
 from .errors import (
@@ -36,7 +35,7 @@ from .errors import (
 from .syntax import (
     App, Arrow, BoundVar, Lam, MemTerm, SetTerm, SetType,
     Type, UApp, UBoundVar, ULam, UntypedTerm, UVar, Var, Wrap,
-    _name_chain, _subterm_paths, children, free_occurrences, parse_type,
+    _Node, _name_chain, _subterm_paths, children, free_occurrences, parse_type,
     parse_untyped, pretty, run,
 )
 
@@ -49,28 +48,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TypingContext:
-    """Finite map from variable names to non-empty set-types."""
+class TypingContext(_Node):
+    """Finite map from variable names to non-empty set-types.
 
-    entries: tuple[tuple[str, SetType], ...] = ()
+    Immutable, equal and hashed by its entries, which are its key."""
 
-    def __post_init__(self):
-        names = [n for n, _ in self.entries]
+    __match_args__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[str, SetType], ...] = ()):
+        names = [n for n, _ in entries]
         if names != sorted(names) or len(set(names)) != len(names):
             raise ValueError("context entries must be sorted and unique")
-        if any(not s.elements for _, s in self.entries):
+        if any(not s.elements for _, s in entries):
             raise ValueError("context entries must be non-empty set-types")
+        vars(self).update(entries=entries, key=entries)
 
     @staticmethod
-    def of(items: Mapping[str, SetType] | Iterable[tuple[str, SetType]]) -> "TypingContext":
+    def of(items: Mapping[str, SetType] | Iterable[tuple[str, SetType]]) -> TypingContext:
+        """The context of the entries, each name's set-types merged by one sort."""
         pairs = items.items() if isinstance(items, Mapping) else items
-        merged: dict[str, SetType] = {}
+        merged: dict[str, list[SetType]] = {}
         for name, s in pairs:
-            merged[name] = merged[name].union(s) if name in merged else s
-        return TypingContext(tuple(sorted(
-            (n, s) for n, s in merged.items() if s.elements
-        )))
+            merged.setdefault(name, []).append(s)
+        entries = []
+        for name, sets in sorted(merged.items()):
+            s = sets[0] if len(sets) == 1 else SetType.of(e for part in sets for e in part.elements)
+            if s.elements:
+                entries.append((name, s))
+        return TypingContext(tuple(entries))
 
     def get(self, name: str) -> SetType:
         for n, s in self.entries:
@@ -96,8 +101,7 @@ class TypingContext:
         return ", ".join(f"{n}:{s}" for n, s in self.entries)
 
 
-@dataclass(frozen=True)
-class Judgement:
+class Judgement(NamedTuple):
     context: TypingContext
     subject: Union[MemTerm, SetTerm, UntypedTerm]
     type_: Union[Type, SetType]
@@ -392,14 +396,13 @@ def is_uniform(t: MemTerm | SetTerm) -> bool:
 # type string (var only, optional, must equal "type")}.
 
 
-@dataclass(frozen=True)
-class CurryDerivation:
+class CurryDerivation(NamedTuple):
     rule: str
     context: TypingContext
     subject: UntypedTerm
     type_: Union[Type, SetType]
     premises: tuple["CurryDerivation", ...] = ()
-    select: Type | None = field(default=None)
+    select: Type | None = None
 
 
 _RULES = ("var", "many", "intro", "elim")
@@ -704,5 +707,5 @@ def canonical_derivation(d: CurryDerivation) -> CurryDerivation:
         if d.rule == "many":
             premises.sort(key=lambda p: p.type_.key)
         select = d.type_ if d.rule == "var" and not isinstance(d.type_, SetType) else None
-        return replace(d, premises=tuple(premises), select=select)
+        return d._replace(premises=tuple(premises), select=select)
     return run(node(d))

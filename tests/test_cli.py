@@ -364,3 +364,13 @@ def test_stdout_is_independent_of_the_hash_seed(files):
             for seed in ("0", "1", "7")
         }
         assert len(outputs) == 1
+
+
+def test_start_up_imports_neither_dataclasses_nor_inspect():
+    # Each command starts a fresh interpreter; `dataclasses` alone would
+    # pull in `inspect`, `ast`, `dis` and `tokenize` before any work.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    code = "import setlam.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True, env=env).stdout
+    assert out == "[]\n"

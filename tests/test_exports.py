@@ -19,7 +19,7 @@ REMOVED = {
                "_pretty_untyped", "map_children", "_keys_equal", "_lookup_untyped",
                "_parse_type", "_parse_settype", "_parse_settype_atom", "_parse_annot",
                "_parse_untyped", "_parse_untyped_atom", "_parse_aterm",
-               "_parse_aterm_atom"],
+               "_parse_aterm_atom", "_set_key", "_set_meta"],
     "binding": ["ushift", "uclose"],
     "typecheck": ["_fold_tree", "_typing", "_typing_of_set", "_erase", "_erase_set",
                   "_erase_node", "_erase_set_node", "_check_node", "_premises"],

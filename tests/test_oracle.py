@@ -4,13 +4,14 @@ import pytest
 
 from setlam import (
     CycleDetected, Fuel, FuelExhausted, IllTyped, NotSNWithinFuel,
-    SetTerm, TypingContext, ULam, UVar, W, check, erase, explore, graph_to_dot,
+    Base, SetTerm, SetType, TypingContext, ULam, UVar, W, check, erase, explore, graph_to_dot,
     graph_to_json_dict, head_subject_expansion, infer_sn, is_sn,
     longest_chain, normal_form, parse_set_type, parse_term, parse_type,
     parse_untyped, pretty, refines, synthesize_type,
 )
 
 import corpus
+from deep import shape
 
 OMEGA = parse_untyped("(\\x. x x) (\\x. x x)")
 WRAPPED = parse_term("(\\x:{a}. y^b) {z^a [w^b]}")  # a plain redex, a wrapper
@@ -226,6 +227,18 @@ def test_infer_duplicating_argument_builds_multi_element_set():
     assert erase(term) == parse_untyped("(\\x. x x) (\\y. y)")
     from setlam.syntax import App
     assert isinstance(term, App) and len(term.arg.elements) == 2
+
+
+def test_infer_head_variable_spine_of_3000_arguments():
+    # Shape E of tests/deep.py: every argument adds a type to z's set.
+    n = 3_000
+    result = infer_sn(parse_untyped(shape("E", n)))
+    head = " -> ".join(f"b{i}" for i in range(n + 1))
+    assert result.term == parse_term(f"y^({head})" + "".join(f" z^b{i}" for i in range(n)))
+    assert result.context == TypingContext.of({
+        "y": SetType.of([parse_type(head)]),
+        "z": SetType.of(Base(f"b{i}") for i in range(n))})
+    assert result.type_ == Base(f"b{n}")
 
 
 def test_infer_results_recheck(sn_samples):

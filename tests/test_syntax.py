@@ -1,6 +1,6 @@
 """Canonical sets, alpha-equality, positions, parse/print round trips."""
 
-import dataclasses
+import operator
 import time
 
 import pytest
@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from setlam import (
     App, Arrow, Base, BoundVar, InvalidPosition, Lam, ParseError, SetTerm,
-    SetType, UApp, UBoundVar, ULam, UVar, Var, Wrap, parse,
+    SetType, TypingContext, UApp, UBoundVar, ULam, UVar, Var, Wrap, parse,
     parse_set_type, parse_term, parse_type, parse_untyped, pretty,
     replace_at, subterm_at,
 )
@@ -34,21 +34,27 @@ def test_canonicalize_terms_dedup():
 
 
 def test_constructors_insist_on_canonical_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^set-type elements must be strictly sorted$"):
         SetType((b, a))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^set-type elements must be strictly sorted$"):
         SetType((a, a))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^set-term elements must be strictly sorted$"):
         SetTerm((Var("y", a), Var("x", a)))
+    for entries in [(("y", SetType((a,))), ("x", SetType((a,)))),
+                    (("x", SetType((a,))), ("x", SetType((b,))))]:
+        with pytest.raises(ValueError, match="^context entries must be sorted and unique$"):
+            TypingContext(entries)
 
 
 def test_wellformedness_invariants():
-    with pytest.raises(ValueError):
-        Arrow(SetType(()), a)  # arrow domain non-empty
-    with pytest.raises(ValueError):
-        Lam("x", SetType(()), Var("y", a))  # binder non-empty
-    with pytest.raises(ValueError):
-        App(Var("x", a), SetTerm(()))  # argument non-empty
+    with pytest.raises(ValueError, match="^arrow domain must be a non-empty set-type$"):
+        Arrow(SetType(()), a)
+    with pytest.raises(ValueError, match="^binder set-type must be non-empty$"):
+        Lam("x", SetType(()), Var("y", a))
+    with pytest.raises(ValueError, match="^application argument must be non-empty$"):
+        App(Var("x", a), SetTerm(()))
+    with pytest.raises(ValueError, match="^context entries must be non-empty set-types$"):
+        TypingContext((("x", SetType(())),))
 
 
 types_st = st.recursive(
@@ -336,8 +342,8 @@ def structure(x):
         return tuple(map(structure, x))
     if not isinstance(x, _Node):
         return x
-    return (type(x).__name__, *(structure(getattr(x, f.name))
-                                for f in dataclasses.fields(x) if f.name != "hint"))
+    return (type(x).__name__, *(structure(getattr(x, name))
+                                for name in type(x).__match_args__ if name != "hint"))
 
 
 @given(memterms_st(), memterms_st())
@@ -382,19 +388,92 @@ def test_set_term_of_sorts_by_key(elements):
     assert [e.key for e in SetTerm.of(elements)] == sorted({e.key for e in elements})
 
 
-def test_str_is_pretty_for_every_node_class():
+def _one_of_each_class():
     lam = Lam("x", SetType.of([a]), BoundVar(0, a))
     app = App(lam, SetTerm.of([Var("y", a), Var("y", b)]))
     ulam = ULam("x", UBoundVar(0))
-    samples = [a, Arrow(SetType.of([a]), b), SetType.of([a, b]), Var("y", a),
-               BoundVar(0, a), lam, app, Wrap(app, SetTerm.of([Var("z", b)])),
-               SetTerm.of([Var("y", a)]), UVar("y"), UBoundVar(0), ulam,
-               UApp(ulam, UVar("y"))]
+    return [a, Arrow(SetType.of([a]), b), SetType.of([a, b]), Var("y", a),
+            BoundVar(0, a), lam, app, Wrap(app, SetTerm.of([Var("z", b)])),
+            SetTerm.of([Var("y", a)]), UVar("y"), UBoundVar(0), ulam,
+            UApp(ulam, UVar("y"))]
+
+
+ONE_OF_EACH_CLASS = _one_of_each_class()
+
+
+def test_str_is_pretty_for_every_node_class():
     classes, stack = set(), [_Node]
     while stack:
         for sub in stack.pop().__subclasses__():
             stack.append(sub)
             classes.add(sub)
-    assert {type(x) for x in samples} == {c for c in classes if not c.__name__.startswith("_")}
-    for x in samples:
+    public = {c for c in classes if not c.__name__.startswith("_")}
+    assert {type(x) for x in ONE_OF_EACH_CLASS} == public - {TypingContext}
+    for x in ONE_OF_EACH_CLASS:
         assert str(x) == pretty(x)
+
+
+# --- plain immutable classes ------------------------------------------------
+
+@pytest.mark.parametrize("x", ONE_OF_EACH_CLASS + [TypingContext.of({"y": SetType.of([a])})],
+                         ids=lambda x: type(x).__name__)
+def test_fields_cannot_be_assigned_or_deleted(x):
+    before = repr(x)
+    for name in (*type(x).__match_args__, "key", "typing", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, None)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert repr(x) == before
+
+
+def test_repr_is_the_field_by_field_text():
+    assert repr(parse_term("(\\x:{a}. x^a) {y^(b -> a)}")) == (
+        "App(fun=Lam(hint='x', binder=SetType(elements=(Base(name='a'),)), "
+        "body=BoundVar(index=0, annot=Base(name='a'))), "
+        "arg=SetTerm(elements=(Var(name='y', annot=Arrow(domain=SetType("
+        "elements=(Base(name='b'),)), codomain=Base(name='a'))),)))")
+    assert repr(parse_term("x^a [y^b]")) == (
+        "Wrap(head=Var(name='x', annot=Base(name='a')), "
+        "payload=SetTerm(elements=(Var(name='y', annot=Base(name='b')),)))")
+    assert repr(parse_untyped("\\x. x y")) == (
+        "ULam(hint='x', body=UApp(fun=UBoundVar(index=0), arg=UVar(name='y')))")
+    assert repr(TypingContext.of({"y": SetType.of([a])})) == (
+        "TypingContext(entries=(('y', SetType(elements=(Base(name='a'),))),))")
+
+
+def _fields(x):
+    """The fields of x, as positional patterns capture them and as named."""
+    match x:
+        case Base(name):
+            return (name,), (x.name,)
+        case Arrow(domain, codomain):
+            return (domain, codomain), (x.domain, x.codomain)
+        case SetType(elements) | SetTerm(elements):
+            return (elements,), (x.elements,)
+        case Var(name, annot):
+            return (name, annot), (x.name, x.annot)
+        case BoundVar(index, annot):
+            return (index, annot), (x.index, x.annot)
+        case Lam(hint, binder, body):
+            return (hint, binder, body), (x.hint, x.binder, x.body)
+        case App(fun, arg) | UApp(fun, arg):
+            return (fun, arg), (x.fun, x.arg)
+        case Wrap(head, payload):
+            return (head, payload), (x.head, x.payload)
+        case UVar(name):
+            return (name,), (x.name,)
+        case UBoundVar(index):
+            return (index,), (x.index,)
+        case ULam(hint, body):
+            return (hint, body), (x.hint, x.body)
+        case TypingContext(entries):
+            return (entries,), (x.entries,)
+    raise AssertionError(f"no pattern matches {x!r}")
+
+
+@pytest.mark.parametrize("x", ONE_OF_EACH_CLASS + [TypingContext.of({"y": SetType.of([a])})],
+                         ids=lambda x: type(x).__name__)
+def test_positional_patterns_match_every_class(x):
+    captured, named = _fields(x)
+    assert all(map(operator.is_, captured, named))

@@ -92,6 +92,21 @@ def test_check_var_in_context():
     assert check(ctx, parse_term("x^a")) == Base("a")
 
 
+def test_context_of_merges_each_name_like_repeated_union():
+    rng = random.Random(1)
+    types = [parse_type(t) for t in ("a", "b", "c", "{a} -> b", "{a, b} -> a")]
+    pairs = [(rng.choice("xyz"), SetType.of(rng.sample(types, rng.randint(0, 3))))
+             for _ in range(300)]
+    pairs += [("w", SetType.of([Base(f"b{i}")])) for i in range(1_000)]
+    merged = {}
+    for name, s in pairs:
+        merged[name] = merged[name].union(s) if name in merged else s
+    assert TypingContext.of(pairs) == TypingContext(
+        tuple(sorted((n, s) for n, s in merged.items() if s.elements)))
+    assert len(TypingContext.of(pairs).get("w")) == 1_000
+
+
+
 def test_check_unbound():
     with pytest.raises(UnboundOrWrongAnnotation):
         check(TypingContext(), parse_term("x^a"))
