@@ -14,10 +14,11 @@ and the global structural order come from that key alone.  A binder's
 printing hint is not part of it, so ``==`` is exactly alpha-equivalence.
 Term nodes also store, in O(arity) from their children, `loose` (the
 largest de Bruijn index pointing outside the node, -1 when locally
-closed) and `flags` (which kinds of redex, and whether a wrapper, occur
-in the subtree); `typecheck` caches a node's typing and its erasure on
-it the first time either is asked for.  None of these is part of the
-key, so they change neither identity, nor order, nor printing.
+closed) and `flags` (which kinds of redex, and whether a wrapper and a
+free variable, occur in the subtree); `typecheck` caches a node's
+typing and its erasure on it the first time either is asked for.  None
+of these is part of the key, so they change neither identity, nor
+order, nor printing.
 
 Every walk works at any depth: `subterms`, `nodes`, the printer,
 `type_height` and the comparison of keys too deep for the interpreter
@@ -58,7 +59,7 @@ __all__ = [
     "MemTerm", "Var", "BoundVar", "Lam", "App", "Wrap", "SetTerm",
     "UntypedTerm", "UVar", "UBoundVar", "ULam", "UApp",
     "WrapperList", "Position",
-    "BETA_REDEX", "I_REDEX", "IM_REDEX", "WRAPPER",
+    "BETA_REDEX", "I_REDEX", "IM_REDEX", "WRAPPER", "FREE_VAR",
     "parse", "pretty",
     "parse_type", "parse_untyped", "parse_term", "parse_set_type",
     "run", "children", "rebuild", "subterms", "nodes",
@@ -85,7 +86,8 @@ class _Node:
     and equal keys; the hash is the key's (not cached: hashing a key
     walks it, so caching at construction would make building a term
     quadratic).  Term nodes also store `loose` (their largest loose
-    index, -1 when locally closed) and `flags`; `typing` and `erasure`
+    index, -1 when locally closed) and `flags` (the redexes, wrappers
+    and free variables below them); `typing` and `erasure`
     stay None until `typecheck` stores them in the node's dict.
     `typecheck.TypingContext` is a node keyed by its entries.
     """
@@ -138,13 +140,13 @@ _deep_key = cmp_to_key(lambda a, b: _compare_keys(a.key, b.key))
 
 
 # Flag bits of a term node: the redexes a step of each calculus may
-# contract (as `reduction._redex` recognizes them) and the wrappers that
-# occur in the subtree rooted at the node.
-BETA_REDEX, I_REDEX, IM_REDEX, WRAPPER = 1, 2, 4, 8
-_CONTAINS = BETA_REDEX | I_REDEX | IM_REDEX | WRAPPER
+# contract (as `reduction._redex` recognizes them), the wrappers and the
+# free variable occurrences in the subtree rooted at the node.
+BETA_REDEX, I_REDEX, IM_REDEX, WRAPPER, FREE_VAR = 1, 2, 4, 8, 16
+_CONTAINS = BETA_REDEX | I_REDEX | IM_REDEX | WRAPPER | FREE_VAR
 # The node itself is an abstraction under zero or more wrappers, so an
 # application of it is a memory redex.
-_W_ABSTRACTION = 16
+_W_ABSTRACTION = 32
 
 
 def _contained(*parts: _Node) -> int:
@@ -252,7 +254,7 @@ class Var(_Node):
     def __init__(self, name: str, annot: Type):
         node = vars(self)
         node["name"], node["annot"], node["key"], node["loose"], node["flags"] = (
-            name, annot, (1, name, annot.key), -1, 0)
+            name, annot, (1, name, annot.key), -1, FREE_VAR)
 
 
 class BoundVar(_Node):
@@ -335,7 +337,7 @@ class UVar(_Node):
 
     def __init__(self, name: str):
         node = vars(self)
-        node["name"], node["key"], node["loose"], node["flags"] = name, (1, name), -1, 0
+        node["name"], node["key"], node["loose"], node["flags"] = name, (1, name), -1, FREE_VAR
 
 
 class UBoundVar(_Node):
@@ -556,13 +558,14 @@ def is_wrapper_free(t: MemTerm | SetTerm) -> bool:
 
 
 def free_occurrences(t: MemTerm | SetTerm) -> Iterator[tuple[str, Type]]:
-    """Yield (name, annotation) for every free occurrence, in term order."""
-    return ((s.name, s.annot) for s in nodes(t) if isinstance(s, Var))
+    """Yield (name, annotation) for every free occurrence, in term order;
+    subtrees without one are not visited."""
+    return ((s.name, s.annot) for s in nodes(t, FREE_VAR) if isinstance(s, Var))
 
 
 def free_names(t) -> set[str]:
     """Names free in an annotated or untyped term."""
-    return {s.name for s in nodes(t) if isinstance(s, (Var, UVar))}
+    return {s.name for s in nodes(t, FREE_VAR) if isinstance(s, (Var, UVar))}
 
 
 def term_size(t) -> int:

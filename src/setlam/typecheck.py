@@ -2,16 +2,19 @@
 
 Annotated terms are syntax-directed: the type of a term is determined
 bottom-up by its annotations, and type synthesis never consults a
-context.  `check` adds the context audit for free occurrences.
+context.  `check` adds the context audit for free occurrences: the
+`var` axiom at each free occurrence, read off the term itself in term
+order, through the `FREE_VAR` flag that lets the walk skip the subtrees
+without one.
 
 A node's typing is therefore a function of the node alone, and it is
 computed once: `_cached` folds a term bottom-up, children first, into
-(type, loose occurrences, free occurrences) per node and stores the
-result on each node it visits (`typing`), so asking again, for the node
-or for a larger term built around it, costs only the new nodes.  An
-abstraction validates the annotations of the occurrences it binds and
-passes the others up.  The positional walk `_synth` runs only when the
-fold rejects a term, to report the first error in position order.  The
+(type, loose occurrences) per node and stores the result on each node
+it visits (`typing`), so asking again, for the node or for a larger
+term built around it, costs only the new nodes.  An abstraction
+validates the annotations of the occurrences it binds and passes the
+others up.  The positional walk `_synth` runs only when the fold
+rejects a term, to report the first error in position order.  The
 erasure is cached the same way (`erasure`), so `refines` is a
 comparison with it.  The module also hosts the derivation checker for
 the assignment system on untyped terms: derivations are explicit trees
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import json
 import sys
+from bisect import bisect_left
 from typing import Iterable, Mapping, NamedTuple, Union
 
 from .binding import close_term, uopen
@@ -78,9 +82,11 @@ class TypingContext(_Node):
         return TypingContext(tuple(entries))
 
     def get(self, name: str) -> SetType:
-        for n, s in self.entries:
-            if n == name:
-                return s
+        # A (name,) prefix sorts before every entry of name and compares
+        # no set-type.
+        i = bisect_left(self.entries, (name,))
+        if i < len(self.entries) and self.entries[i][0] == name:
+            return self.entries[i][1]
         return SetType(())
 
     def union(self, other: "TypingContext") -> "TypingContext":
@@ -119,7 +125,7 @@ def synthesize_type(t: MemTerm | SetTerm) -> Type | SetType:
     set with duplicate element types, or a bound occurrence whose
     annotation is not in its binder's set.
     """
-    return _typed(t, True)[0]
+    return _typed(t, True)
 
 
 def subterm_type(t: MemTerm | SetTerm) -> Type | SetType:
@@ -129,7 +135,7 @@ def subterm_type(t: MemTerm | SetTerm) -> Type | SetType:
     annotation, so the annotation is trusted for them; everything else
     is validated as in synthesize_type.
     """
-    return _typed(t, False)[0]
+    return _typed(t, False)
 
 
 def set_type_of(s: SetTerm) -> SetType:
@@ -142,15 +148,15 @@ def set_type_of(s: SetTerm) -> SetType:
 _ILL_FORMED = "ill-formed"
 
 
-def _typed(t, strict: bool) -> tuple:
-    """t's typing: (type, loose occurrences, free occurrences).
+def _typed(t, strict: bool) -> Type | SetType:
+    """t's type, from its typing (type, loose occurrences).
 
     Raises the positional walk's error where the fold rejects t, or,
     when `strict`, where an index of t points outside it.
     """
     typing = _cached(t, "typing", _node_typing)
     if typing is not _ILL_FORMED and not (strict and typing[1]):
-        return typing
+        return typing[0]
     run(_synth(t, [], [], strict))
     raise AssertionError("the typing fold rejects a term that synthesizes")
 
@@ -182,24 +188,23 @@ def _set_value(s: SetTerm, attribute: str, node_value):
 
 
 def _node_typing(t):
-    """The typing of t from its children's: (type, loose, free), where
-    loose is a sorted tuple of (index, frozenset of annotations) for the
-    indices pointing outside t, and free a frozenset of (name,
-    annotation) pairs; or _ILL_FORMED."""
+    """The typing of t from its children's: (type, loose), where loose
+    is a sorted tuple of (index, frozenset of annotations) for the
+    indices pointing outside t; or _ILL_FORMED."""
     match t:
-        case Var(name, annot):
-            return annot, (), frozenset([(name, annot)])
+        case Var(_, annot):
+            return annot, ()
         case BoundVar(index, annot):
-            return annot, ((index, frozenset([annot])),), frozenset()
+            return annot, ((index, frozenset([annot])),)
         case Lam(_, binder, body):
             if body.typing is _ILL_FORMED:
                 return _ILL_FORMED
-            body_type, loose, free = body.typing
+            body_type, loose = body.typing
             if loose and loose[0][0] == 0:
                 if not all(a in binder.elements for a in loose[0][1]):
                     return _ILL_FORMED
                 loose = loose[1:]
-            return Arrow(binder, body_type), tuple((i - 1, a) for i, a in loose), free
+            return Arrow(binder, body_type), tuple((i - 1, a) for i, a in loose)
         case App(fun, arg):
             arg_typing = _set_value(arg, "typing", _node_typing)
             if fun.typing is _ILL_FORMED or arg_typing is _ILL_FORMED:
@@ -207,12 +212,12 @@ def _node_typing(t):
             fun_type = fun.typing[0]
             if not isinstance(fun_type, Arrow) or arg_typing[0] != fun_type.domain:
                 return _ILL_FORMED
-            return fun_type.codomain, *_merge([fun.typing, arg_typing])
+            return fun_type.codomain, _merge([fun.typing, arg_typing])
         case Wrap(head, payload):
             payload_typing = _set_value(payload, "typing", _node_typing)
             if head.typing is _ILL_FORMED or payload_typing is _ILL_FORMED:
                 return _ILL_FORMED
-            return head.typing[0], *_merge([head.typing, payload_typing])
+            return head.typing[0], _merge([head.typing, payload_typing])
         case SetTerm(elements):
             typings = [e.typing for e in elements]
             if _ILL_FORMED in typings:
@@ -220,31 +225,21 @@ def _node_typing(t):
             result = SetType.of(typing[0] for typing in typings)
             if len(result.elements) != len(typings):
                 return _ILL_FORMED  # set-term elements with equal types
-            return result, *_merge(typings)
+            return result, _merge(typings)
     raise TypeError(f"not a term: {t!r}")
 
 
 def _merge(typings: list) -> tuple:
-    """The loose and free occurrences of the children together.  A
-    child's own collection is reused when the others add nothing."""
+    """The loose occurrences of the children together.  A child's own
+    tuple is reused when the others add nothing."""
     loose_parts = [typing[1] for typing in typings if typing[1]]
     if len(loose_parts) <= 1:
-        loose = loose_parts[0] if loose_parts else ()
-    else:
-        by_index: dict[int, frozenset] = {}
-        for part in loose_parts:
-            for i, annots in part:
-                by_index[i] = by_index[i] | annots if i in by_index else annots
-        loose = tuple(sorted(by_index.items()))
-    free_parts = [typing[2] for typing in typings if typing[2]]
-    if len(free_parts) <= 1:
-        free = free_parts[0] if free_parts else frozenset()
-    else:
-        largest = max(free_parts, key=len)
-        free = largest.union(*free_parts)
-        if len(free) == len(largest):
-            free = largest
-    return loose, free
+        return loose_parts[0] if loose_parts else ()
+    by_index: dict[int, frozenset] = {}
+    for part in loose_parts:
+        for i, annots in part:
+            by_index[i] = by_index[i] | annots if i in by_index else annots
+    return tuple(sorted(by_index.items()))
 
 
 def _synth(t, binders: list[SetType], pos: list[int], strict: bool):
@@ -305,25 +300,22 @@ def _synth_set(s: SetTerm, binders: list[SetType], pos: list[int], offset: int,
 
 
 def check(context: TypingContext, t: MemTerm | SetTerm) -> Type | SetType:
-    """Synthesize and audit every free occurrence against the context.
-
-    The audit reads the distinct free occurrences off the typing; where
-    one fails, the occurrences are walked in term order, so that the
-    first failing one is reported.
-    """
-    result, _, free = _typed(t, True)
-    if all(annot in context.get(name) for name, annot in free):
-        return result
+    """Synthesize, then audit every free occurrence against the context
+    in term order: the first one whose annotation the context does not
+    hold for its name is reported."""
+    result = _typed(t, True)
     for name, annot in free_occurrences(t):
         if annot not in context.get(name):
             raise UnboundOrWrongAnnotation(name, annot)
-    raise AssertionError("the free occurrences differ from the typing's")
+    return result
 
 
 def minimal_context(t: MemTerm | SetTerm) -> TypingContext:
-    """Least context under which t checks (pointwise subset of any other)."""
+    """Least context under which t checks (pointwise subset of any other):
+    the annotations of t's free occurrences, grouped by name."""
+    _typed(t, True)
     groups: dict[str, list[Type]] = {}
-    for name, annot in _typed(t, True)[2]:
+    for name, annot in free_occurrences(t):
         groups.setdefault(name, []).append(annot)
     return TypingContext.of((n, SetType.of(ts)) for n, ts in groups.items())
 

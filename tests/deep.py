@@ -1,4 +1,4 @@
-"""Deep inputs: every command on six term shapes of size n.
+"""Deep inputs: every command on seven term shapes of size n.
 
 Run from the repository root as
 
@@ -17,6 +17,7 @@ does not collect this file; `tests/test_cli.py` imports its shapes.
     E  y z ... z                                      an untyped spine of N arguments
     F  ( ... (y^(a -> a) z^a) ... )                   N nested parentheses
                                                       (and "( ... (y z) ... )")
+    G  y^(a -> ... -> a) z0^a ... z{N-1}^a            a spine of N distinct variables
 
 Two kinds of run are skipped above a limit, with a line that says so:
 
@@ -24,9 +25,9 @@ Two kinds of run are skipped above a limit, with a line that says so:
   full-simplification stage per degree, and the degree of the redex of
   A and of D grows with N, so its output has about N stages of about N
   nodes each (200 MB at N = 4,000).
-- `graph` and `chains` on B, C and D above HASH_LIMIT.  `explore`
+- `graph` and `chains` on B, C, D and G above HASH_LIMIT.  `explore`
   indexes terms by their hash, and hashing a key walks it on the C
-  stack: the key of B, C or D nests two levels per argument, and at
+  stack: the key of B, C, D or G nests two levels per argument, and at
   100,000 arguments the walk overflows the C stack and the interpreter
   dies (SIGSEGV).
 """
@@ -51,7 +52,7 @@ def _arrows(n: int) -> str:
 
 
 def shape(name: str, n: int) -> str:
-    """The text of shape A, B, C, D or E at size n."""
+    """The text of shape A, B, C, D, E, F or G at size n."""
     if name == "A":
         return "(" + "".join(f"\\x{i}:{{a}}. " for i in range(n)) + "x0^a) {y^a}"
     if name in ("B", "C"):
@@ -63,6 +64,8 @@ def shape(name: str, n: int) -> str:
         return "y" + " z" * n
     if name == "F":
         return "(" * n + "y^(a -> a) z^a" + ")" * n
+    if name == "G":
+        return f"y^({_arrows(n)})" + "".join(f" z{i}^a" for i in range(n))
     raise ValueError(f"no shape {name!r}")
 
 
@@ -85,16 +88,16 @@ def runs(n: int, directory: str):
     """(shape, argv, why it is skipped or None) of every run at size n,
     with its files written."""
     paths = {}
-    for name in "ABCDEF":
+    for name in "ABCDEFG":
         paths[name] = os.path.join(directory, f"{name}.{'lam' if name == 'E' else 'term'}")
         with open(paths[name], "w", encoding="utf-8") as handle:
             handle.write(shape(name, n))
-    for name in "ABCDF":
+    for name in "ABCDFG":
         for argv in TERM_COMMANDS:
             skip = None
             if argv[0] == "measure" and name in "AD" and n > MEASURE_LIMIT:
                 skip = f"skipped above {MEASURE_LIMIT}: the output is quadratic"
-            if argv[0] in ("graph", "chains") and name in "BCD" and n > HASH_LIMIT:
+            if argv[0] in ("graph", "chains") and name in "BCDG" and n > HASH_LIMIT:
                 skip = f"skipped above {HASH_LIMIT}: hashing the term overflows the C stack"
             yield name, [argv[0], paths[name], *argv[1:]], skip
     # the beta redex of D's erasure sits at the bottom of its spine

@@ -2,10 +2,11 @@
 
 Each stored value is compared with a recomputation from scratch: the
 fold with the positional walk `_synth`, `loose` and the flags with a
-walk over every subterm, the pruned redex search with the unpruned
-filter.  The index operations of `binding` must visit only the nodes
-they rebuild and hand back the others as the same objects, and a
-second typing of a node must visit no node.
+walk over every subterm, the pruned redex search and the pruned walks
+over free occurrences with the unpruned filters.  The index operations
+of `binding` must visit only the nodes they rebuild and hand back the
+others as the same objects, and a second typing of a node must visit
+no node.
 """
 
 import pytest
@@ -13,21 +14,21 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from setlam import (
     App, Base, BoundVar, Lam, NotTypable, SetTerm, SetType, UBoundVar,
-    ULam, Var, Wrap, erase, parse_term, step_im, synthesize_type,
+    ULam, UVar, Var, Wrap, erase, parse_term, step_im, synthesize_type,
 )
 from setlam import binding, syntax, typecheck
 from setlam.typecheck import subterm_type
 from setlam.binding import open_term, shift, uopen
 from setlam.reduction import _redex, _substituents, redex_positions
 from setlam.syntax import (
-    BETA_REDEX, I_REDEX, IM_REDEX, WRAPPER, children, nodes, replace_at,
-    subterms,
+    BETA_REDEX, FREE_VAR, I_REDEX, IM_REDEX, WRAPPER, children, free_names,
+    free_occurrences, nodes, replace_at, subterms,
 )
 
 from test_syntax import memterms_st, types_st
 
 CALCULI = {"beta": BETA_REDEX, "i": I_REDEX, "im": IM_REDEX}
-CONTAINS = BETA_REDEX | I_REDEX | IM_REDEX | WRAPPER
+CONTAINS = BETA_REDEX | I_REDEX | IM_REDEX | WRAPPER | FREE_VAR
 CORPUS_SETTINGS = settings(
     max_examples=150, deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -165,6 +166,8 @@ def _flags_from_scratch(t) -> int:
                 flags |= bit
         if isinstance(s, Wrap):
             flags |= WRAPPER
+        if isinstance(s, (Var, UVar)):
+            flags |= FREE_VAR
     return flags
 
 
@@ -200,6 +203,22 @@ def test_pruned_redex_search_matches_unpruned_filter(corpus):
         for calculus in CALCULI:
             unpruned = [pos for pos, s in subterms(t) if _redex(s, calculus) is not None]
             assert redex_positions(t, calculus) == unpruned
+
+
+def _assert_free_walks_match_unpruned_filter(t):
+    every = list(nodes(t))
+    assert list(free_occurrences(t)) == [(s.name, s.annot) for s in every if isinstance(s, Var)]
+    assert free_names(t) == {s.name for s in every if isinstance(s, (Var, UVar))}
+
+
+def test_free_walks_match_unpruned_filter(corpus):
+    for t in _terms_with_reducts(corpus):
+        _assert_free_walks_match_unpruned_filter(t)
+
+
+@given(memterms_st(depth=2))
+def test_free_walks_match_unpruned_filter_on_random_terms(t):
+    _assert_free_walks_match_unpruned_filter(t)
 
 
 def test_unknown_calculus_is_rejected():

@@ -1,7 +1,11 @@
 """Synthesis, checking, minimal contexts, derivations, refinement."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +22,7 @@ from setlam import (
 from setlam.typecheck import canonical_derivation
 
 import corpus
+from deep import shape
 
 SELFAPP = parse_term(corpus.SELF_APPLICATION)
 
@@ -105,6 +110,50 @@ def test_context_of_merges_each_name_like_repeated_union():
         tuple(sorted((n, s) for n, s in merged.items() if s.elements)))
     assert len(TypingContext.of(pairs).get("w")) == 1_000
 
+
+def test_context_get_agrees_with_a_linear_scan():
+    rng = random.Random(3)
+    types = [parse_type(t) for t in ("a", "b", "{a} -> b", "{a, b} -> a")]
+    for _ in range(200):
+        names = rng.sample(["a", "b", "m", "x", "x0", "x1", "y", "z", "zz"], rng.randint(0, 9))
+        ctx = TypingContext.of(
+            (n, SetType.of(rng.sample(types, rng.randint(1, 3)))) for n in names)
+        for name in ["", "a", "aa", "m", "x", "x00", "x1", "y", "zz", "zzz", *names]:
+            linear = next((s for n, s in ctx.entries if n == name), SetType(()))
+            assert ctx.get(name) == linear
+
+
+def test_check_reports_the_first_failing_occurrence_in_term_order():
+    t = parse_term("\\u:{a}. f^(a -> a -> b -> a -> c) {x^a} {u^a} {y^b} {x^a}")
+    ctx = TypingContext.of({"f": parse_set_type("{a -> a -> b -> a -> c}")})
+    with pytest.raises(UnboundOrWrongAnnotation) as error:
+        check(ctx, t)
+    assert (error.value.variable, error.value.annotation) == ("x", Base("a"))
+    ctx = ctx.bind("x", parse_set_type("{a}")).bind("y", parse_set_type("{a}"))
+    with pytest.raises(UnboundOrWrongAnnotation) as error:
+        check(ctx, t)
+    assert str(error.value) == "occurrence y^b not covered by the context"
+
+
+def test_typing_a_wide_spine_takes_linear_memory():
+    # Shape G of tests/deep.py: n distinct free variables.  A set of free
+    # occurrences cached per node would hold O(n^2) pairs (342 MB traced
+    # at n = 4,000, against 11 MB without).  A fresh interpreter traces
+    # its allocations from before the import; its ru_maxrss would report
+    # the test process's high-water mark, which a forked child inherits.
+    script = (
+        "import sys, tracemalloc\n"
+        "tracemalloc.start()\n"
+        "from setlam import minimal_context, parse_term, synthesize_type\n"
+        "t = parse_term(sys.argv[1])\n"
+        "synthesize_type(t)\n"
+        "assert len(minimal_context(t).entries) == 4_001\n"
+        "print(tracemalloc.get_traced_memory()[1])\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run([sys.executable, "-c", script, shape("G", 4_000)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert int(out) < 100 * 2**20
 
 
 def test_check_unbound():
