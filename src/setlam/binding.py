@@ -86,7 +86,8 @@ def open_term(body: MemTerm | SetTerm, by_type: Mapping[Type, MemTerm]):
 
     Occurrences of the opened binder pick the substituent whose type
     equals their annotation; indices above the binder move down one.
-    Substituents must be locally closed.
+    A substituent's own loose indices are shifted past the binders
+    above each occurrence.
     """
     def pick(v):
         try:

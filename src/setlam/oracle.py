@@ -7,8 +7,13 @@ variable applied to strongly normalizing arguments, an abstraction with
 a strongly normalizing body, or a head redex whose contractum and
 argument are both strongly normalizing).  `infer_sn` follows that
 structure to build an annotated refinement of any strongly normalizing
-untyped term, re-checking its own output on every call.  It runs on the
-trampoline `syntax.run`, so only its fuel bounds its depth.
+untyped term, re-checking its own output on every call.  It infers
+under a binder without naming the bound variable (locally nameless
+style): a body is inferred as the open term it is, its bound variables
+stay indices, and each result carries the set-types its loose indices
+need, so a result is wrapped as it is and the typings and erasures
+cached on its nodes are reused.  It runs on the trampoline
+`syntax.run`, so only its fuel bounds its depth.
 """
 
 from __future__ import annotations
@@ -17,17 +22,16 @@ from collections import deque
 from itertools import count
 from typing import NamedTuple
 
-from .binding import close_term, locally_closed, subst_free, uopen
+from .binding import close_term, locally_closed, open_term, shift, uopen
 from .errors import (
     CycleDetected, FuelExhausted, IllTyped, NotSNWithinFuel,
 )
 from .syntax import (
-    App, Arrow, Base, Lam, MemTerm, Position, SetTerm, SetType,
-    Type, UApp, UBoundVar, ULam, UntypedTerm, UVar, Var, free_names,
-    pretty, replace_at, run, subterm_at,
+    App, Arrow, Base, BoundVar, Lam, MemTerm, Position, SetTerm, SetType,
+    Type, UApp, UBoundVar, ULam, UntypedTerm, UVar, Var, pretty, run,
 )
 from .reduction import normalize, redex_positions, require_plain, step
-from .typecheck import TypingContext, check, refines, synthesize_type
+from .typecheck import TypingContext, check, refines, subterm_type
 
 __all__ = [
     "Fuel", "ReductionGraph", "InferredTyping",
@@ -158,15 +162,27 @@ def head_subject_expansion(body: MemTerm, name: str, binder: SetType,
     type (head subject expansion), which is verified rather than
     trusted.
     """
-    by_type = {synthesize_type(e): e for e in arg.elements}
-    substituted = subst_free(body, name, by_type)
-    for a in args:
-        substituted = App(substituted, a)
-    expected = check(context, substituted)
-    expanded: MemTerm = App(Lam(name, binder, close_term(body, name)), arg)
+    return _expand(close_term(body, name), name, binder, arg, args, context)
+
+
+def _expand(body: MemTerm, hint: str, binder: SetType, arg: SetTerm,
+            args: list[SetTerm], context: TypingContext,
+            bound: TypingContext | None = None, expected: Type | None = None) -> MemTerm:
+    """head_subject_expansion on the nameless body of the abstraction.
+
+    With `bound` (`check`'s context of loose indices), the terms may be
+    open.  `expected` is the type of the substituted form when the
+    caller has already verified one under the same contexts.
+    """
+    if expected is None:
+        substituted = open_term(body, {subterm_type(e): e for e in arg.elements})
+        for a in args:
+            substituted = App(substituted, a)
+        expected = check(context, substituted, bound)
+    expanded: MemTerm = App(Lam(hint, binder, body), arg)
     for a in args:
         expanded = App(expanded, a)
-    actual = check(context, expanded)
+    actual = check(context, expanded, bound)
     if actual != expected:
         raise IllTyped(
             f"expansion changed the type: {pretty(expected)} -> {pretty(actual)}")
@@ -186,62 +202,74 @@ def infer_sn(m: UntypedTerm, fuel: Fuel = DEFAULT_FUEL) -> InferredTyping:
     checks at.  Head redexes are handled by inferring the contractum,
     un-substituting the argument copies (same-typed copies unified to
     one representative) and rebuilding through head subject expansion.
-    The result is re-verified on every call.  Fresh base types b0, b1,
-    ... and variables v0, v1, ... (avoiding the names free in m) are
-    drawn deterministically per run; each call spends one unit of
-    fuel.max_nodes.
+    Bound variables stay de Bruijn indices: a subterm under binders is
+    inferred as it is, open, and its result comes with the set-types its
+    loose indices need (`bound`, keyed by index), so an abstraction takes
+    its body's result as it is, and no variable is named.  Every result,
+    open ones included, is re-verified before it is returned.  Fresh
+    base types b0, b1, ... are drawn deterministically per run; each
+    call spends one unit of fuel.max_nodes.  The input must be locally
+    closed.
     """
-    avoid = free_names(m)
+    if not locally_closed(m):
+        raise ValueError("inference input must be locally closed")
     bases = (Base(f"b{i}") for i in count())
-    variables = (name for name in (f"v{i}" for i in count()) if name not in avoid)
     calls = iter(range(fuel.max_nodes))
 
     def infer(m):
+        """(typing, bound) of the possibly open m."""
         if next(calls, None) is None:
             raise NotSNWithinFuel("inference fuel exhausted")
         head, args = _spine(m)
         match head:
-            case UVar(name):
+            case UVar() | UBoundVar():
                 inferred = []
                 for a in args:
                     inferred.append((yield infer(a)))
                 result_type: Type = next(bases)
                 head_type = result_type
-                for sub in reversed(inferred):
+                for sub, _ in reversed(inferred):
                     head_type = Arrow(SetType.of([sub.type_]), head_type)
-                term: MemTerm = Var(name, head_type)
-                for sub in inferred:
+                names = [entry for sub, _ in inferred for entry in sub.context.entries]
+                indices = [entry for _, sub_bound in inferred for entry in sub_bound.entries]
+                if isinstance(head, UVar):
+                    term: MemTerm = Var(head.name, head_type)
+                    names.append((head.name, SetType.of([head_type])))
+                else:
+                    term = BoundVar(head.index, head_type)
+                    indices.append((head.index, SetType.of([head_type])))
+                for sub, _ in inferred:
                     term = App(term, SetTerm.of([sub.term]))
-                context = TypingContext.of([(name, SetType.of([head_type]))] + [
-                    entry for sub in inferred for entry in sub.context.entries])
-                result = InferredTyping(term, context, result_type)
+                result = InferredTyping(term, TypingContext.of(names), result_type)
+                bound = TypingContext.of(indices)
             case ULam(hint, body) if not args:
-                opened_name = next(variables)
-                sub = yield infer(uopen(body, UVar(opened_name)))
-                binder = sub.context.get(opened_name)
+                sub, sub_bound = yield infer(body)
+                binder = sub_bound.get(0)
                 if not binder.elements:  # a vacuous binder must be non-empty
                     binder = SetType.of([next(bases)])
                 result = InferredTyping(
-                    Lam(hint, binder, close_term(sub.term, opened_name)),
-                    sub.context.without(opened_name), Arrow(binder, sub.type_))
+                    Lam(hint, binder, sub.term), sub.context, Arrow(binder, sub.type_))
+                bound = TypingContext(tuple((i - 1, s) for i, s in sub_bound.entries if i))
             case ULam(hint, body):
-                result = yield from head_redex(hint, body, args[0], args[1:])
-            case UBoundVar():
-                raise AssertionError("inference input must be locally closed")
+                result, bound = yield from head_redex(hint, body, args[0], args[1:])
             case _:
                 raise TypeError(f"not an untyped term: {m!r}")
         if not refines(result.term, m):
             raise AssertionError("inference produced a non-refinement")
-        if check(result.context, result.term) != result.type_:
+        checked = check(result.context, result.term, bound)
+        if checked != result.type_:
             raise AssertionError("inference produced an ill-typed term")
-        return result
+        # Return the fold's own type object: the type built around it one
+        # return up then shares its key, and that comparison short-cuts on
+        # identity here.
+        return result._replace(type_=checked), bound
 
     def head_redex(hint, body, arg, rest):
         contractum = uopen(body, arg)
         for a in rest:
             contractum = UApp(contractum, a)
-        whole = yield infer(contractum)
-        arg_typing = yield infer(arg)
+        whole, bound = yield infer(contractum)
+        arg_typing, arg_bound = yield infer(arg)
 
         # Split the inferred term along the argument spine.
         spine_args: list[SetTerm] = []
@@ -252,14 +280,11 @@ def infer_sn(m: UntypedTerm, fuel: Fuel = DEFAULT_FUEL) -> InferredTyping:
             head_term = head_term.fun
         spine_args.reverse()
 
-        opened_name = next(variables)
-        copies: list[MemTerm] = []
-        unsubstituted = yield _unsubstitute(head_term, body, opened_name, 0, copies)
+        copies: list[tuple[Type, MemTerm]] = []
+        unsubstituted = yield _unsubstitute(head_term, body, 0, copies)
+        by_type: dict[Type, MemTerm] = {}
         if copies:
-            by_type: dict[Type, MemTerm] = {}
-            for copy in copies:
-                assert locally_closed(copy), "argument copy escapes its binders"
-                copy_type = synthesize_type(copy)
+            for copy_type, copy in copies:
                 if copy_type not in by_type or copy.key < by_type[copy_type].key:
                     by_type[copy_type] = copy
             binder = SetType.of(by_type)
@@ -269,18 +294,18 @@ def infer_sn(m: UntypedTerm, fuel: Fuel = DEFAULT_FUEL) -> InferredTyping:
             binder = SetType.of([arg_typing.type_])
             substituents = SetTerm.of([arg_typing.term])
             context = whole.context.union(arg_typing.context)
+            bound = bound.union(arg_bound)
 
-        # Unifying same-typed copies may have changed subterms of the body;
-        # head subject expansion re-checks the reassembled term.  Its
-        # abstraction then gets the original binder hint back.
-        expanded = head_subject_expansion(
-            unsubstituted, opened_name, binder, substituents, spine_args, context)
-        at = (0,) * (len(spine_args) + 1)
-        lam = subterm_at(expanded, at)
-        return InferredTyping(replace_at(expanded, at, Lam(hint, lam.binder, lam.body)),
-                              context, whole.type_)
+        # Where every copy is its type's representative, the substituted
+        # form is whole.term, whose type is already verified; otherwise
+        # unifying same-typed copies changed it, and it is re-checked.
+        # Head subject expansion re-checks the reassembled term.
+        unified = all(copy == by_type[copy_type] for copy_type, copy in copies)
+        expanded = _expand(unsubstituted, hint, binder, substituents, spine_args,
+                           context, bound, whole.type_ if unified else None)
+        return InferredTyping(expanded, context, whole.type_), bound
 
-    return run(infer(m))
+    return run(infer(m))[0]
 
 
 def _spine(m: UntypedTerm) -> tuple[UntypedTerm, list[UntypedTerm]]:
@@ -291,27 +316,36 @@ def _spine(m: UntypedTerm) -> tuple[UntypedTerm, list[UntypedTerm]]:
     return m, list(reversed(args))
 
 
-def _unsubstitute(term, pattern: UntypedTerm, name: str, depth: int, copies: list):
-    """Rewrite, at every position where `pattern` has the bound variable
-    `depth`, the corresponding subterm of `term` into an occurrence of
-    the free variable `name`; append the displaced subterms to copies,
-    in term order."""
+def _unsubstitute(term, pattern: UntypedTerm, depth: int, copies: list):
+    """Undo ``uopen`` on `term`, a refinement of an opened `pattern`.
+
+    At every occurrence of the opened binder (index `depth`) in
+    `pattern`, the subterm of `term` there becomes an occurrence of it
+    annotated with the subterm's type; the subterm, moved out from
+    under the `depth` binders above it, is appended to copies with that
+    type, in term order.  Indices pointing past the opened binder, which
+    the opening lowered, go back up by one.  A subtree of `pattern`
+    where neither occurs is returned as it is in `term`.
+    """
+    if pattern.loose < depth:
+        return term
     match pattern:
         case UBoundVar(index) if index == depth:
-            copies.append(term)
-            return Var(name, synthesize_type(term))
-        case UBoundVar() | UVar():
-            return term
+            copy_type = subterm_type(term)
+            copies.append((copy_type, shift(term, -depth)))
+            return BoundVar(depth, copy_type)
+        case UBoundVar(index):
+            return BoundVar(index, term.annot)
         case ULam(_, pbody):
             assert isinstance(term, Lam)
-            body = yield _unsubstitute(term.body, pbody, name, depth + 1, copies)
+            body = yield _unsubstitute(term.body, pbody, depth + 1, copies)
             return Lam(term.hint, term.binder, body)
         case UApp(pfun, parg):
             assert isinstance(term, App)
-            fun = yield _unsubstitute(term.fun, pfun, name, depth, copies)
+            fun = yield _unsubstitute(term.fun, pfun, depth, copies)
             elements = []
             for e in term.arg.elements:
-                elements.append((yield _unsubstitute(e, parg, name, depth, copies)))
+                elements.append((yield _unsubstitute(e, parg, depth, copies)))
             return App(fun, SetTerm.of(elements))
     raise TypeError(f"not an untyped term: {pattern!r}")
 

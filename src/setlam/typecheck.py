@@ -5,7 +5,8 @@ bottom-up by its annotations, and type synthesis never consults a
 context.  `check` adds the context audit for free occurrences: the
 `var` axiom at each free occurrence, read off the term itself in term
 order, through the `FREE_VAR` flag that lets the walk skip the subtrees
-without one.
+without one.  Given a context of de Bruijn indices, it also checks an
+open term, auditing the annotations of its loose indices.
 
 A node's typing is therefore a function of the node alone, and it is
 computed once: `_cached` folds a term bottom-up, children first, into
@@ -16,7 +17,8 @@ validates the annotations of the occurrences it binds and passes the
 others up.  The positional walk `_synth` runs only when the fold
 rejects a term, to report the first error in position order.  The
 erasure is cached the same way (`erasure`), so `refines` is a
-comparison with it.  The module also hosts the derivation checker for
+comparison with it, after which the node keeps the compared term as
+its erasure.  The module also hosts the derivation checker for
 the assignment system on untyped terms: derivations are explicit trees
 supplied as JSON, the checker validates each node against its rule
 schema, `decorate` turns a valid derivation into an annotated term and
@@ -55,7 +57,9 @@ __all__ = [
 class TypingContext(_Node):
     """Finite map from variable names to non-empty set-types.
 
-    Immutable, equal and hashed by its entries, which are its key."""
+    Immutable, equal and hashed by its entries, which are its key.  The
+    keys may be de Bruijn indices instead of names: `check` audits the
+    loose indices of an open term against such a context."""
 
     __match_args__ = ("entries",)
 
@@ -299,11 +303,23 @@ def _synth_set(s: SetTerm, binders: list[SetType], pos: list[int], offset: int,
     return SetType.of(types)
 
 
-def check(context: TypingContext, t: MemTerm | SetTerm) -> Type | SetType:
+def check(context: TypingContext, t: MemTerm | SetTerm,
+          bound: TypingContext | None = None) -> Type | SetType:
     """Synthesize, then audit every free occurrence against the context
     in term order: the first one whose annotation the context does not
-    hold for its name is reported."""
-    result = _typed(t, True)
+    hold for its name is reported.
+
+    With `bound`, a context keyed by de Bruijn index, t may be open:
+    the annotations of each index pointing outside t, read off its
+    cached typing, must lie in the set-type `bound` holds for it.
+    """
+    result = _typed(t, bound is None)
+    if bound is not None:
+        for index, annots in t.typing[1]:
+            held = bound.get(index)
+            if not all(annot in held for annot in annots):
+                first = next(a for a in SetType.of(annots) if a not in held)
+                raise UnboundOrWrongAnnotation(f"?{index}", first)
     for name, annot in free_occurrences(t):
         if annot not in context.get(name):
             raise UnboundOrWrongAnnotation(name, annot)
@@ -329,8 +345,19 @@ _NOT_UNIFORM = "not uniform"
 
 
 def refines(t: MemTerm | SetTerm, m: UntypedTerm) -> bool:
-    """Whether t erases, elementwise through set-terms, to m."""
-    return m == _cached(t, "erasure", _node_erasure)
+    """Whether t erases, elementwise through set-terms, to m.
+
+    On success t keeps m as its cached erasure: the two are equal, and
+    an erasure later built around t's then shares m's key, so comparing
+    it with a term built around m short-cuts on identity at m.
+    """
+    erasure = _cached(t, "erasure", _node_erasure)
+    if erasure is m:
+        return True
+    if m != erasure:
+        return False
+    t.__dict__["erasure"] = m
+    return True
 
 
 def erase(t: MemTerm | SetTerm) -> UntypedTerm:

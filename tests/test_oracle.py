@@ -4,7 +4,7 @@ import pytest
 
 from setlam import (
     CycleDetected, Fuel, FuelExhausted, IllTyped, NotSNWithinFuel,
-    Base, SetTerm, SetType, TypingContext, ULam, UVar, W, check, erase, explore, graph_to_dot,
+    Base, SetTerm, SetType, TypingContext, UApp, UBoundVar, ULam, UVar, W, check, erase, explore, graph_to_dot,
     graph_to_json_dict, head_subject_expansion, infer_sn, is_sn,
     longest_chain, normal_form, parse_set_type, parse_term, parse_type,
     parse_untyped, pretty, refines, synthesize_type,
@@ -12,6 +12,7 @@ from setlam import (
 
 import corpus
 from deep import shape
+from setlam import typecheck
 
 OMEGA = parse_untyped("(\\x. x x) (\\x. x x)")
 WRAPPED = parse_term("(\\x:{a}. y^b) {z^a [w^b]}")  # a plain redex, a wrapper
@@ -212,6 +213,28 @@ def test_infer_deep_binder_chain_runs_out_of_fuel():
         m = ULam("x", m)
     with pytest.raises(NotSNWithinFuel):
         infer_sn(m, Fuel(max_nodes=50, max_depth=50))
+
+
+def test_infer_rejects_an_open_input_before_any_work():
+    with pytest.raises(ValueError, match="locally closed"):
+        infer_sn(ULam("x", UBoundVar(1)), Fuel(max_nodes=0, max_depth=0))
+
+
+@pytest.mark.parametrize("n", [100, 200])
+def test_infer_binder_chain_types_each_node_once(n, monkeypatch):
+    # \x0. ... \x{n-1}. y x0 ... x{n-1}: every sub-result is wrapped as
+    # it is, so the typing fold runs once per node it builds (4n + 1).
+    m = UVar("y")
+    for i in range(n):
+        m = UApp(m, UBoundVar(n - 1 - i))
+    for _ in range(n):
+        m = ULam("x", m)
+    calls = []
+    node_typing = typecheck._node_typing
+    monkeypatch.setattr(typecheck, "_node_typing", lambda t: calls.append(t) or node_typing(t))
+    result = infer_sn(m, Fuel(max_nodes=10 * n, max_depth=10 * n))
+    assert erase(result.term) == m and check(result.context, result.term) == result.type_
+    assert len(calls) <= 5 * n
 
 
 def test_infer_vacuous_head_redex():

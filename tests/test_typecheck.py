@@ -172,6 +172,24 @@ def test_check_wrong_annotation():
         check(ctx, parse_term("x^a"))
 
 
+def test_check_open_term_audits_loose_indices_against_bound():
+    a, b = parse_type("a"), parse_type("b")
+    # ?1 {?0}, under binders ?1:{{a} -> b} and ?0:{a, b}
+    t = App(BoundVar(1, parse_type("{a} -> b")), SetTerm.of([BoundVar(0, a)]))
+    bound = TypingContext.of([(0, SetType.of([a, b])), (1, parse_set_type("{{a} -> b}"))])
+    assert check(TypingContext(), t, bound) == b
+    with pytest.raises(UnboundOrWrongAnnotation, match=r"occurrence \?0\^a not covered"):
+        check(TypingContext(), t, TypingContext.of([(0, SetType.of([b])), (1, bound.get(1))]))
+    with pytest.raises(UnboundOrWrongAnnotation, match=r"occurrence \?1\^"):
+        check(TypingContext(), t, TypingContext.of([(0, bound.get(0))]))
+    # free occurrences are audited as without `bound`
+    with pytest.raises(UnboundOrWrongAnnotation, match="occurrence y"):
+        check(TypingContext(), App(t.fun, SetTerm.of([Var("y", a)])), bound)
+    # without `bound`, an open term is refused as before
+    with pytest.raises(NotTypable, match="dangling bound variable"):
+        check(TypingContext(), t)
+
+
 # --- minimal context --------------------------------------------------------
 
 def test_minimal_context_application():
@@ -300,6 +318,17 @@ def test_erase_non_uniform():
 def test_refines_set_rule():
     assert refines(SetTerm.of([parse_term("x^a"), parse_term("x^b")]), parse_untyped("x"))
     assert not refines(SetTerm.of([parse_term("x^a"), parse_term("y^a")]), parse_untyped("x"))
+
+
+def test_refines_keeps_the_untyped_term_as_the_erasure():
+    t = parse_term(corpus.DUPLICATING)
+    m = parse_untyped(pretty(erase(t)))
+    assert m is not erase(t) and refines(t, m)
+    # the cached erasure is now m itself, so terms built around both
+    # compare by identity at m
+    assert erase(t) is m
+    assert refines(Lam("z", parse_set_type("{a}"), t), ULam("z", m))
+    assert not refines(t, parse_untyped("x")) and erase(t) is m
 
 
 def test_refines_fails_after_inner_step():
