@@ -101,9 +101,6 @@ class TypingContext(_Node):
         kept = tuple(e for e in self.entries if e[0] != name)
         return TypingContext.of(kept + ((name, s),))
 
-    def without(self, name: str) -> "TypingContext":
-        return TypingContext(tuple(e for e in self.entries if e[0] != name))
-
     def subset_of(self, other: "TypingContext") -> bool:
         return all(s.subset_of(other.get(n)) for n, s in self.entries)
 
@@ -349,7 +346,9 @@ def refines(t: MemTerm | SetTerm, m: UntypedTerm) -> bool:
 
     On success t keeps m as its cached erasure: the two are equal, and
     an erasure later built around t's then shares m's key, so comparing
-    it with a term built around m short-cuts on identity at m.
+    it with a term built around m short-cuts on identity at m.  `erase`
+    then returns m itself, whose binder hints, which identity ignores,
+    may differ from t's.
     """
     erasure = _cached(t, "erasure", _node_erasure)
     if erasure is m:
