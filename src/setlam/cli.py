@@ -99,7 +99,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_normalize(args) -> int:
     term = syntax.parse_term(_read(args.file))
     typecheck.synthesize_type(term)
-    normal, count = reduction.normalize(term, args.calculus, False, args.fuel)
+    normal, count = reduction.normalize(term, args.calculus, args.fuel)
     print(syntax.pretty(normal))
     print(f"steps: {count}")
     return 0

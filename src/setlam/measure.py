@@ -107,20 +107,23 @@ class MeasureReport(NamedTuple):
 def measure_report(t: MemTerm) -> MeasureReport:
     """Record every intermediate stage of the full simplification.
 
-    After the degree-k pass the remaining max-degree must be below k;
-    the report asserts that invariant stage by stage.
+    Each pass runs at the remaining max degree, so the degrees with no
+    redex left, whose passes change nothing, get no stage.  After the
+    degree-k pass the remaining max degree must be below k; the report
+    asserts that invariant stage by stage.
     """
     if not is_wrapper_free(t):
         raise IllTyped("the measure is defined on wrapper-free terms")
     synthesize_type(t)
     top = max_degree(t)
     stages = []
-    stage = t
-    for d in range(top, 0, -1):
+    stage, d = t, top
+    while d:
         stage = simp_d(stage, d)
         m = max_degree(stage)
         if m >= d:
             raise AssertionError(
                 f"simplification invariant broken: degree {m} after pass {d}")
         stages.append((d, stage, m))
+        d = m
     return MeasureReport(t, top, tuple(stages), stage, weight(stage))

@@ -96,9 +96,9 @@ def explore(t, calculus: str, fuel: Fuel = DEFAULT_FUEL) -> ReductionGraph:
 
 
 def normal_form(t, calculus: str, fuel: Fuel = DEFAULT_FUEL):
-    """Iterate leftmost-innermost steps to a redex-free term, at most
+    """Iterate leftmost-outermost steps to a redex-free term, at most
     fuel.max_depth of them."""
-    return normalize(t, calculus, True, fuel.max_depth)[0]
+    return normalize(t, calculus, fuel.max_depth)[0]
 
 
 def _longest_paths(graph: ReductionGraph) -> list[int] | None:

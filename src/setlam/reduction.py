@@ -228,29 +228,19 @@ def reduction_sequence(t, calculus: str, choose):
         found = redex_positions(t, calculus)
 
 
-def normalize(t, calculus: str, innermost: bool, max_steps: int):
-    """Reduce by the leftmost-innermost or leftmost-outermost redex until
-    none is left; returns (normal form, steps taken).
+def normalize(t, calculus: str, max_steps: int):
+    """Reduce by the leftmost-outermost redex until none is left; returns
+    (normal form, steps taken).
 
     Raises FuelExhausted when the normal form is more than `max_steps`
     steps away.
     """
-    choose = _leftmost_innermost if innermost else itemgetter(0)
     steps = 0
-    for _, t in islice(reduction_sequence(t, calculus, choose), max_steps):
+    for _, t in islice(reduction_sequence(t, calculus, itemgetter(0)), max_steps):
         steps += 1
     if steps == max_steps and redex_positions(t, calculus):
         raise FuelExhausted(f"no normal form within {max_steps} steps")
     return t, steps
-
-
-def _leftmost_innermost(found: list[Position]) -> Position:
-    # In lexicographic order a position's extensions follow it directly,
-    # so it is innermost when its successor does not extend it.
-    for pos, nxt in zip(found, found[1:]):
-        if nxt[:len(pos)] != pos:
-            return pos
-    return found[-1]
 
 
 def forgetful_reducts(t: MemTerm | SetTerm) -> list[tuple[Position, MemTerm | SetTerm]]:

@@ -14,15 +14,15 @@ computed once: `_cached` folds a term bottom-up, children first, into
 it visits (`typing`), so asking again, for the node or for a larger
 term built around it, costs only the new nodes.  An abstraction
 validates the annotations of the occurrences it binds and passes the
-others up.  The positional walk `_synth` runs only when the fold
-rejects a term, to report the first error in position order.  The
-erasure is cached the same way (`erasure`), so `refines` is a
-comparison with it, after which the node keeps the compared term as
-its erasure.  The module also hosts the derivation checker for
-the assignment system on untyped terms: derivations are explicit trees
-supplied as JSON, the checker validates each node against its rule
-schema, `decorate` turns a valid derivation into an annotated term and
-`erase_derivation` inverts it for uniform terms.  The walks over terms
+others up.  Where the fold rejects a term, `_first_error` reads the
+first error in position order off the cached typings, along one path
+from the root.  The erasure is cached the same way (`erasure`), so
+`refines` is a comparison with it, after which the node keeps the
+compared term as its erasure.  The module also hosts the derivation
+checker for the assignment system on untyped terms: derivations are
+explicit trees supplied as JSON, the checker validates each node
+against its rule schema, `decorate` turns a valid derivation into an
+annotated term and `erase_derivation` inverts it for uniform terms.  The walks over terms
 and derivations that follow their structure are plain recursions run
 on `syntax.run`, so they work at any depth.
 """
@@ -152,14 +152,13 @@ _ILL_FORMED = "ill-formed"
 def _typed(t, strict: bool) -> Type | SetType:
     """t's type, from its typing (type, loose occurrences).
 
-    Raises the positional walk's error where the fold rejects t, or,
-    when `strict`, where an index of t points outside it.
+    Raises the first error in position order where the fold rejects t,
+    or, when `strict`, where an index of t points outside it.
     """
     typing = _cached(t, "typing", _node_typing)
-    if typing is not _ILL_FORMED and not (strict and typing[1]):
-        return typing[0]
-    run(_synth(t, [], [], strict))
-    raise AssertionError("the typing fold rejects a term that synthesizes")
+    if typing is _ILL_FORMED or (strict and typing[1]):
+        raise _first_error(t, strict)
+    return typing[0]
 
 
 def _cached(t, attribute: str, node_value):
@@ -243,61 +242,64 @@ def _merge(typings: list) -> tuple:
     return tuple(sorted(by_index.items()))
 
 
-def _synth(t, binders: list[SetType], pos: list[int], strict: bool):
-    """The positional walk, run on `run`: raises the first error of t in
-    position order, with its position.  `binders` and `pos` are shared
-    lists that each sub-call extends and restores.  Typings come from
-    the fold; this walk runs only to report why the fold rejected a
-    term."""
-    match t:
-        case Var(_, annot):
-            return annot
-        case BoundVar(index, annot):
+def _first_error(t, strict: bool) -> NotTypable:
+    """The first error in position order of a t the fold rejects, or,
+    when `strict`, of one with an index pointing outside it: one path
+    down from the root through the parts that fail, reading only cached
+    typings.  A part fails when its typing is _ILL_FORMED, or a loose
+    index of it carries an annotation its enclosing binder lacks or,
+    when `strict`, points past every enclosing binder.  An application
+    reports its function, its type, its argument's elements, their
+    types, then the domain; a wrapper its payload before its head."""
+    binders: list[SetType] = []
+    pos: list[int] = []
+
+    def fails(node) -> bool:
+        if node.typing is _ILL_FORMED:
+            return True
+        for index, annots in node.typing[1]:
             if index >= len(binders):
-                if strict:
-                    raise NotTypable(tuple(pos), f"dangling bound variable {index}")
-            elif annot not in binders[-1 - index]:
-                raise NotTypable(tuple(pos), "occurrence annotation not in binder set")
-            return annot
-        case Lam(_, binder, body):
-            binders.append(binder)
-            pos.append(0)
-            body_type = yield _synth(body, binders, pos, strict)
-            binders.pop()
-            pos.pop()
-            return Arrow(binder, body_type)
-        case App(fun, arg):
-            pos.append(0)
-            fun_type = yield _synth(fun, binders, pos, strict)
-            pos.pop()
-            if not isinstance(fun_type, Arrow):
-                raise NotTypable(tuple(pos), f"applied term has non-arrow type {fun_type}")
-            arg_type = yield _synth_set(arg, binders, pos, 1, strict)
-            if arg_type != fun_type.domain:
-                raise NotTypable(
-                    tuple(pos), f"argument set-type {arg_type} != domain {fun_type.domain}")
-            return fun_type.codomain
-        case Wrap(head, payload):
-            yield _synth_set(payload, binders, pos, 1, strict)
-            pos.append(0)
-            head_type = yield _synth(head, binders, pos, strict)
-            pos.pop()
-            return head_type
-        case SetTerm():
-            return (yield _synth_set(t, binders, pos, 0, strict))
-    raise TypeError(f"not a term: {t!r}")
+                return strict  # sorted: every later index dangles too
+            if not all(a in binders[-1 - index] for a in annots):
+                return True
+        return False
 
-
-def _synth_set(s: SetTerm, binders: list[SetType], pos: list[int], offset: int,
-               strict: bool):
-    types = []
-    for i, e in enumerate(s.elements):
-        pos.append(offset + i)
-        types.append((yield _synth(e, binders, pos, strict)))
-        pos.pop()
-    if len(set(types)) != len(types):
-        raise NotTypable(tuple(pos), "set-term elements with equal types")
-    return SetType.of(types)
+    while True:
+        match t:
+            case BoundVar(index, _):
+                if index >= len(binders):
+                    return NotTypable(tuple(pos), f"dangling bound variable {index}")
+                return NotTypable(tuple(pos), "occurrence annotation not in binder set")
+            case Lam(_, binder, body):
+                binders.append(binder)
+                pos.append(0)
+                t = body
+                continue
+            case App(fun, _) if fails(fun):
+                pos.append(0)
+                t = fun
+                continue
+            case App(fun, _) if not isinstance(fun.typing[0], Arrow):
+                return NotTypable(tuple(pos), f"applied term has non-arrow type {fun.typing[0]}")
+            case App(_, s) | Wrap(_, s):
+                offset = 1
+            case SetTerm():
+                s, offset = t, 0
+            case _:
+                raise AssertionError(f"no typing error at {t!r}")
+        failing = next((i for i, e in enumerate(s.elements) if fails(e)), None)
+        if failing is not None:
+            pos.append(offset + failing)
+            t = s.elements[failing]
+            continue
+        types = SetType.of(e.typing[0] for e in s.elements)
+        if len(types) != len(s):
+            return NotTypable(tuple(pos), "set-term elements with equal types")
+        if isinstance(t, App):
+            domain = t.fun.typing[0].domain
+            return NotTypable(tuple(pos), f"argument set-type {types} != domain {domain}")
+        pos.append(0)
+        t = t.head
 
 
 def check(context: TypingContext, t: MemTerm | SetTerm,

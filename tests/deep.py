@@ -19,17 +19,11 @@ does not collect this file; `tests/test_cli.py` imports its shapes.
                                                       (and "( ... (y z) ... )")
     G  y^(a -> ... -> a) z0^a ... z{N-1}^a            a spine of N distinct variables
 
-Two kinds of run are skipped above a limit, with a line that says so:
-
-- `measure` on A and D above MEASURE_LIMIT.  It prints one
-  full-simplification stage per degree, and the degree of the redex of
-  A and of D grows with N, so its output has about N stages of about N
-  nodes each (200 MB at N = 4,000).
-- `graph` and `chains` on B, C, D and G above HASH_LIMIT.  `explore`
-  indexes terms by their hash, and hashing a key walks it on the C
-  stack: the key of B, C, D or G nests two levels per argument, and at
-  100,000 arguments the walk overflows the C stack and the interpreter
-  dies (SIGSEGV).
+`graph` and `chains` on B, C, D and G are skipped above HASH_LIMIT,
+with a line that says so.  `explore` indexes terms by their hash, and
+hashing a key walks it on the C stack: the key of B, C, D or G nests
+two levels per argument, and at 100,000 arguments the walk overflows
+the C stack and the interpreter dies (SIGSEGV).
 """
 
 from __future__ import annotations
@@ -43,7 +37,6 @@ import time
 
 from setlam.cli import main
 
-MEASURE_LIMIT = 2_000
 HASH_LIMIT = 50_000
 
 
@@ -95,8 +88,6 @@ def runs(n: int, directory: str):
     for name in "ABCDFG":
         for argv in TERM_COMMANDS:
             skip = None
-            if argv[0] == "measure" and name in "AD" and n > MEASURE_LIMIT:
-                skip = f"skipped above {MEASURE_LIMIT}: the output is quadratic"
             if argv[0] in ("graph", "chains") and name in "BCDG" and n > HASH_LIMIT:
                 skip = f"skipped above {HASH_LIMIT}: hashing the term overflows the C stack"
             yield name, [argv[0], paths[name], *argv[1:]], skip

@@ -206,17 +206,17 @@ def test_chains_argument_off_the_binder_exit_2(files, capsys):
 
 
 # Shapes of tests/deep.py at 10,000, each through commands that reach a
-# walker that no longer uses the interpreter stack: A's redex has degree
-# 10,000 (type_height, through the measure W), B is a spine of 10,000
-# arguments (the cached erasure, the printer), C the same spine
-# ill-typed at its root (_synth), D a redex at the bottom of such a
-# spine (develop, through W; the redex search, through simulate at
-# 3,000), E an untyped spine (the printer).  `measure` is left out: on A and D it
-# prints one stage of about 10,000 nodes per degree, 10,000 of them.
+# walker that does not use the interpreter stack: A's redex has degree
+# 10,000 (type_height and develop, through W and the measure report), B
+# is a spine of 10,000 arguments (the cached erasure, the printer), C the
+# same spine ill-typed at its root (the first error read off the typing
+# fold), D a redex at the bottom of such a spine (develop, through W and
+# the measure report; the redex search, through simulate at 3,000), E an
+# untyped spine (the printer).
 @pytest.mark.parametrize("name, argv", [
-    ("A", ["chains"]),
+    ("A", ["chains"]), ("A", ["measure"]),
     ("B", ["erase"]), ("B", ["normalize"]), ("B", ["reduce"]), ("B", ["graph"]),
-    ("D", ["chains"]),
+    ("D", ["chains"]), ("D", ["measure"]),
     ("E", ["graph", "--calculus=beta"]),
 ], ids=lambda v: v if isinstance(v, str) else "-".join(v))
 def test_deep_shape_through_a_command(name, argv, files, capsys):
@@ -225,6 +225,8 @@ def test_deep_shape_through_a_command(name, argv, files, capsys):
     assert (code, err) == (0, "")
     if argv[0] == "erase":
         assert out == "y" + " z" * 10_000 + "\n"
+    if argv[0] == "measure":  # one pass contracts the one redex
+        assert [stage["maxDegree"] for stage in json.loads(out)["stages"]] == [0]
 
 
 def test_deep_ill_typed_spine_exit_2(files, capsys):

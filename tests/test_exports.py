@@ -10,8 +10,9 @@ import setlam
 MODULES = ["syntax", "binding", "typecheck", "reduction", "measure", "oracle", "cli"]
 
 # Aliases, duplicated walks and second definitions of identity folded
-# into one canonical name each, unused constants, and the pieces of
-# walkers now written as one recursion on the trampoline.
+# into one canonical name each, unused constants, the pieces of walkers
+# now written as one recursion on the trampoline, the second typing walk
+# and the second normalization strategy.
 REMOVED = {
     "syntax": ["alpha_eq", "canonicalize", "untyped_key", "ufree_names",
                "untyped_size", "_children", "type_key", "settype_key",
@@ -22,10 +23,11 @@ REMOVED = {
                "_parse_aterm_atom", "_set_key", "_set_meta"],
     "binding": ["ushift", "uclose"],
     "typecheck": ["_fold_tree", "_typing", "_typing_of_set", "_erase", "_erase_set",
-                  "_erase_node", "_erase_set_node", "_check_node", "_premises"],
+                  "_erase_node", "_erase_set_node", "_check_node", "_premises",
+                  "_synth", "_synth_set"],
     "reduction": ["_develop", "_walk", "_collect_redexes", "_collect_beta",
                   "_par_set", "_is_redex", "_split_redex", "_lam_degree",
-                  "_elements_by_type", "_residual_position"],
+                  "_elements_by_type", "_residual_position", "_leftmost_innermost"],
     "measure": ["height", "_simp", "_wabs_degree"],
     "oracle": ["_has_cycle", "_label", "_FreshNames", "_FuelMeter", "_rename_binder",
                "_infer", "_infer_head_variable", "_infer_abstraction", "_infer_head_redex"],

@@ -1,7 +1,8 @@
 """Per-node metadata: the cached typing fold, `loose` and the flag bits.
 
 Each stored value is compared with a recomputation from scratch: the
-fold with the positional walk `_synth`, `loose` and the flags with a
+fold, and the first error `typecheck` reads off it, with the positional
+walk `_synth` kept here as the reference, `loose` and the flags with a
 walk over every subterm, the pruned redex search and the pruned walks
 over free occurrences with the unpruned filters.  The index operations
 of `binding` must visit only the nodes they rebuild and hand back the
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from setlam import (
-    App, Base, BoundVar, Lam, NotTypable, SetTerm, SetType, UBoundVar,
+    App, Arrow, Base, BoundVar, Lam, NotTypable, SetTerm, SetType, UBoundVar,
     ULam, UVar, Var, Wrap, erase, parse_term, step_im, synthesize_type,
 )
 from setlam import binding, syntax, typecheck
@@ -34,6 +35,62 @@ CORPUS_SETTINGS = settings(
     suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
+def _synth(t, binders: list[SetType], pos: list[int], strict: bool):
+    """The reference positional walk, run on `run`: raises the first
+    error of t in position order, with its position.  `binders` and `pos`
+    are shared lists that each sub-call extends and restores.  It derives
+    every type itself and reads no cached typing."""
+    match t:
+        case Var(_, annot):
+            return annot
+        case BoundVar(index, annot):
+            if index >= len(binders):
+                if strict:
+                    raise NotTypable(tuple(pos), f"dangling bound variable {index}")
+            elif annot not in binders[-1 - index]:
+                raise NotTypable(tuple(pos), "occurrence annotation not in binder set")
+            return annot
+        case Lam(_, binder, body):
+            binders.append(binder)
+            pos.append(0)
+            body_type = yield _synth(body, binders, pos, strict)
+            binders.pop()
+            pos.pop()
+            return Arrow(binder, body_type)
+        case App(fun, arg):
+            pos.append(0)
+            fun_type = yield _synth(fun, binders, pos, strict)
+            pos.pop()
+            if not isinstance(fun_type, Arrow):
+                raise NotTypable(tuple(pos), f"applied term has non-arrow type {fun_type}")
+            arg_type = yield _synth_set(arg, binders, pos, 1, strict)
+            if arg_type != fun_type.domain:
+                raise NotTypable(
+                    tuple(pos), f"argument set-type {arg_type} != domain {fun_type.domain}")
+            return fun_type.codomain
+        case Wrap(head, payload):
+            yield _synth_set(payload, binders, pos, 1, strict)
+            pos.append(0)
+            head_type = yield _synth(head, binders, pos, strict)
+            pos.pop()
+            return head_type
+        case SetTerm():
+            return (yield _synth_set(t, binders, pos, 0, strict))
+    raise TypeError(f"not a term: {t!r}")
+
+
+def _synth_set(s: SetTerm, binders: list[SetType], pos: list[int], offset: int,
+               strict: bool):
+    types = []
+    for i, e in enumerate(s.elements):
+        pos.append(offset + i)
+        types.append((yield _synth(e, binders, pos, strict)))
+        pos.pop()
+    if len(set(types)) != len(types):
+        raise NotTypable(tuple(pos), "set-term elements with equal types")
+    return SetType.of(types)
+
+
 def _outcome(f, t):
     try:
         return "ok", f(t)
@@ -43,7 +100,7 @@ def _outcome(f, t):
 
 def _assert_fold_matches_walk(t):
     for strict, typed in ((True, synthesize_type), (False, subterm_type)):
-        walked = _outcome(lambda u: syntax.run(typecheck._synth(u, [], [], strict)), t)
+        walked = _outcome(lambda u: syntax.run(_synth(u, [], [], strict)), t)
         assert _outcome(typed, t) == walked
     rejected = typecheck._cached(t, "typing", typecheck._node_typing) is typecheck._ILL_FORMED
     assert rejected == (_outcome(subterm_type, t)[0] == "error")

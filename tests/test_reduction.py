@@ -442,7 +442,7 @@ def test_project_step_budget_zero():
 # --- the wrapper-free guard and the binder check ----------------------------
 
 def test_plain_stepping_refuses_wrapped_terms():
-    for run in (lambda: step_i(WRAPPED, ()), lambda: normalize(WRAPPED, "i", False, 5),
+    for run in (lambda: step_i(WRAPPED, ()), lambda: normalize(WRAPPED, "i", 5),
                 lambda: complete_development(WRAPPED, "i"),
                 lambda: parallel_reducts(WRAPPED, "i")):
         with pytest.raises(IllTyped, match="plain reduction is defined on wrapper-free terms"):
@@ -454,10 +454,10 @@ def test_plain_stepping_refuses_wrapped_terms():
 
 def test_plain_guard_is_checked_at_the_first_step_only():
     with pytest.raises(FuelExhausted):
-        normalize(WRAPPED, "i", False, 0)
+        normalize(WRAPPED, "i", 0)
     no_plain_redex = parse_term("y^b [z^a]")
-    assert normalize(no_plain_redex, "i", False, 5) == (no_plain_redex, 0)
-    assert normalize(WRAPPED, "im", False, 5) == (parse_term("y^b [z^a [w^b]]"), 1)
+    assert normalize(no_plain_redex, "i", 5) == (no_plain_redex, 0)
+    assert normalize(WRAPPED, "im", 5) == (parse_term("y^b [z^a [w^b]]"), 1)
 
 
 def test_not_a_redex_names_the_calculus():

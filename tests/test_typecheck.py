@@ -19,7 +19,7 @@ from setlam import (
     parse_term, parse_type, parse_untyped, pretty, refines, set_type_of,
     synthesize_type, step_i,
 )
-from setlam.typecheck import canonical_derivation
+from setlam.typecheck import canonical_derivation, subterm_type
 
 import corpus
 from deep import shape
@@ -83,6 +83,50 @@ def test_synthesize_wrapper_payload_checked():
     assert synthesize_type(parse_term("y^a [z^b]")) == Base("a")
     with pytest.raises(NotTypable):
         synthesize_type(parse_term("y^a [z^b w^c]"))
+
+
+def _error(typed, t) -> tuple:
+    with pytest.raises(NotTypable) as error:
+        typed(t)
+    return error.value.position, error.value.reason
+
+
+def test_non_arrow_function_reported_before_an_ill_typed_argument():
+    assert _error(synthesize_type, parse_term("x^a {w^b {z^a}}")) == (
+        (), "applied term has non-arrow type a")
+
+
+def test_wrapper_payload_reported_before_its_head():
+    assert _error(synthesize_type, parse_term("(x^a {y^a}) [w^b {z^a}]")) == (
+        (1,), "applied term has non-arrow type b")
+    assert _error(synthesize_type, parse_term("(x^a {y^a}) [z^b, w^b]")) == (
+        (), "set-term elements with equal types")
+
+
+def test_bad_occurrence_in_an_earlier_sibling_reported_first():
+    # the fold rejects the body for the later sibling and never checks
+    # x^b against its binder; x^b comes first, so its error is reported
+    t = parse_term("\\x:{a}. y^({b} -> d) {x^b, w^a {z^a}}")
+    assert _error(synthesize_type, t) == ((0, 1), "occurrence annotation not in binder set")
+
+
+def test_dangling_index_rejected_by_synthesis_trusted_by_subterm_type():
+    a, b = Base("a"), Base("b")
+    fun = BoundVar(1, parse_type("{a} -> b"))
+    t = Lam("x", SetType.of([a]), App(fun, SetTerm.of([BoundVar(0, a)])))
+    assert _error(synthesize_type, t) == ((0, 0), "dangling bound variable 1")
+    assert subterm_type(t) == parse_type("{a} -> b")
+    bad = Lam("x", SetType.of([a]), App(fun, SetTerm.of([BoundVar(0, b)])))
+    assert _error(synthesize_type, bad) == ((0, 0), "dangling bound variable 1")
+    assert _error(subterm_type, bad) == ((0, 1), "occurrence annotation not in binder set")
+
+
+def test_bad_annotation_at_the_bottom_of_a_deep_binder_chain():
+    n = 20_000
+    t = BoundVar(n - 1, Base("b"))
+    for _ in range(n):
+        t = Lam("x", SetType.of([Base("a")]), t)
+    assert _error(synthesize_type, t) == ((0,) * n, "occurrence annotation not in binder set")
 
 
 def test_set_type_of_bijection():
