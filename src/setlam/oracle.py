@@ -9,11 +9,11 @@ argument are both strongly normalizing).  `infer_sn` follows that
 structure to build an annotated refinement of any strongly normalizing
 untyped term, re-checking its own output on every call.  It infers
 under a binder without naming the bound variable (locally nameless
-style): a body is inferred as the open term it is, its bound variables
-stay indices, and each result carries the set-types its loose indices
-need, so a result is wrapped as it is and the typings and erasures
-cached on its nodes are reused.  It runs on the trampoline
-`syntax.run`, so only its fuel bounds its depth.
+style): a body is inferred as the open term it is and its bound
+variables stay indices, so a result is wrapped as it is and the
+typings and erasures cached on its nodes are reused; a binder's
+set-type and the root's context are read off the term it builds.  It
+runs on the trampoline `syntax.run`, so only its fuel bounds its depth.
 """
 
 from __future__ import annotations
@@ -31,7 +31,9 @@ from .syntax import (
     Type, UApp, UBoundVar, ULam, UntypedTerm, UVar, Var, pretty, run,
 )
 from .reduction import normalize, redex_positions, require_plain, step
-from .typecheck import TypingContext, check, refines, subterm_type
+from .typecheck import (
+    TypingContext, binder_types, check, minimal_context, refines, subterm_type,
+)
 
 __all__ = [
     "Fuel", "ReductionGraph", "InferredTyping",
@@ -157,32 +159,32 @@ def head_subject_expansion(body: MemTerm, name: str, binder: SetType,
                            context: TypingContext) -> MemTerm:
     """Reassemble ``(\\name:binder. body) arg args...`` and re-check it.
 
-    The substituted form ``body{name := arg} args...`` must be typable
-    under the context; the reassembled application then has the same
-    type (head subject expansion), which is verified rather than
-    trusted.
+    The reassembled application must check under the context, and have
+    the type of the substituted form ``body{name := arg} args...``
+    (head subject expansion), which is verified rather than trusted.
+    Every free occurrence of the substituted form occurs in the
+    reassembled term, so the one check covers both.
     """
-    return _expand(close_term(body, name), name, binder, arg, args, context)
+    expanded = _expand(close_term(body, name), name, binder, arg, args)
+    check(context, expanded)
+    return expanded
 
 
 def _expand(body: MemTerm, hint: str, binder: SetType, arg: SetTerm,
-            args: list[SetTerm], context: TypingContext,
-            bound: TypingContext | None = None, expected: Type | None = None) -> MemTerm:
-    """head_subject_expansion on the nameless body of the abstraction.
-
-    With `bound` (`check`'s context of loose indices), the terms may be
-    open.  `expected` is the type of the substituted form when the
-    caller has already verified one under the same contexts.
+            args: list[SetTerm], expected: Type | None = None) -> MemTerm:
+    """head_subject_expansion on the nameless body of the abstraction,
+    without the context: the terms may be open.  `expected` is the type
+    of the substituted form when the caller has already verified one.
     """
     if expected is None:
         substituted = open_term(body, {subterm_type(e): e for e in arg.elements})
         for a in args:
             substituted = App(substituted, a)
-        expected = check(context, substituted, bound)
+        expected = subterm_type(substituted)
     expanded: MemTerm = App(Lam(hint, binder, body), arg)
     for a in args:
         expanded = App(expanded, a)
-    actual = check(context, expanded, bound)
+    actual = subterm_type(expanded)
     if actual != expected:
         raise IllTyped(
             f"expansion changed the type: {pretty(expected)} -> {pretty(actual)}")
@@ -203,13 +205,15 @@ def infer_sn(m: UntypedTerm, fuel: Fuel = DEFAULT_FUEL) -> InferredTyping:
     un-substituting the argument copies (same-typed copies unified to
     one representative) and rebuilding through head subject expansion.
     Bound variables stay de Bruijn indices: a subterm under binders is
-    inferred as it is, open, and its result comes with the set-types its
-    loose indices need (`bound`, keyed by index), so an abstraction takes
-    its body's result as it is, and no variable is named.  Every result,
-    open ones included, is re-verified before it is returned.  Fresh
-    base types b0, b1, ... are drawn deterministically per run; each
-    call spends one unit of fuel.max_nodes.  The input must be locally
-    closed.
+    inferred as it is, open, so an abstraction takes its body's result
+    as it is, and no variable is named.  As the term is its own typing
+    derivation, a binder's set-type is read off its body
+    (`binder_types`) and the context off the root (`minimal_context`).
+    Every result, open ones included, is re-verified before it is
+    returned: it refines its input and has the type inferred for it.
+    Fresh base types b0, b1, ... are drawn deterministically per run;
+    each call spends one unit of fuel.max_nodes.  The input must be
+    locally closed.
     """
     if not locally_closed(m):
         raise ValueError("inference input must be locally closed")
@@ -217,7 +221,7 @@ def infer_sn(m: UntypedTerm, fuel: Fuel = DEFAULT_FUEL) -> InferredTyping:
     calls = iter(range(fuel.max_nodes))
 
     def infer(m):
-        """(typing, bound) of the possibly open m."""
+        """(term, type) of the possibly open m."""
         if next(calls, None) is None:
             raise NotSNWithinFuel("inference fuel exhausted")
         head, args = _spine(m)
@@ -226,54 +230,46 @@ def infer_sn(m: UntypedTerm, fuel: Fuel = DEFAULT_FUEL) -> InferredTyping:
                 inferred = []
                 for a in args:
                     inferred.append((yield infer(a)))
-                result_type: Type = next(bases)
-                head_type = result_type
-                for sub, _ in reversed(inferred):
-                    head_type = Arrow(SetType.of([sub.type_]), head_type)
-                names = [entry for sub, _ in inferred for entry in sub.context.entries]
-                indices = [entry for _, sub_bound in inferred for entry in sub_bound.entries]
+                type_: Type = next(bases)
+                head_type = type_
+                for _, sub_type in reversed(inferred):
+                    head_type = Arrow(SetType.of([sub_type]), head_type)
                 if isinstance(head, UVar):
                     term: MemTerm = Var(head.name, head_type)
-                    names.append((head.name, SetType.of([head_type])))
                 else:
                     term = BoundVar(head.index, head_type)
-                    indices.append((head.index, SetType.of([head_type])))
-                for sub, _ in inferred:
-                    term = App(term, SetTerm.of([sub.term]))
-                result = InferredTyping(term, TypingContext.of(names), result_type)
-                bound = TypingContext.of(indices)
+                for sub_term, _ in inferred:
+                    term = App(term, SetTerm.of([sub_term]))
             case ULam(hint, body) if not args:
-                sub, sub_bound = yield infer(body)
-                binder = sub_bound.get(0)
+                sub_term, sub_type = yield infer(body)
+                binder = binder_types(sub_term)
                 if not binder.elements:  # a vacuous binder must be non-empty
                     binder = SetType.of([next(bases)])
-                result = InferredTyping(
-                    Lam(hint, binder, sub.term), sub.context, Arrow(binder, sub.type_))
-                bound = TypingContext(tuple((i - 1, s) for i, s in sub_bound.entries if i))
+                term, type_ = Lam(hint, binder, sub_term), Arrow(binder, sub_type)
             case ULam(hint, body):
-                result, bound = yield from head_redex(hint, body, args[0], args[1:])
+                term, type_ = yield from head_redex(hint, body, args[0], args[1:])
             case _:
                 raise TypeError(f"not an untyped term: {m!r}")
-        if not refines(result.term, m):
+        if not refines(term, m):
             raise AssertionError("inference produced a non-refinement")
-        checked = check(result.context, result.term, bound)
-        if checked != result.type_:
+        checked = subterm_type(term)
+        if checked != type_:
             raise AssertionError("inference produced an ill-typed term")
         # Return the fold's own type object: the type built around it one
         # return up then shares its key, and that comparison short-cuts on
         # identity here.
-        return result._replace(type_=checked), bound
+        return term, checked
 
     def head_redex(hint, body, arg, rest):
         contractum = uopen(body, arg)
         for a in rest:
             contractum = UApp(contractum, a)
-        whole, bound = yield infer(contractum)
-        arg_typing, arg_bound = yield infer(arg)
+        whole_term, whole_type = yield infer(contractum)
+        arg_term, arg_type = yield infer(arg)
 
         # Split the inferred term along the argument spine.
         spine_args: list[SetTerm] = []
-        head_term = whole.term
+        head_term = whole_term
         for _ in rest:
             assert isinstance(head_term, App)
             spine_args.append(head_term.arg)
@@ -289,23 +285,21 @@ def infer_sn(m: UntypedTerm, fuel: Fuel = DEFAULT_FUEL) -> InferredTyping:
                     by_type[copy_type] = copy
             binder = SetType.of(by_type)
             substituents = SetTerm.of(by_type.values())
-            context = whole.context
         else:
-            binder = SetType.of([arg_typing.type_])
-            substituents = SetTerm.of([arg_typing.term])
-            context = whole.context.union(arg_typing.context)
-            bound = bound.union(arg_bound)
+            binder = SetType.of([arg_type])
+            substituents = SetTerm.of([arg_term])
 
         # Where every copy is its type's representative, the substituted
-        # form is whole.term, whose type is already verified; otherwise
+        # form is whole_term, whose type is already verified; otherwise
         # unifying same-typed copies changed it, and it is re-checked.
         # Head subject expansion re-checks the reassembled term.
         unified = all(copy == by_type[copy_type] for copy_type, copy in copies)
         expanded = _expand(unsubstituted, hint, binder, substituents, spine_args,
-                           context, bound, whole.type_ if unified else None)
-        return InferredTyping(expanded, context, whole.type_), bound
+                           whole_type if unified else None)
+        return expanded, whole_type
 
-    return run(infer(m))[0]
+    term, type_ = run(infer(m))
+    return InferredTyping(term, minimal_context(term), type_)
 
 
 def _spine(m: UntypedTerm) -> tuple[UntypedTerm, list[UntypedTerm]]:

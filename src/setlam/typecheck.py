@@ -5,8 +5,7 @@ bottom-up by its annotations, and type synthesis never consults a
 context.  `check` adds the context audit for free occurrences: the
 `var` axiom at each free occurrence, read off the term itself in term
 order, through the `FREE_VAR` flag that lets the walk skip the subtrees
-without one.  Given a context of de Bruijn indices, it also checks an
-open term, auditing the annotations of its loose indices.
+without one.
 
 A node's typing is therefore a function of the node alone, and it is
 computed once: `_cached` folds a term bottom-up, children first, into
@@ -57,9 +56,7 @@ __all__ = [
 class TypingContext(_Node):
     """Finite map from variable names to non-empty set-types.
 
-    Immutable, equal and hashed by its entries, which are its key.  The
-    keys may be de Bruijn indices instead of names: `check` audits the
-    loose indices of an open term against such a context."""
+    Immutable, equal and hashed by its entries, which are its key."""
 
     __match_args__ = ("entries",)
 
@@ -92,9 +89,6 @@ class TypingContext(_Node):
         if i < len(self.entries) and self.entries[i][0] == name:
             return self.entries[i][1]
         return SetType(())
-
-    def union(self, other: "TypingContext") -> "TypingContext":
-        return TypingContext.of(self.entries + other.entries)
 
     def bind(self, name: str, s: SetType) -> "TypingContext":
         """Context update: any previous binding of `name` is replaced."""
@@ -302,23 +296,12 @@ def _first_error(t, strict: bool) -> NotTypable:
         t = t.head
 
 
-def check(context: TypingContext, t: MemTerm | SetTerm,
-          bound: TypingContext | None = None) -> Type | SetType:
+def check(context: TypingContext, t: MemTerm | SetTerm) -> Type | SetType:
     """Synthesize, then audit every free occurrence against the context
     in term order: the first one whose annotation the context does not
     hold for its name is reported.
-
-    With `bound`, a context keyed by de Bruijn index, t may be open:
-    the annotations of each index pointing outside t, read off its
-    cached typing, must lie in the set-type `bound` holds for it.
     """
-    result = _typed(t, bound is None)
-    if bound is not None:
-        for index, annots in t.typing[1]:
-            held = bound.get(index)
-            if not all(annot in held for annot in annots):
-                first = next(a for a in SetType.of(annots) if a not in held)
-                raise UnboundOrWrongAnnotation(f"?{index}", first)
+    result = _typed(t, True)
     for name, annot in free_occurrences(t):
         if annot not in context.get(name):
             raise UnboundOrWrongAnnotation(name, annot)
@@ -333,6 +316,15 @@ def minimal_context(t: MemTerm | SetTerm) -> TypingContext:
     for name, annot in free_occurrences(t):
         groups.setdefault(name, []).append(annot)
     return TypingContext.of((n, SetType.of(ts)) for n, ts in groups.items())
+
+
+def binder_types(body: MemTerm) -> SetType:
+    """The least set-type an abstraction over the possibly open body can
+    bind: the annotations of body's occurrences of index 0, read off its
+    cached typing; empty when the binder would be vacuous."""
+    subterm_type(body)
+    loose = body.typing[1]
+    return SetType.of(loose[0][1]) if loose and loose[0][0] == 0 else SetType(())
 
 
 # ---------------------------------------------------------------------------

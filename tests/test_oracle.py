@@ -3,16 +3,16 @@
 import pytest
 
 from setlam import (
-    CycleDetected, Fuel, FuelExhausted, IllTyped, NotSNWithinFuel,
+    CycleDetected, Fuel, FuelExhausted, IllTyped, NotSNWithinFuel, UnboundOrWrongAnnotation,
     Base, SetTerm, SetType, TypingContext, UApp, UBoundVar, ULam, UVar, W, check, erase, explore, graph_to_dot,
     graph_to_json_dict, head_subject_expansion, infer_sn, is_sn,
-    longest_chain, normal_form, parse_set_type, parse_term, parse_type,
+    longest_chain, minimal_context, normal_form, parse_set_type, parse_term, parse_type,
     parse_untyped, pretty, refines, synthesize_type,
 )
 
 import corpus
 from deep import shape
-from setlam import typecheck
+from setlam import syntax, typecheck
 
 OMEGA = parse_untyped("(\\x. x x) (\\x. x x)")
 WRAPPED = parse_term("(\\x:{a}. y^b) {z^a [w^b]}")  # a plain redex, a wrapper
@@ -185,6 +185,15 @@ def test_head_subject_expansion_with_trailing_args():
         "(\\x:{{a} -> b -> c}. x^({a} -> b -> c) u^a) f^({a} -> b -> c) v^b")
 
 
+def test_head_subject_expansion_audits_the_argument_against_the_context():
+    # s^b occurs only in the argument, which the vacuous body drops
+    with pytest.raises(UnboundOrWrongAnnotation, match="occurrence s"):
+        head_subject_expansion(
+            parse_term("t^c"), "x", parse_set_type("{b}"),
+            SetTerm.of([parse_term("s^b")]), [],
+            TypingContext.of({"t": parse_set_type("{c}"), "s": parse_set_type("{a}")}))
+
+
 def test_head_subject_expansion_ill_typed():
     with pytest.raises(IllTyped):
         head_subject_expansion(
@@ -237,6 +246,27 @@ def test_infer_binder_chain_types_each_node_once(n, monkeypatch):
     assert len(calls) <= 5 * n
 
 
+@pytest.mark.parametrize("n", [100, 200])
+def test_infer_visits_each_node_a_bounded_number_of_times(n, monkeypatch):
+    # \x0. ... \x{n-1}. y, then the same chain over y x0 ... x{n-1}:
+    # re-verifying every return walks no path from the root again.
+    chain = UVar("y")
+    spine = UVar("y")
+    for i in range(n):
+        spine = UApp(spine, UBoundVar(n - 1 - i))
+    for _ in range(n):
+        chain, spine = ULam("x", chain), ULam("x", spine)
+    fuel = Fuel(max_nodes=10 * n, max_depth=10 * n)
+    for m, limit in [(chain, 3 * n + 1), (spine, 5 * n + 1)]:
+        calls = []
+        children = syntax.children
+        monkeypatch.setattr(syntax, "children", lambda t: calls.append(t) or children(t))
+        result = infer_sn(m, fuel)
+        monkeypatch.undo()
+        assert erase(result.term) == m and check(result.context, result.term) == result.type_
+        assert len(calls) <= limit
+
+
 def test_infer_vacuous_head_redex():
     result = infer_sn(parse_untyped("(\\x. y) z"))
     assert erase(result.term) == parse_untyped("(\\x. y) z")
@@ -270,6 +300,7 @@ def test_infer_results_recheck(sn_samples):
         assert erase(inferred.term) == m
         assert check(inferred.context, inferred.term) == inferred.type_
         assert synthesize_type(inferred.term) == inferred.type_
+        assert inferred.context == minimal_context(inferred.term)
 
 
 def test_infer_agrees_with_is_sn(sn_samples):

@@ -19,7 +19,7 @@ from setlam import (
     parse_term, parse_type, parse_untyped, pretty, refines, set_type_of,
     synthesize_type, step_i,
 )
-from setlam.typecheck import canonical_derivation, subterm_type
+from setlam.typecheck import binder_types, canonical_derivation, subterm_type
 
 import corpus
 from deep import shape
@@ -216,22 +216,28 @@ def test_check_wrong_annotation():
         check(ctx, parse_term("x^a"))
 
 
-def test_check_open_term_audits_loose_indices_against_bound():
-    a, b = parse_type("a"), parse_type("b")
-    # ?1 {?0}, under binders ?1:{{a} -> b} and ?0:{a, b}
-    t = App(BoundVar(1, parse_type("{a} -> b")), SetTerm.of([BoundVar(0, a)]))
-    bound = TypingContext.of([(0, SetType.of([a, b])), (1, parse_set_type("{{a} -> b}"))])
-    assert check(TypingContext(), t, bound) == b
-    with pytest.raises(UnboundOrWrongAnnotation, match=r"occurrence \?0\^a not covered"):
-        check(TypingContext(), t, TypingContext.of([(0, SetType.of([b])), (1, bound.get(1))]))
-    with pytest.raises(UnboundOrWrongAnnotation, match=r"occurrence \?1\^"):
-        check(TypingContext(), t, TypingContext.of([(0, bound.get(0))]))
-    # free occurrences are audited as without `bound`
-    with pytest.raises(UnboundOrWrongAnnotation, match="occurrence y"):
-        check(TypingContext(), App(t.fun, SetTerm.of([Var("y", a)])), bound)
-    # without `bound`, an open term is refused as before
+def test_check_refuses_an_open_term():
+    # ?1 {?0}: both indices point outside the term
+    t = App(BoundVar(1, parse_type("{a} -> b")), SetTerm.of([BoundVar(0, parse_type("a"))]))
     with pytest.raises(NotTypable, match="dangling bound variable"):
         check(TypingContext(), t)
+
+
+def test_binder_types_reads_the_annotations_of_index_0():
+    a, b, arrow = parse_type("a"), parse_type("b"), parse_type("{a} -> b")
+    # ?0^({a} -> b) {?0^a}: both annotations of index 0
+    t = App(BoundVar(0, arrow), SetTerm.of([BoundVar(0, a)]))
+    assert binder_types(t) == SetType.of([a, arrow])
+    # ?1^({a} -> b) {?0^a}: index 1 is another binder's and is ignored
+    t = App(BoundVar(1, arrow), SetTerm.of([BoundVar(0, a)]))
+    assert binder_types(t) == SetType.of([a])
+    assert binder_types(BoundVar(2, b)) == SetType(())
+    # a vacuous body, closed or open
+    assert binder_types(parse_term("y^a")) == SetType(())
+    assert binder_types(parse_term("\\x:{a}. x^a")) == SetType(())
+    # a bound occurrence under a binder inside the body is that binder's
+    inner = Lam("x", SetType.of([a]), App(BoundVar(1, arrow), SetTerm.of([BoundVar(0, a)])))
+    assert binder_types(inner) == SetType.of([arrow])
 
 
 # --- minimal context --------------------------------------------------------
