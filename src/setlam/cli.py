@@ -1,11 +1,12 @@
 """Command-line front end: batch commands over term and derivation files.
 
 Term files hold UTF-8 text in the concrete grammar of `setlam.syntax`;
-derivation files hold the JSON schema of `setlam.typecheck`.  All JSON
+derivation files hold the JSON schema of `setlam.derivation`.  All JSON
 outputs carry a "formatVersion" field and are byte-identical for
-identical inputs and flags.
+identical inputs and flags.  Each command imports the modules it runs
+when it runs, since every command starts a fresh interpreter.
 
-Exit codes: 0 ok, 1 parse error, 2 type or derivation error or bad
+Exit codes: 0 ok, 1 parse or read error, 2 type or derivation error or bad
 usage, 3 non-uniform term, 4 fuel/SN/search failure or input nested too
 deeply (derivation JSON nested beyond about 20,000 levels), 5 internal
 invariant violation (always a bug).
@@ -14,13 +15,11 @@ invariant violation (always a bug).
 from __future__ import annotations
 
 import argparse
-import json
-import random
 import sys
 from itertools import islice
 from operator import itemgetter
 
-from . import measure, oracle, reduction, syntax, typecheck
+from . import syntax, typecheck
 from .errors import (
     CycleDetected, FuelExhausted, IllTyped, InvalidDerivation,
     InvalidPosition, NotARedex, NotSNWithinFuel, NotUniform, ParseError,
@@ -54,6 +53,7 @@ def _count(text: str) -> int:
 
 
 def _emit_json(data: dict) -> None:
+    import json
     print(json.dumps(data, indent=2))
 
 
@@ -73,13 +73,20 @@ def _cmd_erase(args) -> int:
 
 
 def _cmd_decorate(args) -> int:
-    derivation = typecheck.derivation_from_json(_read(args.file))
-    term = typecheck.decorate(derivation)
-    print(syntax.pretty(term))
+    from json import JSONDecodeError
+    from . import derivation
+    try:
+        d = derivation.derivation_from_json(_read(args.file))
+    except JSONDecodeError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
+    print(syntax.pretty(derivation.decorate(d)))
     return 0
 
 
 def _cmd_reduce(args) -> int:
+    import random
+    from . import reduction
     term = syntax.parse_term(_read(args.file))
     typecheck.synthesize_type(term)
     choose = itemgetter(0) if args.strategy == "leftmost" else random.Random(args.seed).choice
@@ -97,6 +104,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
+    from . import reduction
     term = syntax.parse_term(_read(args.file))
     typecheck.synthesize_type(term)
     normal, count = reduction.normalize(term, args.calculus, args.fuel)
@@ -106,12 +114,14 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_measure(args) -> int:
+    from . import measure
     term = syntax.parse_term(_read(args.file))
     _emit_json(measure.measure_report(term).to_json_dict())
     return 0
 
 
 def _cmd_simulate(args) -> int:
+    from . import reduction
     term = syntax.parse_term(_read(args.term_file))
     untyped = syntax.parse_untyped(_read(args.lam_file))
     position = _parse_pos(args.pos)
@@ -130,6 +140,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_chains(args) -> int:
+    from . import measure, oracle
     term = syntax.parse_term(_read(args.file))
     fuel = oracle.Fuel(max_nodes=args.fuel, max_depth=args.fuel)
     chain = oracle.longest_chain(term, "i", fuel)
@@ -141,6 +152,7 @@ def _cmd_chains(args) -> int:
 
 
 def _cmd_infer_sn(args) -> int:
+    from . import oracle
     untyped = syntax.parse_untyped(_read(args.file))
     fuel = oracle.Fuel(max_nodes=args.fuel, max_depth=args.fuel)
     result = oracle.infer_sn(untyped, fuel)
@@ -151,6 +163,7 @@ def _cmd_infer_sn(args) -> int:
 
 
 def _cmd_graph(args) -> int:
+    from . import oracle
     if args.calculus == "beta":
         term = syntax.parse_untyped(_read(args.file))
     else:
@@ -232,7 +245,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (ParseError, InvalidPosition, json.JSONDecodeError, OSError) as error:
+    except (ParseError, InvalidPosition, OSError, UnicodeDecodeError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
     except (IllTyped, InvalidDerivation, NotARedex) as error:

@@ -1,0 +1,350 @@
+"""Derivations of the assignment system on untyped terms.
+
+This is the Curry-style half of the paper: its objects are derivations,
+explicit trees supplied as JSON, whose annotated counterparts are the
+terms of `setlam.typecheck`.  `check_curry` validates each node against
+its rule schema, `decorate` turns a valid derivation into an annotated
+term and `erase_derivation` inverts it for uniform terms.  The walks
+over derivations are plain recursions run on `syntax.run`, so they work
+at any depth.
+
+JSON schema (docs/formats.md): {"rule": "var"|"many"|"intro"|"elim",
+"ctx": {x: [type strings]}, "term": untyped term string, "type": type
+string ("many": list of type strings), "premises": [...], "select":
+type string (var only, optional, must equal "type")}.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from typing import NamedTuple, Union
+
+from .binding import close_term, uopen
+from .errors import InvalidDerivation
+from .syntax import (
+    App, Arrow, BoundVar, Lam, MemTerm, SetTerm, SetType, Type, UApp, ULam,
+    UntypedTerm, UVar, Var, _name_chain, parse_type, parse_untyped, pretty, run,
+)
+from .typecheck import Judgement, TypingContext, check, erase
+
+__all__ = [
+    "CurryDerivation",
+    "check_curry", "decorate", "erase_derivation", "canonical_derivation",
+    "derivation_from_json", "derivation_to_json",
+]
+
+
+class CurryDerivation(NamedTuple):
+    rule: str
+    context: TypingContext
+    subject: UntypedTerm
+    type_: Union[Type, SetType]
+    premises: tuple["CurryDerivation", ...] = ()
+    select: Type | None = None
+
+
+_RULES = ("var", "many", "intro", "elim")
+
+
+def _json_path(path: list[int]) -> str:
+    return "$" + "".join(f".premises[{i}]" for i in path)
+
+
+def _json_kind(value) -> str:
+    for kind, python in (("boolean", bool), ("number", (int, float)), ("string", str),
+                         ("array", list), ("object", dict)):
+        if isinstance(value, python):
+            return kind
+    return "null"
+
+
+def derivation_from_json(data: str | dict) -> CurryDerivation:
+    """The derivation a JSON text (or its decoded value) describes.
+
+    Raises InvalidDerivation, naming the JSON path of the value, where
+    the data does not follow the schema, and ParseError where a term or
+    type string does not parse.
+    """
+    if isinstance(data, str):
+        old_limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(old_limit, 20_000))  # a chain nests two levels per node
+        try:
+            data = json.loads(data)
+        finally:
+            sys.setrecursionlimit(old_limit)
+    parsed: dict = {}  # each distinct type string and type list is parsed once
+
+    def bad(path: list[int], where: str, expected: str, value):
+        raise InvalidDerivation(tuple(path), "derivation",
+                                f"expected {expected}, found {_json_kind(value)}",
+                                _json_path(path) + where)
+
+    def type_of(text: str) -> Type:
+        if text not in parsed:
+            parsed[text] = parse_type(text)
+        return parsed[text]
+
+    def types_of(value, path: list[int], where: str) -> SetType:
+        if not isinstance(value, list):
+            bad(path, where, "a list of type strings", value)
+        for i, text in enumerate(value):
+            if not isinstance(text, str):
+                bad(path, f"{where}[{i}]", "a type string", text)
+        if tuple(value) not in parsed:
+            parsed[tuple(value)] = SetType.of(map(type_of, value))
+        return parsed[tuple(value)]
+
+    def node(d, path: list[int]):
+        if not isinstance(d, dict):
+            bad(path, "", "an object", d)
+        rule = d.get("rule")
+        if rule not in _RULES:
+            raise InvalidDerivation(tuple(path), "derivation", "expected one of "
+                                    + ", ".join(f'"{r}"' for r in _RULES),
+                                    _json_path(path) + ".rule")
+        ctx = d.get("ctx", {})
+        if not isinstance(ctx, dict):
+            bad(path, ".ctx", "an object", ctx)
+        context = TypingContext.of(
+            {x: types_of(value, path, f".ctx.{x}") for x, value in ctx.items()})
+        term = d.get("term")
+        if not isinstance(term, str):
+            bad(path, ".term", "an untyped term string", term)
+        subject = parse_untyped(term)
+        raw_type = d.get("type")
+        if isinstance(raw_type, list):
+            type_: Type | SetType = types_of(raw_type, path, ".type")
+        elif isinstance(raw_type, str):
+            type_ = type_of(raw_type)
+        else:
+            bad(path, ".type", "a type string or a list of them", raw_type)
+        raw_premises = d.get("premises", [])
+        if not isinstance(raw_premises, list):
+            bad(path, ".premises", "a list of derivation nodes", raw_premises)
+        premises = []
+        for i, premise in enumerate(raw_premises):
+            path.append(i)
+            premises.append((yield node(premise, path)))
+            path.pop()
+        select = None
+        if "select" in d:
+            if not isinstance(d["select"], str):
+                bad(path, ".select", "a type string", d["select"])
+            select = type_of(d["select"])
+        return CurryDerivation(rule, context, subject, type_, tuple(premises), select)
+
+    return run(node(data, []))
+
+
+def derivation_to_json(d: CurryDerivation) -> dict:
+    def node(d):
+        premises = []
+        for premise in d.premises:
+            premises.append((yield node(premise)))
+        out: dict = {
+            "rule": d.rule,
+            "ctx": {n: [pretty(e) for e in s.elements] for n, s in d.context.entries},
+            "term": pretty(d.subject),
+            "type": ([pretty(e) for e in d.type_.elements]
+                     if isinstance(d.type_, SetType) else pretty(d.type_)),
+        }
+        if premises:
+            out["premises"] = premises
+        if d.select is not None:
+            out["select"] = pretty(d.select)
+        return out
+    return run(node(d))
+
+
+def check_curry(d: CurryDerivation) -> Judgement:
+    """Validate every node against its rule schema, premises before their
+    node; return the root judgement."""
+    run(_check(d, []))
+    return Judgement(d.context, d.subject, d.type_)
+
+
+def _fail(path: list[int], rule, reason):
+    raise InvalidDerivation(tuple(path), rule, reason)
+
+
+def _check(d: CurryDerivation, path: list[int]):
+    """Check d's premises, then d against its rule schema."""
+    for i, premise in enumerate(d.premises):
+        path.append(i)
+        yield _check(premise, path)
+        path.pop()
+    match d.rule:
+        case "var":
+            if not isinstance(d.subject, UVar):
+                _fail(path, "var", "subject is not a variable")
+            if isinstance(d.type_, SetType):
+                _fail(path, "var", "conclusion must be a single type")
+            if d.premises:
+                _fail(path, "var", "var takes no premises")
+            if d.type_ not in d.context.get(d.subject.name):
+                _fail(path, "var", f"{d.type_} not in context set for {d.subject.name}")
+            if d.select is not None and d.select != d.type_:
+                _fail(path, "var", "select does not match the conclusion type")
+        case "many":
+            if not isinstance(d.type_, SetType):
+                _fail(path, "many", "conclusion must be a set-type")
+            if not d.premises:
+                _fail(path, "many", "empty many nodes are not accepted")
+            types = [p.type_ for p in d.premises]
+            if any(isinstance(t, SetType) for t in types):
+                _fail(path, "many", "premises must conclude single types")
+            if len(set(types)) != len(types):
+                _fail(path, "many", "premises with equal types")
+            if SetType.of(types) != d.type_:
+                _fail(path, "many", "premise types do not form the conclusion set")
+            for i, p in enumerate(d.premises):
+                if p.context != d.context:
+                    _fail([*path, i], p.rule, "premise context differs")
+                if p.subject != d.subject:
+                    _fail([*path, i], p.rule, "premise subject differs")
+        case "intro":
+            if not isinstance(d.subject, ULam):
+                _fail(path, "intro", "subject is not an abstraction")
+            if not isinstance(d.type_, Arrow):
+                _fail(path, "intro", "conclusion must be an arrow type")
+            if len(d.premises) != 1:
+                _fail(path, "intro", "intro takes exactly one premise")
+            premise = d.premises[0]
+            name = d.subject.hint
+            if premise.context != d.context.bind(name, d.type_.domain):
+                _fail(path, "intro", "premise context is not the extended context")
+            if premise.subject != uopen(d.subject.body, UVar(name)):
+                _fail(path, "intro", "premise subject is not the opened body")
+            if premise.type_ != d.type_.codomain:
+                _fail(path, "intro", "premise type is not the codomain")
+        case "elim":
+            if not isinstance(d.subject, UApp):
+                _fail(path, "elim", "subject is not an application")
+            if isinstance(d.type_, SetType):
+                _fail(path, "elim", "conclusion must be a single type")
+            if len(d.premises) != 2:
+                _fail(path, "elim", "elim takes exactly two premises")
+            fun_p, arg_p = d.premises
+            if not isinstance(fun_p.type_, Arrow):
+                _fail(path, "elim", "first premise must conclude an arrow type")
+            if not isinstance(arg_p.type_, SetType):
+                _fail(path, "elim", "second premise must conclude a set-type")
+            if not arg_p.type_.elements:
+                _fail(path, "elim", "argument set-type must be non-empty")
+            if fun_p.type_.domain != arg_p.type_ or fun_p.type_.codomain != d.type_:
+                _fail(path, "elim", "premise types do not compose")
+            if fun_p.context != d.context or arg_p.context != d.context:
+                _fail(path, "elim", "premise context differs")
+            if fun_p.subject != d.subject.fun or arg_p.subject != d.subject.arg:
+                _fail(path, "elim", "premise subjects do not split the application")
+        case other:
+            _fail(path, str(other), "unknown rule")
+
+
+def decorate(d: CurryDerivation) -> MemTerm | SetTerm:
+    """Annotated term encoding a valid derivation; checks to its judgement.
+
+    An occurrence of a name becomes an index when an enclosing intro
+    node binds the name (the innermost one); a free occurrence otherwise.
+    A derivation whose root is a many node gives a set-term.
+    """
+    check_curry(d)
+    binders: dict[str, list[int]] = {}  # name -> depths of the intro nodes binding it
+    scope: list[str] = []  # the names the enclosing intro nodes bind, innermost last
+
+    def term(node):
+        match node.rule:
+            case "var":
+                name = node.subject.name
+                if binders.get(name):
+                    return BoundVar(len(scope) - 1 - binders[name][-1], node.type_)
+                return Var(name, node.type_)
+            case "many":
+                elements = []
+                for premise in node.premises:
+                    elements.append((yield term(premise)))
+                return SetTerm.of(elements)
+            case "intro":
+                name = node.subject.hint
+                binders.setdefault(name, []).append(len(scope))
+                scope.append(name)
+                body = yield term(node.premises[0])
+                binders[scope.pop()].pop()
+                return Lam(name, node.type_.domain, body)
+            case "elim":
+                fun = yield term(node.premises[0])
+                arg = yield term(node.premises[1])
+                return App(fun, arg)
+        raise AssertionError(f"unreachable rule {node.rule}")
+
+    return run(term(d))
+
+
+def erase_derivation(t: MemTerm, context: TypingContext) -> CurryDerivation:
+    """Derivation for the erasure of a uniform wrapper-free term.
+
+    Inverts `decorate` exactly: the derivation mirrors the term's
+    structure, with one var node per occurrence and one many node per
+    set-term.  Raises NotUniform on non-uniform input and the usual
+    typing errors when t does not check under the context.
+    """
+    check(context, t)
+    erase(t)  # raises NotUniform where t does not erase
+    return run(_derivation(t, context, []))
+
+
+def _derivation(t, context: TypingContext, env: list[str]):
+    """The derivation of the uniform term t under the context; env names
+    the binders above t, innermost last, in a list that each sub-call
+    extends and restores."""
+    match t:
+        case Var() | BoundVar():
+            subject = UVar(t.name if isinstance(t, Var) else env[-1 - t.index])
+            return CurryDerivation("var", context, subject, t.annot, (), t.annot)
+        case Lam():
+            chain, body = _name_chain(t, env)
+            names = [name for _, name in chain]
+            contexts = [context]
+            for lam, name in chain:
+                contexts.append(contexts[-1].bind(name, lam.binder))
+            env += names
+            node = yield _derivation(body, contexts.pop(), env)
+            del env[len(env) - len(names):]
+            # Close the body over the whole chain at once, then open the
+            # binders one by one: an open visits only the paths to the
+            # occurrences it replaces.
+            subject = close_term(node.subject, *names)
+            for name in reversed(names):
+                subject = ULam(name, subject)
+            subjects = [subject]
+            for name in names[:-1]:
+                subjects.append(uopen(subjects[-1].body, UVar(name)))
+            for (lam, _), outer, subject in zip(reversed(chain), reversed(contexts),
+                                                reversed(subjects)):
+                node = CurryDerivation(
+                    "intro", outer, subject, Arrow(lam.binder, node.type_), (node,))
+            return node
+        case App(fun, arg):
+            fun_node = yield _derivation(fun, context, env)
+            elements = []
+            for e in arg.elements:
+                elements.append((yield _derivation(e, context, env)))
+            arg_node = CurryDerivation("many", context, elements[0].subject,  # all alike
+                                       SetType.of(e.type_ for e in elements), tuple(elements))
+            return CurryDerivation("elim", context, UApp(fun_node.subject, arg_node.subject),
+                                   fun_node.type_.codomain, (fun_node, arg_node))
+    raise TypeError(f"not a uniform wrapper-free term: {t!r}")
+
+
+def canonical_derivation(d: CurryDerivation) -> CurryDerivation:
+    """Sort many premises by type and normalize select fields."""
+    def node(d):
+        premises = []
+        for premise in d.premises:
+            premises.append((yield node(premise)))
+        if d.rule == "many":
+            premises.sort(key=lambda p: p.type_.key)
+        select = d.type_ if d.rule == "var" and not isinstance(d.type_, SetType) else None
+        return d._replace(premises=tuple(premises), select=select)
+    return run(node(d))

@@ -21,7 +21,7 @@ from setlam import (
 from setlam.binding import open_term
 from setlam.errors import NotSNWithinFuel
 from setlam.syntax import Var, free_names
-from setlam.typecheck import canonical_derivation
+from setlam.derivation import canonical_derivation
 
 import corpus
 

@@ -96,6 +96,31 @@ def test_decorate_malformed_json_exit_2(text, where, files, capsys):
     assert err.startswith(f"error: invalid derivation JSON at {where}: expected ")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("{", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("", "Expecting value: line 1 column 1 (char 0)"),
+], ids=["open-brace", "empty"])
+def test_decorate_not_json_exit_1(text, message, files, capsys):
+    code, out, err = run(capsys, "decorate", files("d.json", text))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_decorate_json_nested_too_deeply_exit_4(files, capsys):
+    # The decoder runs under a recursion limit of 20,000 levels.
+    text = "[" * 30_000 + "]" * 30_000
+    code, out, err = run(capsys, "decorate", files("deep.json", text))
+    assert (code, out, err) == (4, "", "error: input nested too deeply\n")
+
+
+@pytest.mark.parametrize("command", ["check", "decorate"])
+def test_file_not_utf8_exit_1(command, tmp_path, capsys):
+    path = tmp_path / "bytes"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff in position 0")
+
+
 def test_decorate_many_root_prints_the_set_term(files, capsys):
     derivation = {
         "rule": "many", "ctx": {"x": ["a"]}, "term": "x", "type": ["a"],
@@ -111,7 +136,7 @@ def test_decorate_deep_binder_chain(files, capsys):
     # 520 binders nest beyond the interpreter's default recursion limit
     # (1,000) in 3.7 MB.
     from setlam import TypingContext, erase_derivation
-    from setlam.typecheck import derivation_to_json
+    from setlam.derivation import derivation_to_json
     text = "".join(f"\\x{i}:{{a}}. " for i in range(520)) + "x0^a"
     data = derivation_to_json(erase_derivation(parse_term(text), TypingContext()))
     limit = sys.getrecursionlimit()
@@ -376,3 +401,56 @@ def test_start_up_imports_neither_dataclasses_nor_inspect():
     out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
                          text=True, env=env).stdout
     assert out == "[]\n"
+
+
+def _loaded_modules(code: str, *argv: str) -> set[str]:
+    """The setlam modules, and json, that a fresh interpreter running
+    `code` with `argv` has loaded at exit beyond those it starts with."""
+    wrapper = ("import atexit, sys\n"
+               "_before = set(sys.modules)\n"
+               "atexit.register(lambda: print(*sorted(set(sys.modules) - _before),"
+               " file=sys.stderr))\n" + code)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", wrapper, *argv], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return {m for m in proc.stderr.splitlines()[-1].split()
+            if m == "json" or m.partition(".")[0] == "setlam"}
+
+
+def test_import_setlam_loads_no_module_of_it():
+    assert _loaded_modules("import setlam") == {"setlam"}
+
+
+def test_import_cli_loads_syntax_and_typecheck_only():
+    assert _loaded_modules("import setlam.cli") == {
+        "setlam", "setlam.cli", "setlam.errors", "setlam.syntax", "setlam.typecheck"}
+
+
+# What each command loads beyond the package, cli, errors, syntax and
+# typecheck: the setlam modules it runs, and json where it writes JSON
+# or reads a derivation.
+@pytest.mark.parametrize("argv, extra", [
+    (["check", "TERM"], set()),
+    (["erase", "TERM"], set()),
+    (["decorate", "DERIV"], {"binding", "derivation", "json"}),
+    (["reduce", "TERM"], {"binding", "reduction", "json"}),
+    (["simulate", "TERM", "LAM", "--pos="], {"binding", "reduction", "json"}),
+    (["normalize", "TERM"], {"binding", "reduction"}),
+    (["measure", "TERM"], {"binding", "reduction", "measure", "json"}),
+    (["chains", "TERM"], {"binding", "reduction", "oracle", "measure"}),
+    (["infer-sn", "LAM"], {"binding", "reduction", "oracle"}),
+    (["graph", "TERM", "--format=dot"], {"binding", "reduction", "oracle"}),
+    (["graph", "TERM"], {"binding", "reduction", "oracle", "json"}),
+], ids=lambda value: "-".join(value) if isinstance(value, list) else None)
+def test_each_command_loads_only_the_modules_it_runs(argv, extra, files):
+    paths = {
+        "TERM": files("t.term", "(\\x:{a}. x^a) {y^a}"),
+        "LAM": files("t.lam", "(\\x. x) y"),
+        "DERIV": files("d.json", '{"rule": "var", "ctx": {"x": ["a"]}, "term": "x", "type": "a"}'),
+    }
+    runner = ("import runpy\nsys.argv[0] = 'setlam'\n"
+              "runpy.run_module('setlam', run_name='__main__', alter_sys=True)\n")
+    loaded = _loaded_modules(runner, *[paths.get(arg, arg) for arg in argv])
+    expected = {"setlam", "setlam.cli", "setlam.errors", "setlam.syntax", "setlam.typecheck"}
+    assert loaded == expected | {m if m == "json" else f"setlam.{m}" for m in extra}

@@ -7,7 +7,8 @@ import pytest
 
 import setlam
 
-MODULES = ["syntax", "binding", "typecheck", "reduction", "measure", "oracle", "cli"]
+MODULES = ["syntax", "binding", "typecheck", "derivation", "reduction", "measure", "oracle",
+           "cli"]
 
 # Aliases, duplicated walks and second definitions of identity folded
 # into one canonical name each, unused constants, the pieces of walkers
@@ -56,3 +57,71 @@ def test_binding_functions_take_no_depth():
     for f in (binding.shift, binding.open_term, binding.uopen,
               binding.close_term, binding.locally_closed):
         assert not {"depth", "cutoff"} & set(inspect.signature(f).parameters)
+
+
+# The names the package exported when it imported every module eagerly,
+# by the module that defines them: each still resolves, to that object.
+PUBLIC = {
+    "errors": ["CycleDetected", "FuelExhausted", "IllTyped", "InvalidDerivation",
+               "InvalidPosition", "MissingSubstituent", "NotARedex", "NotSNWithinFuel",
+               "NotTypable", "NotUniform", "ParseError", "SearchBudgetExceeded",
+               "SetLamError", "UnboundOrWrongAnnotation"],
+    "syntax": ["App", "Arrow", "Base", "BoundVar", "Lam", "MemTerm", "Position", "SetTerm",
+               "SetType", "Type", "UApp", "UBoundVar", "ULam", "UntypedTerm", "UVar", "Var",
+               "Wrap", "WrapperList", "is_wrapper_free", "parse", "parse_set_type",
+               "parse_term", "parse_type", "parse_untyped", "pretty", "replace_at",
+               "subterm_at", "type_height"],
+    "typecheck": ["Judgement", "TypingContext", "check", "erase", "is_uniform",
+                  "minimal_context", "refines", "set_type_of", "synthesize_type"],
+    "derivation": ["CurryDerivation", "check_curry", "decorate", "derivation_from_json",
+                   "derivation_to_json", "erase_derivation"],
+    "reduction": ["Redex", "Step", "beta_redexes", "beta_step", "complete_development",
+                  "corresponding_step", "erased_position", "forgetful_reducts", "i_redexes",
+                  "par_reduces", "parallel_reducts", "project_step", "random_parallel_reduct",
+                  "redexes", "simulate_beta", "step_i", "step_im", "substitute"],
+    "measure": ["DegreeProfile", "MeasureReport", "W", "degree_profile", "max_degree",
+                "measure_report", "simp_d", "simp_full", "weight"],
+    "oracle": ["Fuel", "InferredTyping", "ReductionGraph", "explore", "graph_to_dot",
+               "graph_to_json_dict", "head_subject_expansion", "infer_sn", "is_sn",
+               "longest_chain", "normal_form"],
+}
+PUBLIC_MODULES = ["binding", "errors", "measure", "oracle", "reduction", "syntax", "typecheck"]
+# The assignment system's derivations, moved from typecheck to derivation.
+MOVED = ["CurryDerivation", "check_curry", "decorate", "erase_derivation",
+         "canonical_derivation", "derivation_from_json", "derivation_to_json",
+         "_derivation", "_check", "_fail", "_RULES", "_json_path", "_json_kind"]
+
+
+def test_public_names_resolve_to_their_defining_objects():
+    names = [name for names in PUBLIC.values() for name in names]
+    assert len(names) + len(PUBLIC_MODULES) == 102
+    for module, names in PUBLIC.items():
+        defining = importlib.import_module(f"setlam.{module}")
+        for name in names:
+            assert getattr(setlam, name) is getattr(defining, name), name
+    for module in PUBLIC_MODULES:
+        assert getattr(setlam, module) is importlib.import_module(f"setlam.{module}")
+    assert set(names) | set(PUBLIC_MODULES) <= set(dir(setlam))
+
+
+def test_star_import_gives_the_exported_names():
+    namespace = {}
+    exec("from setlam import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(setlam.__all__)
+    assert set(setlam.__all__) == {name for names in PUBLIC.values() for name in names}
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        setlam.no_such_name
+    with pytest.raises(ImportError):
+        exec("from setlam import no_such_name", {})
+
+
+def test_derivation_names_left_typecheck():
+    from setlam import derivation, typecheck
+    for name in MOVED:
+        assert hasattr(derivation, name)
+        assert not hasattr(typecheck, name)
+        assert name not in typecheck.__all__

@@ -19,7 +19,8 @@ from setlam import (
     parse_term, parse_type, parse_untyped, pretty, refines, set_type_of,
     synthesize_type, step_i,
 )
-from setlam.typecheck import binder_types, canonical_derivation, subterm_type
+from setlam.derivation import canonical_derivation
+from setlam.typecheck import binder_types, subterm_type
 
 import corpus
 from deep import shape
