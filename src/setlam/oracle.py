@@ -30,7 +30,7 @@ from .syntax import (
     App, Arrow, Base, BoundVar, Lam, MemTerm, Position, SetTerm, SetType,
     Type, UApp, UBoundVar, ULam, UntypedTerm, UVar, Var, pretty, run,
 )
-from .reduction import normalize, redex_positions, require_plain, step
+from .reduction import has_redex, normalize, reducts, require_plain
 from .typecheck import (
     TypingContext, binder_types, check, minimal_context, refines, subterm_type,
 )
@@ -67,23 +67,31 @@ def explore(t, calculus: str, fuel: Fuel = DEFAULT_FUEL) -> ReductionGraph:
     """Breadth-first closure of t under single steps, up to fuel.
 
     Nodes are terms (alpha-variants collapse by the nameless
-    representation); truncation is flagged, never raised.
+    representation); truncation is flagged, never raised.  A graph is
+    truncated when a node with a redex lies at fuel.max_depth, where it
+    is not expanded, or when a new reduct would exceed fuel.max_nodes; a
+    normal form at the depth limit leaves the graph complete.  Each node
+    is stepped by `reduction.reducts` in one walk of its redexes, with
+    one dict of contracta for the whole call: a reduct shares its
+    untouched subterms with its source, so a redex object met in many
+    nodes is contracted once.  The dict dies with the call.
     """
     index = {t: 0}
     nodes = [t]
     edges: list[tuple[int, Position, int]] = []
+    contracta: dict = {}
     queue = deque([(0, 0)])
     truncated = False
     while queue:
         i, depth = queue.popleft()
+        if not has_redex(nodes[i], calculus):
+            continue
         if depth >= fuel.max_depth:
             truncated = True
             continue
-        found = redex_positions(nodes[i], calculus)
-        if found and i == 0:
+        if i == 0:
             require_plain(t, calculus)  # checked once: steps keep the precondition
-        for pos in found:
-            nxt = step(nodes[i], pos, calculus)
+        for pos, nxt in reducts(nodes[i], calculus, contracta):
             j = index.get(nxt)
             if j is None:
                 if len(nodes) >= fuel.max_nodes:

@@ -3,8 +3,9 @@
 One rule serves three calculi.  `_redex` recognizes a redex
 ``(\\x:A. body) L args``, where L is a list of wrappers on the
 abstraction, and `_contract` contracts it, replacing each occurrence by
-the argument element of its type; single steps, the stepping loop,
-developments and parallel reducts all use the two.  Plain reduction
+the argument element of its type; single steps, the one-step reducts
+of a search, the stepping loop, developments and parallel reducts all
+use the two.  Plain reduction
 ("i") contracts redexes without wrappers and erases the argument.  It
 is defined on wrapper-free terms, and as a plain step keeps a term
 wrapper-free, `require_plain` checks that once per call, at its first
@@ -42,8 +43,9 @@ from . import binding, typecheck
 
 __all__ = [
     "Redex", "Step",
-    "substitute", "redex_degree", "redexes", "i_redexes", "redex_positions",
-    "require_plain", "step_i", "step_im", "step", "reduction_sequence", "normalize",
+    "substitute", "redex_degree", "redexes", "i_redexes", "redex_positions", "has_redex",
+    "require_plain", "step_i", "step_im", "step", "reducts", "reduction_sequence",
+    "normalize",
     "corresponding_step", "forgetful_reducts",
     "develop", "complete_development", "parallel_reducts", "par_reduces",
     "random_parallel_reduct",
@@ -116,8 +118,8 @@ def _redex_flag(calculus: str) -> int:
 
 def _redex(node, calculus: str) -> tuple | None:
     """(w-abstraction, its wrappers, argument) when node is a redex that a
-    step of `calculus` may contract, else None."""
-    _redex_flag(calculus)  # rejects an unknown calculus
+    step of `calculus` may contract, else None; the caller has checked
+    `calculus` (`_redex_flag`)."""
     if not isinstance(node, UApp if calculus == "beta" else App):
         return None
     core, wrappers = peel_wrappers(node.fun) if calculus == "im" else (node.fun, ())
@@ -125,12 +127,12 @@ def _redex(node, calculus: str) -> tuple | None:
 
 
 def _redex_sites(t, calculus: str):
-    """(position, redex) for every redex of `calculus` in t, in
-    lexicographic order; subtrees whose flags hold no such redex are
+    """(position, node, redex) for every redex node of `calculus` in t,
+    in lexicographic order; subtrees whose flags hold no such redex are
     skipped."""
     for path, here in _subterm_paths(t, _redex_flag(calculus)):
         if (redex := _redex(here, calculus)) is not None:
-            yield tuple(path), redex
+            yield tuple(path), here, redex
 
 
 def _contract(core, body, wrappers: WrapperList, arg, calculus: str):
@@ -154,7 +156,7 @@ def redexes(t: MemTerm | SetTerm) -> list[Redex]:
     """All applied w-abstractions with their degrees, in lexicographic
     position order."""
     found: list[Redex] = []
-    for pos, redex in _redex_sites(t, "im"):
+    for pos, _, redex in _redex_sites(t, "im"):
         try:
             degree = redex_degree(redex[0])
         except IllTyped:
@@ -171,7 +173,13 @@ def i_redexes(t: MemTerm | SetTerm) -> list[Redex]:
 def redex_positions(t, calculus: str) -> list[Position]:
     """Positions of the redexes a step of `calculus` may contract, in
     lexicographic order (no degrees are computed)."""
-    return [pos for pos, _ in _redex_sites(t, calculus)]
+    return [pos for pos, _, _ in _redex_sites(t, calculus)]
+
+
+def has_redex(t, calculus: str) -> bool:
+    """Whether a step of `calculus` may contract a redex of t, read off
+    t's flags."""
+    return bool(t.flags & _redex_flag(calculus))
 
 
 def require_plain(t, calculus: str):
@@ -188,11 +196,34 @@ def step(t, pos: Position, calculus: str):
     (`require_plain`): a plain step keeps a term wrapper-free, so a
     sequence of steps checks it once.
     """
+    _redex_flag(calculus)  # rejects an unknown calculus
     redex = _redex(subterm_at(t, pos), calculus)
     if redex is None:
         raise NotARedex(f"no {calculus} redex at {list(pos)}")
     core, wrappers, arg = redex
     return replace_at(t, pos, _contract(core, core.body, wrappers, arg, calculus))
+
+
+def reducts(t, calculus: str, contracta: dict):
+    """Yield (position, reduct) for each step of `calculus` from t, by
+    the redexes' lexicographic order, in one walk of the redex sites.
+
+    `contracta` maps the id of each redex node contracted so far to the
+    node and its contractum; keeping the node keeps its id from being
+    reused.  A caller passes one dict for the terms of one search: a
+    step rebuilds only the path to its redex, so a reduct shares every
+    other subterm, redexes included, as the same object with the term it
+    came from, and each redex object is contracted once.  The key is
+    identity, not ``==``: binder hints are not part of a node's key, and
+    an alpha-equal redex with other hints keeps its own names.  As for
+    `step`, the precondition of a plain step is left to the caller.
+    """
+    for pos, node, (core, wrappers, arg) in _redex_sites(t, calculus):
+        known = contracta.get(id(node))
+        if known is None:
+            known = contracta[id(node)] = (
+                node, _contract(core, core.body, wrappers, arg, calculus))
+        yield pos, replace_at(t, pos, known[1])
 
 
 def step_i(t: MemTerm | SetTerm, pos: Position) -> MemTerm | SetTerm:
@@ -398,7 +429,9 @@ def project_step(t: MemTerm, s: MemTerm, pos: Position, budget: int | None = Non
     Returns (beta reduct N of erase(t), a term s' with s ->* s' and
     refines(s', N), and the completing steps from s).  The completion is
     found by breadth-first search over plain reduction, smallest witness
-    first; `budget` caps the number of explored terms.
+    first; `budget` caps the number of explored terms.  The search steps
+    each term by `reducts`, with one dict of contracta for the whole
+    search, so a redex object shared by several terms is contracted once.
     """
     m = typecheck.erase(t)
     if step_i(t, pos) != s:
@@ -412,6 +445,7 @@ def project_step(t: MemTerm, s: MemTerm, pos: Position, budget: int | None = Non
 
     explored = 0
     seen = {s}
+    contracta: dict = {}
     queue: deque[tuple[MemTerm, tuple[Step, ...]]] = deque([(s, ())])
     while queue:
         current, steps = queue.popleft()
@@ -420,8 +454,7 @@ def project_step(t: MemTerm, s: MemTerm, pos: Position, budget: int | None = Non
             return n, current, list(steps)
         if explored >= budget:
             break
-        for q in redex_positions(current, "i"):
-            nxt = step(current, q, "i")
+        for q, nxt in reducts(current, "i", contracta):
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append((nxt, steps + (Step("i", q, current, nxt),)))

@@ -16,9 +16,10 @@ Term nodes also store, in O(arity) from their children, `loose` (the
 largest de Bruijn index pointing outside the node, -1 when locally
 closed) and `flags` (which kinds of redex, and whether a wrapper and a
 free variable, occur in the subtree); `typecheck` caches a node's
-typing and its erasure on it the first time either is asked for.  None
-of these is part of the key, so they change neither identity, nor
-order, nor printing.
+typing and its erasure on it the first time either is asked for, and
+the printer a type's text the first time it prints it.  None of these
+is part of the key, so they change neither identity, nor order, nor
+printing.
 
 Every walk works at any depth: `subterms`, `nodes`, the printer,
 `type_height` and the comparison of keys too deep for the interpreter
@@ -88,12 +89,15 @@ class _Node:
     quadratic).  Term nodes also store `loose` (their largest loose
     index, -1 when locally closed) and `flags` (the redexes, wrappers
     and free variables below them); `typing` and `erasure`
-    stay None until `typecheck` stores them in the node's dict.
-    `typecheck.TypingContext` is a node keyed by its entries.
+    stay None until `typecheck` stores them in the node's dict, and
+    `text`, on a type or set-type, until the printer stores its printed
+    text there the first time it prints it.  `typecheck.TypingContext`
+    is a node keyed by its entries.
     """
 
     typing = None
     erasure = None
+    text = None
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -598,7 +602,7 @@ def pretty(x) -> str:
         case Base() | Arrow():
             return _pretty_type(x)
         case SetType():
-            return "{" + ", ".join(_pretty_type(e) for e in x.elements) + "}"
+            return _pretty_set_type(x)
         case SetTerm():
             return "{" + ", ".join(_pretty_term(e) for e in x.elements) + "}"
         case (Var() | BoundVar() | Lam() | App() | Wrap()
@@ -607,19 +611,42 @@ def pretty(x) -> str:
     raise TypeError(f"cannot print {x!r}")
 
 
+# A type's text does not depend on where the type occurs, so the printer
+# stores it on the type node (`text`) the first time it prints the node,
+# and prints each type object once however many terms it annotates.  An
+# arrow's codomains are printed in a loop and not stored one by one: the
+# texts of the suffixes of a long arrow chain would sum to the square of
+# its length.
+
+
 def _pretty_type(t: Type) -> str:
+    if t.text is not None:
+        return t.text
     parts = []
-    while isinstance(t, Arrow):
-        parts.append(_pretty_domain(t.domain))
-        t = t.codomain
-    if not isinstance(t, Base):
-        raise TypeError(f"not a type: {t!r}")
-    parts.append(t.name)
-    return " -> ".join(parts)
+    here = t
+    while isinstance(here, Arrow):
+        parts.append(_pretty_domain(here.domain))
+        here = here.codomain
+        if here.text is not None:
+            parts.append(here.text)
+            break
+    else:
+        if not isinstance(here, Base):
+            raise TypeError(f"not a type: {here!r}")
+        parts.append(here.name)
+    text = " -> ".join(parts)
+    vars(t)["text"] = text
+    return text
+
+
+def _pretty_set_type(s: SetType) -> str:
+    if s.text is None:
+        vars(s)["text"] = "{" + ", ".join(_pretty_type(e) for e in s.elements) + "}"
+    return s.text
 
 
 def _pretty_domain(s: SetType) -> str:
-    return _pretty_annot(s.elements[0]) if len(s.elements) == 1 else pretty(s)
+    return _pretty_annot(s.elements[0]) if len(s.elements) == 1 else _pretty_set_type(s)
 
 
 def _pretty_annot(a: Type) -> str:
@@ -673,7 +700,10 @@ def _pretty_term(t) -> str:
     binder names, and a (term, precedence) pair prints the term.  At
     precedence 1 (the function of an application or the head of a
     wrapper) an abstraction is parenthesized, at 2 (an untyped argument)
-    an application too.
+    an application too.  Binder names depend on the context, so a term
+    is printed afresh at each occurrence; a type's text does not, and
+    each annotation and binder set-type is read from the text cached on
+    its node (`_pretty_type`), computed the first time it is printed.
     """
     out: list[str] = []
     env: list[str] = []  # names of the binders in scope, innermost last
@@ -701,7 +731,8 @@ def _pretty_term(t) -> str:
                 out.append("(")
                 stack.append(")")
             for lam, name in chain:
-                out.append(f"\\{name}:{pretty(lam.binder)}. " if kind is Lam else f"\\{name}. ")
+                out.append(f"\\{name}:{_pretty_set_type(lam.binder)}. " if kind is Lam
+                           else f"\\{name}. ")
                 env.append(name)
             stack += [len(chain), (body, 0)]
         elif kind is App and len(t.arg) == 1 and type(t.arg.elements[0]) in (Var, BoundVar):

@@ -1,5 +1,7 @@
 """Graph exploration, normal forms, SN checking, SN-structure inference."""
 
+from collections import deque
+
 import pytest
 
 from setlam import (
@@ -12,7 +14,8 @@ from setlam import (
 
 import corpus
 from deep import shape
-from setlam import syntax, typecheck
+from setlam import reduction, syntax, typecheck
+from setlam.reduction import redex_positions, step
 
 OMEGA = parse_untyped("(\\x. x x) (\\x. x x)")
 WRAPPED = parse_term("(\\x:{a}. y^b) {z^a [w^b]}")  # a plain redex, a wrapper
@@ -32,8 +35,9 @@ def test_explore_single_step():
 
 
 def test_explore_omega_truncates_and_loops():
+    # Omega y steps, at its head, to itself: one node with a self loop
     g = explore(parse_untyped("(\\x. x x) (\\x. x x) y"), "beta", SMALL)
-    assert g.truncated or any(i == j or True for i, _, j in g.edges)
+    assert g.node_count == 1 and g.edges == ((0, (0,), 0),) and not g.truncated
     # the plain Omega graph is a single node with a self loop
     g2 = explore(OMEGA, "beta", SMALL)
     assert g2.node_count == 1 and g2.edges == ((0, (), 0),)
@@ -54,6 +58,101 @@ def test_explore_plain_refuses_wrapped_terms():
     g = explore(WRAPPED, "i", Fuel(max_nodes=10, max_depth=0))
     assert g.nodes == (WRAPPED,) and g.edges == () and g.truncated
     assert explore(WRAPPED, "im").node_count == 2
+
+
+def test_explore_normal_form_at_the_depth_limit_is_not_truncated():
+    # Nothing is left to expand at the depth limit: the graph is whole.
+    t = parse_term("(\\x:{a}.x^a) {y^a}")
+    g = explore(t, "i", Fuel(10, 1))
+    assert g.node_count == 2 and g.edges == ((0, (), 1),) and not g.truncated
+    assert longest_chain(t, "i", Fuel(10, 1)) == 1
+    assert is_sn(parse_untyped("(\\x. x) y"), Fuel(10, 1)) == "yes"
+    assert not explore(parse_term("x^a"), "i", Fuel(10, 0)).truncated
+    # a node with a redex at the limit is not expanded, and truncates
+    g = explore(parse_term("(\\x:{a}.x^a) {(\\y:{a}.y^a) {z^a}}"), "i", Fuel(10, 1))
+    assert g.node_count == 2 and g.truncated
+    with pytest.raises(FuelExhausted):
+        longest_chain(t, "i", Fuel(10, 0))
+    assert is_sn(parse_untyped("(\\x. x) y"), Fuel(10, 0)) == "unknown"
+
+
+def reference_explore(t, calculus, fuel):
+    """explore as a plain breadth-first search: each node's redexes by
+    position, each stepped on its own, nothing shared between nodes."""
+    index, nodes, edges, truncated = {t: 0}, [t], [], False
+    queue = deque([(0, 0)])
+    while queue:
+        i, depth = queue.popleft()
+        found = redex_positions(nodes[i], calculus)
+        if found and depth >= fuel.max_depth:
+            truncated = True
+            continue
+        for pos in found:
+            nxt = step(nodes[i], pos, calculus)
+            j = index.get(nxt)
+            if j is None:
+                if len(nodes) >= fuel.max_nodes:
+                    truncated = True
+                    continue
+                j = index[nxt] = len(nodes)
+                nodes.append(nxt)
+                queue.append((j, depth + 1))
+            edges.append((i, pos, j))
+    return [pretty(n) for n in nodes], tuple(edges), truncated
+
+
+def printed(g):
+    return [pretty(n) for n in g.nodes], g.edges, g.truncated
+
+
+def church_2_2():
+    two = "(\\f. \\x. f (f x))"
+    return parse_untyped(f"{two} {two} y z")
+
+
+# Whole graphs, graphs cut by depth and graphs cut by node count.
+DIFFERENTIAL_FUELS = (Fuel(400, 400), Fuel(400, 2), Fuel(7, 400))
+
+
+def test_explore_matches_the_reference_search(corpus):
+    church = church_2_2()
+    typed = infer_sn(church).term
+    cases = [(entry.term, calculus) for entry in corpus for calculus in ("i", "im")]
+    cases += [(erase(entry.term), "beta") for entry in corpus]
+    cases += [(typed, "i"), (typed, "im"), (church, "beta")]
+    cut = [0] * len(DIFFERENTIAL_FUELS)
+    for t, calculus in cases:
+        for k, fuel in enumerate(DIFFERENTIAL_FUELS):
+            g = explore(t, calculus, fuel)
+            assert printed(g) == reference_explore(t, calculus, fuel), (pretty(t), calculus)
+            cut[k] += g.truncated
+    assert cut[1] > 80 and cut[2] > 40  # each small fuel truncates graphs
+
+
+def test_explore_keeps_the_hints_of_each_alpha_equal_redex():
+    # Two alpha-equal redexes, the one's inner binder hinted u, the
+    # other's v: each contractum keeps its own hint.
+    t = parse_term("g^((a -> a) -> (a -> a) -> c)"
+                   " {(\\x:{a}. \\u:{a}. u^a) {y^a}} {(\\x:{a}. \\v:{a}. v^a) {y^a}}")
+    first, second = t.fun.arg.elements[0], t.arg.elements[0]
+    assert first == second and first is not second
+    g = explore(t, "i")
+    assert printed(g) == reference_explore(t, "i", Fuel())
+    assert g.node_count == 4
+    assert "{\\v:{a}. v^a}" in pretty(g.nodes[2]) and "{\\u:{a}. u^a}" in pretty(g.nodes[3])
+
+
+@pytest.mark.parametrize("calculus", ["i", "im"])
+def test_explore_contracts_each_distinct_redex_once(calculus, monkeypatch):
+    t = infer_sn(church_2_2()).term
+    calls = []
+    contract = reduction._contract
+    monkeypatch.setattr(reduction, "_contract", lambda *a: calls.append(a) or contract(*a))
+    g = explore(t, calculus, Fuel(20_000, 20_000))
+    monkeypatch.undo()
+    assert not g.truncated
+    met = {id(node) for n in g.nodes for _, node, _ in reduction._redex_sites(n, calculus)}
+    assert len(calls) == len(met) < len(g.edges)
 
 
 def test_graph_exports():

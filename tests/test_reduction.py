@@ -1,6 +1,7 @@
 """Steps, substitution, developments, parallel reduction, simulation."""
 
 import random
+from collections import deque
 
 import pytest
 
@@ -16,8 +17,8 @@ from setlam import (
 )
 from setlam.binding import open_term
 from setlam.measure import simp_d
-from setlam.reduction import normalize, redex_positions
-from setlam.syntax import Var, free_names, is_wrapper_free, pretty
+from setlam.reduction import normalize, redex_positions, step
+from setlam.syntax import Var, free_names, is_wrapper_free, pretty, term_size
 
 import corpus
 
@@ -430,6 +431,49 @@ def test_project_step_completes_non_uniform():
     assert s_prime == parse_term(corpus.DUPLICATING_AFTER_ARG)
     assert len(steps) == 1
     assert refines(s_prime, n)
+
+
+def reference_project_step(t, s, pos):
+    """project_step with its completion found by a plain breadth-first
+    search: each term's redexes by position, each stepped on its own."""
+    n = beta_step(erase(t), erased_position(t, pos))
+    copies = 0
+    for q in redex_positions(s, "i"):
+        try:
+            copies += erased_position(s, q) == erased_position(t, pos)
+        except ValueError:
+            pass
+    budget = (1 + copies) * term_size(s) + term_size(s)
+    explored, seen, queue = 0, {s}, deque([(s, ())])
+    while queue:
+        current, steps = queue.popleft()
+        explored += 1
+        if refines(current, n):
+            return n, current, list(steps)
+        if explored >= budget:
+            break
+        for q in redex_positions(current, "i"):
+            nxt = step(current, q, "i")
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append((nxt, steps + (Step("i", q, current, nxt),)))
+    raise SearchBudgetExceeded(f"no completion within {budget} explored terms")
+
+
+def test_project_step_matches_the_reference_search(corpus):
+    def printed(result):
+        n, completed, steps = result
+        return n, pretty(completed), [
+            (st.kind, st.position, pretty(st.source), pretty(st.target)) for st in steps]
+
+    completed = 0
+    for entry in corpus:
+        for r in i_redexes(entry.term):
+            s = step_i(entry.term, r.position)
+            result = project_step(entry.term, s, r.position)
+            assert printed(result) == printed(reference_project_step(entry.term, s, r.position))
+            completed += bool(result[2])
+    assert completed > 20  # searches that take steps
 
 
 def test_project_step_budget_zero():

@@ -12,6 +12,7 @@ from setlam import (
     parse_set_type, parse_term, parse_type, parse_untyped, pretty,
     replace_at, subterm_at,
 )
+from setlam import syntax
 from setlam.binding import locally_closed, shift
 from setlam.syntax import _Node, positions, run, term_size, type_height
 
@@ -158,6 +159,19 @@ def test_print_singleton_arrow():
 def test_print_lambda_parenthesized_in_function_position():
     t = parse_term("(\\x:{a}.x^a) {y^a}")
     assert pretty(t) == "(\\x:{a}. x^a) y^a"
+
+
+def test_print_stores_each_types_text_once(monkeypatch):
+    t = parse_term("\\x:{a -> b, {a, c} -> b}. x^(a -> b) {x^({a, c} -> b) {y^a, z^c}}")
+    text = pretty(t)
+    assert t.binder.text == "{a -> b, {a, c} -> b}" and t.body.fun.annot.text == "a -> b"
+    domains = []
+    monkeypatch.setattr(syntax, "_pretty_domain", lambda s: domains.append(s))
+    assert pretty(t) == text and domains == []
+    monkeypatch.undo()
+    # an arrow's codomains are printed in the loop, not stored one by one
+    chain = parse_type("a -> b -> c -> d")
+    assert pretty(chain) == "a -> b -> c -> d" and chain.codomain.text is None
 
 
 def test_print_deep_binder_chain():
