@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import sys
 from itertools import islice
-from operator import itemgetter
 
 from . import syntax, typecheck
 from .errors import (
@@ -89,7 +88,8 @@ def _cmd_reduce(args) -> int:
     from . import reduction
     term = syntax.parse_term(_read(args.file))
     typecheck.synthesize_type(term)
-    choose = itemgetter(0) if args.strategy == "leftmost" else random.Random(args.seed).choice
+    rng = random.Random(args.seed)
+    choose = next if args.strategy == "leftmost" else lambda sites: rng.choice(list(sites))
     sequence = reduction.reduction_sequence(term, args.calculus, choose)
     steps = [
         {"kind": args.calculus, "position": list(position), "result": syntax.pretty(current)}

@@ -66,10 +66,18 @@ def simp_d(t: MemTerm | SetTerm, d: int):
     return develop(t, lambda core: redex_degree(core) == d, "im")
 
 
+def _simplifications(t: MemTerm | SetTerm):
+    """(d, t after the degree-d pass) for each pass from the maximum degree
+    down to 1 that changes t; a pass with no redex of degree d returns t."""
+    for d in range(max_degree(t), 0, -1):
+        if (simplified := simp_d(t, d)) is not t:
+            yield d, (t := simplified)
+
+
 def simp_full(t: MemTerm | SetTerm):
     """Simplify from the maximum degree down to 1; yields the normal form."""
-    for d in range(max_degree(t), 0, -1):
-        t = simp_d(t, d)
+    for _, t in _simplifications(t):
+        pass
     return t
 
 
@@ -105,25 +113,18 @@ class MeasureReport(NamedTuple):
 
 
 def measure_report(t: MemTerm) -> MeasureReport:
-    """Record every intermediate stage of the full simplification.
-
-    Each pass runs at the remaining max degree, so the degrees with no
-    redex left, whose passes change nothing, get no stage.  After the
-    degree-k pass the remaining max degree must be below k; the report
-    asserts that invariant stage by stage.
-    """
+    """The stage after each pass of the full simplification that changes
+    the term; after the degree-k pass no redex of degree >= k may be left."""
     if not is_wrapper_free(t):
         raise IllTyped("the measure is defined on wrapper-free terms")
     synthesize_type(t)
-    top = max_degree(t)
     stages = []
-    stage, d = t, top
-    while d:
-        stage = simp_d(stage, d)
+    stage = t
+    for d, stage in _simplifications(t):
         m = max_degree(stage)
         if m >= d:
             raise AssertionError(
                 f"simplification invariant broken: degree {m} after pass {d}")
         stages.append((d, stage, m))
-        d = m
+    top = stages[0][0] if stages else 0  # the first pass that changes t is at its max degree
     return MeasureReport(t, top, tuple(stages), stage, weight(stage))

@@ -3,22 +3,22 @@
 One rule serves three calculi.  `_redex` recognizes a redex
 ``(\\x:A. body) L args``, where L is a list of wrappers on the
 abstraction, and `_contract` contracts it, replacing each occurrence by
-the argument element of its type; single steps, the one-step reducts
-of a search, the stepping loop, developments and parallel reducts all
-use the two.  Plain reduction
-("i") contracts redexes without wrappers and erases the argument.  It
-is defined on wrapper-free terms, and as a plain step keeps a term
-wrapper-free, `require_plain` checks that once per call, at its first
-step.  Memory reduction ("im") contracts to ``body{x := args} [args] L``,
-keeping the argument as a wrapper, so nothing is erased.  Untyped beta
-reduction ("beta") opens the body with the argument.
+the argument element of its type.  Plain reduction ("i") contracts
+redexes without wrappers and erases the argument; it is defined on
+wrapper-free terms, and as a plain step keeps a term wrapper-free,
+`require_plain` checks that once per call, at its first step.  Memory
+reduction ("im") contracts to ``body{x := args} [args] L``, keeping the
+argument in a wrapper.  Beta reduction ("beta") opens the body with it.
 
-A development is a structural recursion run on `syntax.run`, so it
-works at any depth.  A beta step on an untyped term is simulated by
-contracting, one by one, the copies of the redex in a refining
-annotated term, found by the redex search; a single annotated step is
-projected back to a beta step plus a bounded search for the completing
-reduction.
+The redex search `_redex_sites` yields each redex node with its
+position, lazily and in lexicographic order.  The stepping loop, the
+one-step reducts of a search and beta simulation contract the node it
+found, so a leftmost-outermost step costs the path to its redex; only
+`step`, which takes a position, descends to it again.  A development is
+a structural recursion run on `syntax.run`, so it works at any depth.
+A beta step is simulated by contracting, one by one, the copies of its
+redex in a refining annotated term; a single annotated step is
+projected back to a beta step plus a bounded search for the completion.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from __future__ import annotations
 import random
 from collections import deque
 from itertools import islice, product
-from operator import itemgetter
 from typing import NamedTuple
 
 from .binding import open_term, uopen
@@ -247,16 +246,15 @@ def corresponding_step(t: MemTerm | SetTerm, pos: Position) -> MemTerm | SetTerm
 
 def reduction_sequence(t, calculus: str, choose):
     """Yield (position, reduct) for each step of `calculus` from t until
-    no redex is left, contracting the redex at choose(positions), where
-    positions lists the redexes in lexicographic order."""
-    found = redex_positions(t, calculus)
-    if found:
+    no redex is left.  Each step contracts the site choose(sites) returns,
+    where sites lazily yields (position, node, redex) in lexicographic
+    order; `next` stops the search at the leftmost-outermost redex."""
+    if has_redex(t, calculus):
         require_plain(t, calculus)
-    while found:
-        pos = choose(found)
-        t = step(t, pos, calculus)
+    while has_redex(t, calculus):
+        pos, _, (core, wrappers, arg) = choose(_redex_sites(t, calculus))
+        t = replace_at(t, pos, _contract(core, core.body, wrappers, arg, calculus))
         yield pos, t
-        found = redex_positions(t, calculus)
 
 
 def normalize(t, calculus: str, max_steps: int):
@@ -267,9 +265,9 @@ def normalize(t, calculus: str, max_steps: int):
     steps away.
     """
     steps = 0
-    for _, t in islice(reduction_sequence(t, calculus, itemgetter(0)), max_steps):
+    for _, t in islice(reduction_sequence(t, calculus, next), max_steps):
         steps += 1
-    if steps == max_steps and redex_positions(t, calculus):
+    if steps == max_steps and has_redex(t, calculus):
         raise FuelExhausted(f"no normal form within {max_steps} steps")
     return t, steps
 
@@ -391,11 +389,12 @@ def simulate_beta(t: MemTerm, m: UntypedTerm, pos: Position
     steps: list[Step] = []
     while not refines(current, n):
         # Contract the first copy of the redex (in canonical order) not yet
-        # contracted: a copy is a subterm whose position erases to pos.
-        q = next((q for q in redex_positions(current, "i") if _try_erased(current, q) == pos
-                  and not refines(subterm_at(current, q), target)), None)
-        assert q is not None, "mixed state without a remaining redex copy"
-        nxt = step(current, q, "i")
+        # contracted: a copy is a redex whose position erases to pos.
+        site = next(((q, redex) for q, node, redex in _redex_sites(current, "i")
+                     if _try_erased(current, q) == pos and not refines(node, target)), None)
+        assert site is not None, "mixed state without a remaining redex copy"
+        q, (core, wrappers, arg) = site
+        nxt = replace_at(current, q, _contract(core, core.body, wrappers, arg, "i"))
         steps.append(Step("i", q, current, nxt))
         current = nxt
     assert steps, "a beta step must have at least one copy to contract"

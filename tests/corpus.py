@@ -110,6 +110,20 @@ WORKED_TERMS = [
 ]
 
 
+def church(k: int) -> str:
+    """The text of the untyped Church numeral k."""
+    body = "x"
+    for i in range(k):
+        body = f"f {body}" if i == 0 else f"f ({body})"
+    return f"(\\f. \\x. {body})"
+
+
+def church_application(m: int, n: int) -> UntypedTerm:
+    """The untyped Church application ``m n y z``; it reduces to y applied
+    n^m times to z."""
+    return parse_untyped(f"{church(m)} {church(n)} y z")
+
+
 def build_corpus(generated: int = 200, seed: int = 1) -> list[Entry]:
     entries = [
         Entry(None, term, minimal_context(term))

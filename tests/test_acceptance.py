@@ -20,6 +20,7 @@ from setlam import (
 )
 from setlam.binding import open_term
 from setlam.errors import NotSNWithinFuel
+from setlam.reduction import reduction_sequence
 from setlam.syntax import Var, free_names
 from setlam.derivation import canonical_derivation
 
@@ -134,6 +135,32 @@ def test_criterion_3_measure_decrease(corpus):
     assert elapsed < 60.0
     _passed(3, f"W strictly decreases on {checked} (term, redex) pairs "
                f"over {len(corpus)} terms in {elapsed:.1f}s")
+
+
+def test_criterion_3_measure_decreases_along_church_sequences():
+    # W is checked at every step of whole plain sequences, leftmost and
+    # seeded random, on terms whose reducts are far larger than the source
+    started = time.monotonic()
+    checked = 0
+    for m, n in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2)):
+        t = infer_sn(corpus.church_application(m, n), corpus.INFER_FUEL).term
+        ty = synthesize_type(t)
+        strategies = [next]
+        if m * n <= 6:  # seeded random sequences on the smaller pairs
+            strategies += [lambda sites, rng=random.Random(seed): rng.choice(list(sites))
+                           for seed in range(3)]
+        for choose in strategies:
+            before = W(t)
+            for _, stepped in reduction_sequence(t, "i", choose):
+                assert synthesize_type(stepped) == ty
+                after = W(stepped)
+                assert before > after, (m, n, stepped)
+                before = after
+                checked += 1
+    elapsed = time.monotonic() - started
+    assert elapsed < 60.0
+    _passed(3, f"W strictly decreases and the type is kept along {checked} steps "
+               f"of Church sequences in {elapsed:.1f}s")
 
 
 # --- 4. full simplification yields the normal form -----------------------------

@@ -44,16 +44,9 @@ OPEN_HEAD_REDEXES = [
 ]
 
 
-def church(k: int) -> str:
-    body = "x"
-    for i in range(k):
-        body = f"f {body}" if i == 0 else f"f ({body})"
-    return f"(\\f. \\x. {body})"
-
-
 def inputs() -> list[str]:
     return [
-        *(f"{church(m)} {church(n)} y z" for m, n in CHURCH_PAIRS),
+        *(f"{corpus.church(m)} {corpus.church(n)} y z" for m, n in CHURCH_PAIRS),
         *(pretty(m) for m, _ in corpus.generate_sn_samples(200, seed=1)),
         *OPEN_HEAD_REDEXES,
     ]
@@ -73,7 +66,7 @@ def test_golden_covers_the_inputs(sn_samples):
     cases = json.loads(GOLDEN.read_text(encoding="utf-8"))
     church_count = len(CHURCH_PAIRS)
     assert [case["input"] for case in cases[:church_count]] == [
-        f"{church(m)} {church(n)} y z" for m, n in CHURCH_PAIRS]
+        f"{corpus.church(m)} {corpus.church(n)} y z" for m, n in CHURCH_PAIRS]
     samples = cases[church_count:church_count + len(sn_samples)]
     assert [parse_untyped(case["input"]) for case in samples] == [m for m, _ in sn_samples]
     assert [case["input"] for case in cases[church_count + len(sn_samples):]] == (

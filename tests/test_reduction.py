@@ -2,25 +2,32 @@
 
 import random
 from collections import deque
+from itertools import islice
+from operator import itemgetter
 
 import pytest
 
 from setlam import (
     FuelExhausted, IllTyped, MissingSubstituent, NotARedex, NotUniform,
-    SearchBudgetExceeded, SetTerm,
+    SearchBudgetExceeded, SetLamError, SetTerm,
     Step, beta_redexes, beta_step, check, complete_development,
     corresponding_step, erase, erased_position, forgetful_reducts,
-    i_redexes, is_uniform, minimal_context, par_reduces, parallel_reducts,
+    i_redexes, infer_sn, is_uniform, minimal_context, par_reduces, parallel_reducts,
     parse_set_type, parse_term, parse_untyped, project_step,
     random_parallel_reduct, redexes, refines, simulate_beta, step_i,
     step_im, substitute, synthesize_type, weight,
 )
 from setlam.binding import open_term
 from setlam.measure import simp_d
-from setlam.reduction import normalize, redex_positions, step
-from setlam.syntax import Var, free_names, is_wrapper_free, pretty, term_size
+from setlam import reduction
+from setlam.reduction import (
+    _try_erased, normalize, reduction_sequence, redex_positions, require_plain, step,
+)
+from setlam.syntax import Var, free_names, is_wrapper_free, pretty, subterm_at, term_size
 
 import corpus
+from corpus import INFER_FUEL, church_application
+from deep import shape
 
 SIMPLE = parse_term("(\\x:{a}.x^a) {y^a}")
 DUP = parse_term(corpus.DUPLICATING)
@@ -530,3 +537,130 @@ def test_erased_position():
     assert erased_position(DUP, ()) == ()
     inner = next(r.position for r in i_redexes(DUP) if len(r.position) == 1)
     assert erased_position(DUP, inner) == (1,)
+
+
+# --- the stepping loop: one redex search per step ----------------------------
+
+def reference_sequence(t, calculus, choose):
+    """reduction_sequence as a listing loop: every redex position of each
+    term listed, one chosen by position, and that step made by `step`."""
+    found = redex_positions(t, calculus)
+    if found:
+        require_plain(t, calculus)
+    while found:
+        pos = choose(found)
+        t = step(t, pos, calculus)
+        yield pos, t
+        found = redex_positions(t, calculus)
+
+
+def reference_normalize(t, calculus, max_steps):
+    steps = 0
+    for _, t in islice(reference_sequence(t, calculus, itemgetter(0)), max_steps):
+        steps += 1
+    if steps == max_steps and redex_positions(t, calculus):
+        raise FuelExhausted(f"no normal form within {max_steps} steps")
+    return t, steps
+
+
+def reference_simulate_beta(t, m, pos):
+    """simulate_beta with each copy found by position and stepped by `step`."""
+    n = beta_step(m, pos)
+    target = subterm_at(n, pos)
+    current, steps = t, []
+    while not refines(current, n):
+        q = next(q for q in redex_positions(current, "i")
+                 if _try_erased(current, q) == pos
+                 and not refines(subterm_at(current, q), target))
+        nxt = step(current, q, "i")
+        steps.append(Step("i", q, current, nxt))
+        current = nxt
+    return n, current, steps
+
+
+def outcome(run):
+    """What run() returns, or the type and text of the error it raises."""
+    try:
+        return run()
+    except SetLamError as error:
+        return type(error), str(error)
+
+
+CHURCH_PAIRS = ((2, 2), (2, 3), (3, 2), (1, 8), (2, 4))
+
+
+@pytest.fixture(scope="module")
+def sequence_inputs(corpus):
+    """(term, calculus) for the differential tests: the corpus, Church
+    applications and the deep-input shapes at a small size, each typed
+    term in both annotated calculi and each untyped one in beta."""
+    churches = [church_application(m, n) for m, n in CHURCH_PAIRS]
+    typed = [entry.term for entry in corpus]
+    typed += [infer_sn(m, INFER_FUEL).term for m in churches]
+    typed += [parse_term(shape(name, 6)) for name in "ABCDFG"]
+    untyped = [entry.untyped for entry in corpus if entry.untyped is not None]
+    untyped += churches + [parse_untyped(shape("E", 6))]
+    return ([(t, calculus) for t in typed for calculus in ("i", "im")]
+            + [(m, "beta") for m in untyped])
+
+
+def test_reduction_sequence_matches_the_listing_loop(sequence_inputs):
+    stepped = 0
+    for t, calculus in sequence_inputs:
+        expected = outcome(lambda: list(reference_sequence(t, calculus, itemgetter(0))))
+        assert outcome(lambda: list(reduction_sequence(t, calculus, next))) == expected
+        stepped += len(expected)
+        for seed in range(3):
+            rng, reference_rng = random.Random(seed), random.Random(seed)
+            random_sites = lambda sites: rng.choice(list(sites))
+            assert outcome(lambda: list(reduction_sequence(t, calculus, random_sites))) == (
+                outcome(lambda: list(reference_sequence(t, calculus, reference_rng.choice))))
+    assert stepped > 1_000
+
+
+def test_normalize_matches_the_listing_loop(sequence_inputs):
+    for t, calculus in sequence_inputs:
+        steps = reference_normalize(t, calculus, 100_000)[1]
+        for fuel in {0, 1, steps}:
+            assert (outcome(lambda: normalize(t, calculus, fuel))
+                    == outcome(lambda: reference_normalize(t, calculus, fuel)))
+
+
+def test_plain_stepping_loops_refuse_wrapped_terms_alike():
+    expected = (IllTyped, "plain reduction is defined on wrapper-free terms")
+    assert outcome(lambda: list(reference_sequence(WRAPPED, "i", itemgetter(0)))) == expected
+    assert outcome(lambda: list(reduction_sequence(WRAPPED, "i", next))) == expected
+
+
+def test_simulate_beta_matches_the_listing_loop(corpus):
+    simulated = 0
+    for entry in corpus:
+        if entry.untyped is None:
+            continue
+        for pos in beta_redexes(entry.untyped):
+            assert (simulate_beta(entry.term, entry.untyped, pos)
+                    == reference_simulate_beta(entry.term, entry.untyped, pos))
+            simulated += 1
+    assert simulated > 100
+
+
+def test_normalize_searches_once_per_step(monkeypatch):
+    """Each step's search stops at its leftmost-outermost redex: it tests
+    the nodes on the path to it and nothing else, so a sequence costs
+    the sum of its paths, not a listing of every redex of every term."""
+    t = infer_sn(church_application(2, 3), INFER_FUEL).term
+    paths = {calculus: sum(len(pos) + 1 for pos, _ in
+                           reference_sequence(t, calculus, itemgetter(0)))
+             for calculus in ("i", "im")}
+    calls = []
+    redex = reduction._redex
+
+    def counted(node, calculus):
+        calls.append(node)
+        return redex(node, calculus)
+
+    monkeypatch.setattr(reduction, "_redex", counted)
+    for calculus, pinned in (("i", 35), ("im", 169)):
+        calls.clear()
+        normalize(t, calculus, 10_000)
+        assert len(calls) == paths[calculus] == pinned
