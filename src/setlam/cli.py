@@ -41,14 +41,15 @@ def _parse_pos(text: str) -> tuple[int, ...]:
 
 
 def _count(text: str) -> int:
-    """argparse type of --fuel and --steps: a non-negative integer."""
+    """argparse type of --fuel and --steps: a non-negative integer, capped
+    at sys.maxsize, which no run reaches and `islice` still accepts."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, not {value}")
-    return value
+    return min(value, sys.maxsize)
 
 
 def _emit_json(data: dict) -> None:

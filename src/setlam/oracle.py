@@ -71,15 +71,16 @@ def explore(t, calculus: str, fuel: Fuel = DEFAULT_FUEL) -> ReductionGraph:
     truncated when a node with a redex lies at fuel.max_depth, where it
     is not expanded, or when a new reduct would exceed fuel.max_nodes; a
     normal form at the depth limit leaves the graph complete.  Each node
-    is stepped by `reduction.reducts` in one walk of its redexes, with
-    one dict of contracta for the whole call: a reduct shares its
-    untouched subterms with its source, so a redex object met in many
-    nodes is contracted once.  The dict dies with the call.
+    is stepped by `reduction.reducts`, with one dict for the whole call
+    that maps each stepped node's identity to its reducts: a reduct
+    shares its untouched subterms with its source, so a subterm met in
+    many nodes is searched, rebuilt and contracted once.  The dict dies
+    with the call.
     """
     index = {t: 0}
     nodes = [t]
     edges: list[tuple[int, Position, int]] = []
-    contracta: dict = {}
+    memo: dict = {}
     queue = deque([(0, 0)])
     truncated = False
     while queue:
@@ -91,7 +92,7 @@ def explore(t, calculus: str, fuel: Fuel = DEFAULT_FUEL) -> ReductionGraph:
             continue
         if i == 0:
             require_plain(t, calculus)  # checked once: steps keep the precondition
-        for pos, nxt in reducts(nodes[i], calculus, contracta):
+        for pos, nxt in reducts(nodes[i], calculus, memo):
             j = index.get(nxt)
             if j is None:
                 if len(nodes) >= fuel.max_nodes:

@@ -11,11 +11,12 @@ reduction ("im") contracts to ``body{x := args} [args] L``, keeping the
 argument in a wrapper.  Beta reduction ("beta") opens the body with it.
 
 The redex search `_redex_sites` yields each redex node with its
-position, lazily and in lexicographic order.  The stepping loop, the
-one-step reducts of a search and beta simulation contract the node it
-found, so a leftmost-outermost step costs the path to its redex; only
-`step`, which takes a position, descends to it again.  A development is
-a structural recursion run on `syntax.run`, so it works at any depth.
+position, lazily and in lexicographic order.  The stepping loop and
+beta simulation contract the node it found, so a leftmost-outermost
+step costs the path to its redex; only `step`, which takes a position,
+descends to it again.  `reducts` builds a node's one-step reducts
+from its children's, in a table one search shares.  A development is a
+structural recursion run on `syntax.run`, so it works at any depth.
 A beta step is simulated by contracting, one by one, the copies of its
 redex in a refining annotated term; a single annotated step is
 projected back to a beta step plus a bounded search for the completion.
@@ -203,26 +204,54 @@ def step(t, pos: Position, calculus: str):
     return replace_at(t, pos, _contract(core, core.body, wrappers, arg, calculus))
 
 
-def reducts(t, calculus: str, contracta: dict):
+def reducts(t, calculus: str, memo: dict):
     """Yield (position, reduct) for each step of `calculus` from t, by
-    the redexes' lexicographic order, in one walk of the redex sites.
+    the redexes' lexicographic order.
 
-    `contracta` maps the id of each redex node contracted so far to the
-    node and its contractum; keeping the node keeps its id from being
-    reused.  A caller passes one dict for the terms of one search: a
-    step rebuilds only the path to its redex, so a reduct shares every
-    other subterm, redexes included, as the same object with the term it
-    came from, and each redex object is contracted once.  The key is
-    identity, not ``==``: binder hints are not part of a node's key, and
-    an alpha-equal redex with other hints keeps its own names.  As for
-    `step`, the precondition of a plain step is left to the caller.
+    `memo` maps the id of each node stepped so far to the node (so that
+    its id is not reused) and its reducts: its contractum, if it is a
+    redex, then each child's reducts, in child order, put back in place
+    by `rebuild`.  A caller passes one dict for the terms of one search:
+    a reduct shares every subterm off its redex's path with its source,
+    as the same object, so a subterm shared by many terms is searched,
+    rebuilt and contracted once.  Each reduct links to the child reduct
+    it came from, and only the root's positions are read off the links.
+    The key is identity, not ``==``: an alpha-equal redex with other
+    binder hints keeps its own names.  As for `step`, the precondition
+    of a plain step is left to the caller.
     """
-    for pos, node, (core, wrappers, arg) in _redex_sites(t, calculus):
-        known = contracta.get(id(node))
-        if known is None:
-            known = contracta[id(node)] = (
-                node, _contract(core, core.body, wrappers, arg, calculus))
-        yield pos, replace_at(t, pos, known[1])
+    flag = _redex_flag(calculus)
+    if not t.flags & flag:
+        return
+    stack = [t]  # nodes to step, and (node, its children) below the children
+    while stack:
+        node = stack.pop()
+        if type(node) is not tuple:
+            if id(node) not in memo:
+                kids = children(node)
+                stack.append((node, kids))
+                for kid in kids:
+                    if kid.flags & flag and id(kid) not in memo:
+                        stack.append(kid)
+            continue
+        node, kids = node
+        entry = []  # links (child index, the child's link, reduct)
+        if (redex := _redex(node, calculus)) is not None:
+            core, wrappers, arg = redex
+            entry.append((None, None, _contract(core, core.body, wrappers, arg, calculus)))
+        for i, kid in enumerate(kids):
+            if kid.flags & flag:
+                for link in memo[id(kid)][1]:
+                    kids[i] = link[2]
+                    entry.append((i, link, rebuild(node, kids)))
+                kids[i] = kid
+        memo[id(node)] = (node, entry)
+    for link in memo[id(t)][1]:
+        reduct, pos = link[2], []
+        while link[1] is not None:
+            pos.append(link[0])
+            link = link[1]
+        yield tuple(pos), reduct
 
 
 def step_i(t: MemTerm | SetTerm, pos: Position) -> MemTerm | SetTerm:
@@ -429,8 +458,9 @@ def project_step(t: MemTerm, s: MemTerm, pos: Position, budget: int | None = Non
     refines(s', N), and the completing steps from s).  The completion is
     found by breadth-first search over plain reduction, smallest witness
     first; `budget` caps the number of explored terms.  The search steps
-    each term by `reducts`, with one dict of contracta for the whole
-    search, so a redex object shared by several terms is contracted once.
+    each term by `reducts`, with one dict for the whole search that maps
+    each stepped node's identity to its reducts, so a subterm shared by
+    several terms is searched, rebuilt and contracted once.
     """
     m = typecheck.erase(t)
     if step_i(t, pos) != s:
@@ -444,7 +474,7 @@ def project_step(t: MemTerm, s: MemTerm, pos: Position, budget: int | None = Non
 
     explored = 0
     seen = {s}
-    contracta: dict = {}
+    memo: dict = {}
     queue: deque[tuple[MemTerm, tuple[Step, ...]]] = deque([(s, ())])
     while queue:
         current, steps = queue.popleft()
@@ -453,7 +483,7 @@ def project_step(t: MemTerm, s: MemTerm, pos: Position, budget: int | None = Non
             return n, current, list(steps)
         if explored >= budget:
             break
-        for q, nxt in reducts(current, "i", contracta):
+        for q, nxt in reducts(current, "i", memo):
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append((nxt, steps + (Step("i", q, current, nxt),)))

@@ -204,6 +204,15 @@ def test_zero_counts_are_accepted(files, capsys):
     assert code == 0 and out == "y^a\nsteps: 0\n"
 
 
+@pytest.mark.parametrize("command,flag", [("reduce", "--steps"), ("normalize", "--fuel")])
+def test_huge_counts_are_capped_at_maxsize(files, capsys, command, flag):
+    # No run reaches sys.maxsize steps, so a larger count means the same.
+    path = files("t.term", "(\\x:{a}.x^a) {y^a}")
+    capped = run(capsys, command, path, f"{flag}={sys.maxsize}")
+    assert capped[0] == 0
+    assert run(capsys, command, path, f"{flag}={2 ** 64}") == capped
+
+
 def test_check_deep_binder_chain(files, capsys):
     text = "".join(f"\\x{i}:{{a}}. " for i in range(1_000)) + "x0^a"
     code, out, err = run(capsys, "check", files("deep.term", text))
@@ -236,12 +245,13 @@ def test_chains_argument_off_the_binder_exit_2(files, capsys):
 # is a spine of 10,000 arguments (the cached erasure, the printer), C the
 # same spine ill-typed at its root (the first error read off the typing
 # fold), D a redex at the bottom of such a spine (develop, through W and
-# the measure report; the redex search, through simulate at 3,000), E an
-# untyped spine (the printer).
+# the measure report; the one-step reducts, through graph; the redex
+# search, through simulate at 3,000), E an untyped spine (the printer).
 @pytest.mark.parametrize("name, argv", [
     ("A", ["chains"]), ("A", ["measure"]),
     ("B", ["erase"]), ("B", ["normalize"]), ("B", ["reduce"]), ("B", ["graph"]),
     ("D", ["chains"]), ("D", ["measure"]),
+    ("D", ["graph"]), ("D", ["graph", "--calculus=im", "--format=dot"]),
     ("E", ["graph", "--calculus=beta"]),
 ], ids=lambda v: v if isinstance(v, str) else "-".join(v))
 def test_deep_shape_through_a_command(name, argv, files, capsys):

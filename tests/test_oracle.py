@@ -155,6 +155,31 @@ def test_explore_contracts_each_distinct_redex_once(calculus, monkeypatch):
     assert len(calls) == len(met) < len(g.edges)
 
 
+@pytest.mark.parametrize("calculus", ["i", "im"])
+def test_explore_steps_each_shared_subterm_once(calculus, monkeypatch):
+    """A subterm shared by many graph nodes, as the same object, is
+    walked once per call: the children of a node are listed at most once
+    for every distinct node that holds a redex of the calculus.
+    Contracting walks a redex's body in `binding`, which is not a search
+    and is not counted."""
+    t = infer_sn(church_2_2()).term
+    calls = []
+    listed = syntax.children
+
+    def counted(node):
+        calls.append(node)
+        return listed(node)
+
+    monkeypatch.setattr(syntax, "children", counted)
+    monkeypatch.setattr(reduction, "children", counted)
+    g = explore(t, calculus, Fuel(20_000, 20_000))
+    monkeypatch.undo()
+    assert not g.truncated
+    flagged = {id(node) for n in g.nodes
+               for node in syntax.nodes(n, reduction._redex_flag(calculus))}
+    assert len(calls) <= len(flagged)
+
+
 def test_graph_exports():
     g = explore(parse_term("(\\x:{a}.x^a) {y^a}"), "i")
     dot = graph_to_dot(g)

@@ -21,12 +21,15 @@ from setlam.binding import open_term
 from setlam.measure import simp_d
 from setlam import reduction
 from setlam.reduction import (
-    _try_erased, normalize, reduction_sequence, redex_positions, require_plain, step,
+    _try_erased, normalize, reducts, reduction_sequence, redex_positions, require_plain,
+    step,
 )
-from setlam.syntax import Var, free_names, is_wrapper_free, pretty, subterm_at, term_size
+from setlam.syntax import (
+    Var, free_names, is_wrapper_free, pretty, replace_at, subterm_at, term_size,
+)
 
 import corpus
-from corpus import INFER_FUEL, church_application
+from corpus import INFER_FUEL, church_application, generate_sn_samples, random_untyped
 from deep import shape
 
 SIMPLE = parse_term("(\\x:{a}.x^a) {y^a}")
@@ -664,3 +667,61 @@ def test_normalize_searches_once_per_step(monkeypatch):
         calls.clear()
         normalize(t, calculus, 10_000)
         assert len(calls) == paths[calculus] == pinned
+
+
+# --- one-step reducts: each node's built once, from its children's ----------
+
+def reference_reducts(t, calculus):
+    """reducts as a walk from the root for each term: every redex site
+    found by the search, and its contractum put in place by position."""
+    return [(pos, replace_at(t, pos, reduction._contract(core, core.body, wrappers, arg,
+                                                         calculus)))
+            for pos, _, (core, wrappers, arg) in reduction._redex_sites(t, calculus)]
+
+
+def printed_reducts(found):
+    return [(pos, pretty(r)) for pos, r in found]
+
+
+@pytest.fixture(scope="module")
+def reducts_inputs(corpus):
+    """(term, calculus) for the differential test of `reducts`: the
+    corpus, Church applications, the deep-input shapes at a small size
+    and random terms whose binder hints collide with each other and with
+    their free names, each typed term in both annotated calculi and each
+    untyped one in beta."""
+    churches = [church_application(m, n) for m, n in ((2, 2), (2, 3), (3, 2))]
+    rng = random.Random(17)
+    collided = [random_untyped(rng, rng.randint(4, 16)) for _ in range(60)]
+    typed = [entry.term for entry in corpus]
+    typed += [infer_sn(m, INFER_FUEL).term for m in churches]
+    typed += [parse_term(shape(name, 6)) for name in "ABCDFG"]
+    typed += [typing.term for _, typing in generate_sn_samples(30, seed=17, max_size=16)]
+    untyped = [entry.untyped for entry in corpus if entry.untyped is not None]
+    untyped += churches + [parse_untyped(shape("E", 6))] + collided
+    return ([(t, calculus) for t in typed for calculus in ("i", "im")]
+            + [(m, "beta") for m in untyped])
+
+
+def test_reducts_match_the_walk_from_the_root(reducts_inputs):
+    """A breadth-first search from each input with one dict, as `explore`
+    shares it: the input is stepped with a fresh dict, every later term
+    with entries that other terms made, and each must still list its own
+    reducts, hints included."""
+    stepped = 0
+    for t, calculus in reducts_inputs:
+        memo, seen, queue = {}, {t}, deque([t])
+        for _ in range(60):
+            if not queue:
+                break
+            current = queue.popleft()
+            found = list(reducts(current, calculus, memo))
+            assert (printed_reducts(found)
+                    == printed_reducts(reference_reducts(current, calculus))), (
+                pretty(current), calculus)
+            stepped += 1
+            for _, nxt in found:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+    assert stepped > 3_000
