@@ -22,9 +22,10 @@ from typing import NamedTuple, Union
 
 from .binding import close_term, uopen
 from .errors import InvalidDerivation
+from .naming import Names
 from .syntax import (
     App, Arrow, BoundVar, Lam, MemTerm, SetTerm, SetType, Type, UApp, ULam,
-    UntypedTerm, UVar, Var, _name_chain, parse_type, parse_untyped, pretty, run,
+    UntypedTerm, UVar, Var, parse_type, parse_untyped, pretty, run,
 )
 from .typecheck import Judgement, TypingContext, check, erase
 
@@ -291,26 +292,25 @@ def erase_derivation(t: MemTerm, context: TypingContext) -> CurryDerivation:
     """
     check(context, t)
     erase(t)  # raises NotUniform where t does not erase
-    return run(_derivation(t, context, []))
+    return run(_derivation(t, context, Names(t)))
 
 
-def _derivation(t, context: TypingContext, env: list[str]):
-    """The derivation of the uniform term t under the context; env names
-    the binders above t, innermost last, in a list that each sub-call
-    extends and restores."""
+def _derivation(t, context: TypingContext, binders: Names):
+    """The derivation of the uniform term t under the context; binders
+    names the binders above t as the printer does, and each sub-call
+    opens and closes the chains below t."""
     match t:
         case Var() | BoundVar():
-            subject = UVar(t.name if isinstance(t, Var) else env[-1 - t.index])
+            subject = UVar(t.name if isinstance(t, Var) else binders.env[-1 - t.index])
             return CurryDerivation("var", context, subject, t.annot, (), t.annot)
         case Lam():
-            chain, body = _name_chain(t, env)
+            chain, body = binders.open(t)
             names = [name for _, name in chain]
             contexts = [context]
             for lam, name in chain:
                 contexts.append(contexts[-1].bind(name, lam.binder))
-            env += names
-            node = yield _derivation(body, contexts.pop(), env)
-            del env[len(env) - len(names):]
+            node = yield _derivation(body, contexts.pop(), binders)
+            binders.close()
             # Close the body over the whole chain at once, then open the
             # binders one by one: an open visits only the paths to the
             # occurrences it replaces.
@@ -326,10 +326,10 @@ def _derivation(t, context: TypingContext, env: list[str]):
                     "intro", outer, subject, Arrow(lam.binder, node.type_), (node,))
             return node
         case App(fun, arg):
-            fun_node = yield _derivation(fun, context, env)
+            fun_node = yield _derivation(fun, context, binders)
             elements = []
             for e in arg.elements:
-                elements.append((yield _derivation(e, context, env)))
+                elements.append((yield _derivation(e, context, binders)))
             arg_node = CurryDerivation("many", context, elements[0].subject,  # all alike
                                        SetType.of(e.type_ for e in elements), tuple(elements))
             return CurryDerivation("elim", context, UApp(fun_node.subject, arg_node.subject),

@@ -17,9 +17,9 @@ largest de Bruijn index pointing outside the node, -1 when locally
 closed) and `flags` (which kinds of redex, and whether a wrapper and a
 free variable, occur in the subtree); `typecheck` caches a node's
 typing and its erasure on it the first time either is asked for, and
-the printer a type's text the first time it prints it.  None of these
-is part of the key, so they change neither identity, nor order, nor
-printing.
+the printer a type's or a term's text the first time it prints it.
+None of these is part of the key, so they change neither identity, nor
+order, nor printing.
 
 Every walk works at any depth: `subterms`, `nodes`, the printer,
 `type_height` and the comparison of keys too deep for the interpreter
@@ -90,9 +90,12 @@ class _Node:
     index, -1 when locally closed) and `flags` (the redexes, wrappers
     and free variables below them); `typing` and `erasure`
     stay None until `typecheck` stores them in the node's dict, and
-    `text`, on a type or set-type, until the printer stores its printed
-    text there the first time it prints it.  `typecheck.TypingContext`
-    is a node keyed by its entries.
+    `text` until the printer stores the node's printed text there: on
+    a type or set-type the first time it prints it, on a term the first
+    time `pretty` is called on that term itself (not on a term above
+    it).  The text stays with the object, so two alpha-equal terms with
+    other binder hints keep their own.  `typecheck.TypingContext` is a
+    node keyed by its entries.
     """
 
     typing = None
@@ -597,7 +600,10 @@ def peel_wrappers(t: MemTerm) -> tuple[MemTerm, WrapperList]:
 
 
 def pretty(x) -> str:
-    """Canonical text form; parse(pretty(x)) is alpha-equal to x."""
+    """Canonical text form; parse(pretty(x)) is alpha-equal to x.  A
+    term's text is stored on it, not on its subterms (storing every
+    suffix of a spine would cost the square of its length), so a term is
+    printed once however often it is asked for."""
     match x:
         case Base() | Arrow():
             return _pretty_type(x)
@@ -607,7 +613,9 @@ def pretty(x) -> str:
             return "{" + ", ".join(_pretty_term(e) for e in x.elements) + "}"
         case (Var() | BoundVar() | Lam() | App() | Wrap()
               | UVar() | UBoundVar() | ULam() | UApp()):
-            return _pretty_term(x)
+            if x.text is None:
+                vars(x)["text"] = _pretty_term(x)
+            return x.text
     raise TypeError(f"cannot print {x!r}")
 
 
@@ -655,66 +663,39 @@ def _pretty_annot(a: Type) -> str:
     return f"({_pretty_type(a)})"
 
 
-_IDENT = re.compile(r"[a-z][A-Za-z0-9_']*\Z")
-
-
-def _pick_name(hint: str, used: set[str], next_suffix: dict[str, int]) -> str:
-    """The hint (or "x"), suffixed by the least number that avoids `used`
-    if it is taken.  `next_suffix` maps a base to a suffix below which
-    every name is in `used`; it stays true, and saves the search, while
-    `used` only grows."""
-    base = hint if _IDENT.match(hint) else "x"
-    if base not in used:
-        return base
-    n = next_suffix.get(base, 0)
-    while f"{base}{n}" in used:
-        n += 1
-    next_suffix[base] = n
-    return f"{base}{n}"
-
-
-def _name_chain(t, env: list[str]):
-    """Name the binders of the chain of abstractions at the top of t,
-    under the binder names env.
-
-    Returns ((abstraction, name) pairs, the chain's body).  The chain's
-    free names are computed once, not once per binder: binders bind no
-    names, so every body in the chain has the same free names.
-    """
-    taken = free_names(t) | set(env)
-    next_suffix: dict[str, int] = {}
-    chain = []
-    while isinstance(t, (Lam, ULam)):
-        name = _pick_name(t.hint, taken, next_suffix)
-        taken.add(name)
-        chain.append((t, name))
-        t = t.body
-    return chain, t
+# `naming.Names`, bound on the first term printed: `naming` imports this
+# module, so this module cannot import it while it loads.
+_Names = None
 
 
 def _pretty_term(t) -> str:
     """The text of an annotated or untyped term.
 
     An explicit stack holds what is left to print, last piece on top: a
-    string is emitted as it is, a number ends the scope of that many
-    binder names, and a (term, precedence) pair prints the term.  At
+    string is emitted as it is, None ends the scope of the binder names
+    opened last, and a (term, precedence) pair prints the term.  At
     precedence 1 (the function of an application or the head of a
     wrapper) an abstraction is parenthesized, at 2 (an untyped argument)
-    an application too.  Binder names depend on the context, so a term
-    is printed afresh at each occurrence; a type's text does not, and
-    each annotation and binder set-type is read from the text cached on
-    its node (`_pretty_type`), computed the first time it is printed.
+    an application too.  Binder names depend on the context, so a
+    subterm is printed afresh at each occurrence, and `pretty` stores
+    only the text of the term it is called on.  A type's text does not,
+    and each annotation and binder set-type is read from the text stored
+    on its node (`_pretty_type`), computed the first time it is printed.
     """
+    global _Names
+    if _Names is None:
+        from .naming import Names as _Names
     out: list[str] = []
-    env: list[str] = []  # names of the binders in scope, innermost last
+    names = _Names(t)
+    env = names.env  # names of the binders in scope, innermost last
     stack: list = [(t, 0)]
     while stack:
         item = stack.pop()
         if type(item) is str:
             out.append(item)
             continue
-        if type(item) is int:
-            del env[len(env) - item:]
+        if item is None:
+            names.close()
             continue
         t, prec = item
         kind = type(t)
@@ -726,15 +707,14 @@ def _pretty_term(t) -> str:
             name = env[-1 - t.index] if t.index < len(env) else f"?{t.index - len(env)}"
             out.append(f"{name}^{_pretty_annot(t.annot)}" if kind is BoundVar else name)
         elif kind is Lam or kind is ULam:
-            chain, body = _name_chain(t, env)
+            chain, body = names.open(t)
             if prec:
                 out.append("(")
                 stack.append(")")
             for lam, name in chain:
                 out.append(f"\\{name}:{_pretty_set_type(lam.binder)}. " if kind is Lam
                            else f"\\{name}. ")
-                env.append(name)
-            stack += [len(chain), (body, 0)]
+            stack += [None, (body, 0)]
         elif kind is App and len(t.arg) == 1 and type(t.arg.elements[0]) in (Var, BoundVar):
             stack += [(t.arg.elements[0], 0), " ", (t.fun, 1)]
         elif kind is App or kind is Wrap:
@@ -763,8 +743,11 @@ _TOKEN = re.compile(r"(->|[a-z][A-Za-z0-9_']*|[\\.:,^(){}\[\]])|\S")
 
 
 class _Tokens:
-    """The tokens of a text and the parser's place in them.  A token's
-    line and column are computed only for the error that reports them."""
+    """The tokens of a text, the parser's place in them and the binders
+    in scope there.  A token's line and column are computed only for the
+    error that reports them.  `bound` maps a name to the depths of the
+    binders in scope that bind it, innermost last, so a name's de Bruijn
+    index is found in O(1) at any depth."""
 
     def __init__(self, text: str):
         self.text = text
@@ -774,6 +757,23 @@ class _Tokens:
             self.error()
         self.tokens.append("")  # end marker
         self.index = 0
+        self.bound: dict[str, list[int]] = {}
+        self.depth = 0
+
+    def bind(self, names: list[str]) -> None:
+        for name in names:
+            self.bound.setdefault(name, []).append(self.depth)
+            self.depth += 1
+
+    def unbind(self, names: list[str]) -> None:
+        for name in names:
+            self.bound[name].pop()
+        self.depth -= len(names)
+
+    def de_bruijn(self, name: str) -> int:
+        """The index of the innermost binder of name, -1 when name is free."""
+        depths = self.bound.get(name)
+        return self.depth - 1 - depths[-1] if depths else -1
 
     def peek(self) -> str:
         return self.tokens[self.index]
@@ -823,9 +823,9 @@ def parse(text: str, kind: str) -> Type | UntypedTerm | MemTerm:
         case "type":
             walk = _type(toks)
         case "untyped":
-            walk = _untyped(toks, [])
+            walk = _untyped(toks)
         case "annotated":
-            walk = _term(toks, [])
+            walk = _term(toks)
         case _:
             raise ValueError(f"unknown parse kind {kind!r}")
     return _parse_all(toks, walk)
@@ -858,17 +858,16 @@ def _parse_all(toks: _Tokens, walk: Generator):
 
 # The grammar's walkers run on `run`: a sub-call (``yield``) is made where
 # the grammar nests, into brackets and set elements; binder chains,
-# application spines and arrow chains are loops.  `env` names the
-# binders in scope, innermost last, in one list that each walker extends
-# and restores.
+# application spines and arrow chains are loops.  Each walker binds the
+# names of its binder chain in `toks` and unbinds them when it returns.
 
 
-def _elements(toks: _Tokens, walker, closing: str, *args):
+def _elements(toks: _Tokens, walker, closing: str):
     """The elements of a bracketed, comma-separated list, whose opening
     bracket is consumed, each parsed by a sub-call to walker."""
-    elements = [(yield walker(toks, *args))]
+    elements = [(yield walker(toks))]
     while toks.take(","):
-        elements.append((yield walker(toks, *args)))
+        elements.append((yield walker(toks)))
     toks.expect(closing)
     return elements
 
@@ -899,51 +898,43 @@ def _type(toks: _Tokens, as_set: bool = False):
     return SetType.of([result]) if as_set else result
 
 
-def _index(name: str, env: list[str]) -> int:
-    """The de Bruijn index of the innermost binder of name in env, -1
-    when name is free."""
-    for depth, binder in enumerate(reversed(env)):
-        if binder == name:
-            return depth
-    return -1
-
-
-def _untyped(toks: _Tokens, env: list[str]):
+def _untyped(toks: _Tokens):
     names = []
     while toks.take("\\"):
         names.append(toks.name())
         toks.expect(".")
-    env += names
+    toks.bind(names)
     term = None
     while True:
         if toks.take("("):
-            atom = yield _untyped(toks, env)
+            atom = yield _untyped(toks)
             toks.expect(")")
         elif term is None or toks.at_name():
             name = toks.name()
-            index = _index(name, env)
+            index = toks.de_bruijn(name)
             atom = UBoundVar(index) if index >= 0 else UVar(name)
         else:
             break
         term = atom if term is None else UApp(term, atom)
-    del env[len(env) - len(names):]
+    toks.unbind(names)
     for name in reversed(names):
         term = ULam(name, term)
     return term
 
 
-def _term(toks: _Tokens, env: list[str]):
+def _term(toks: _Tokens):
     binders = []
     while toks.take("\\"):
         name = toks.name()
         toks.expect(":")
         binders.append((name, (yield from _type(toks, True))))
         toks.expect(".")
-    env += [name for name, _ in binders]
+    names = [name for name, _ in binders]
+    toks.bind(names)
     term = None
     while True:
         if toks.take("("):
-            atom = yield _term(toks, env)
+            atom = yield _term(toks)
             toks.expect(")")
         elif term is None or toks.at_name():
             name = toks.name()
@@ -953,18 +944,18 @@ def _term(toks: _Tokens, env: list[str]):
                 toks.expect(")")
             else:
                 annot = Base(toks.name())
-            index = _index(name, env)
+            index = toks.de_bruijn(name)
             atom = BoundVar(index, annot) if index >= 0 else Var(name, annot)
         elif toks.take("{"):
-            term = App(term, SetTerm.of((yield from _elements(toks, _term, "}", env))))
+            term = App(term, SetTerm.of((yield from _elements(toks, _term, "}"))))
             continue
         elif toks.take("["):
-            term = Wrap(term, SetTerm.of((yield from _elements(toks, _term, "]", env))))
+            term = Wrap(term, SetTerm.of((yield from _elements(toks, _term, "]"))))
             continue
         else:
             break
         term = atom if term is None else App(term, SetTerm.of([atom]))
-    del env[len(env) - len(binders):]
+    toks.unbind(names)
     for name, binder in reversed(binders):
         term = Lam(name, binder, term)
     return term

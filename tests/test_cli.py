@@ -246,20 +246,26 @@ def test_chains_argument_off_the_binder_exit_2(files, capsys):
 # same spine ill-typed at its root (the first error read off the typing
 # fold), D a redex at the bottom of such a spine (develop, through W and
 # the measure report; the one-step reducts, through graph; the redex
-# search, through simulate at 3,000), E an untyped spine (the printer).
+# search, through simulate at 3,000), E an untyped spine (the printer),
+# H 10,000 nested binder chains (the parser's binder lookup, and the
+# printer's names tested against each chain's body by bisect).
 @pytest.mark.parametrize("name, argv", [
     ("A", ["chains"]), ("A", ["measure"]),
     ("B", ["erase"]), ("B", ["normalize"]), ("B", ["reduce"]), ("B", ["graph"]),
     ("D", ["chains"]), ("D", ["measure"]),
     ("D", ["graph"]), ("D", ["graph", "--calculus=im", "--format=dot"]),
     ("E", ["graph", "--calculus=beta"]),
+    ("H", ["erase"]), ("H", ["normalize"]), ("H", ["graph", "--calculus=i", "--format=dot"]),
 ], ids=lambda v: v if isinstance(v, str) else "-".join(v))
 def test_deep_shape_through_a_command(name, argv, files, capsys):
     path = files("deep.lam" if name == "E" else "deep.term", shape(name, 10_000))
     code, out, err = run(capsys, argv[0], path, *argv[1:])
     assert (code, err) == (0, "")
-    if argv[0] == "erase":
+    if argv[0] == "erase" and name == "B":
         assert out == "y" + " z" * 10_000 + "\n"
+    if argv[0] == "erase" and name == "H":
+        names = ["x"] + [f"x{i}" for i in range(9_999)]
+        assert out == "".join(f"y (\\{x}. " for x in names) + "z" + ")" * 10_000 + "\n"
     if argv[0] == "measure":  # one pass contracts the one redex
         assert [stage["maxDegree"] for stage in json.loads(out)["stages"]] == [0]
 
@@ -438,20 +444,21 @@ def test_import_cli_loads_syntax_and_typecheck_only():
 
 
 # What each command loads beyond the package, cli, errors, syntax and
-# typecheck: the setlam modules it runs, and json where it writes JSON
+# typecheck: the setlam modules it runs, naming where it prints a term
+# (check prints a type, chains a number), and json where it writes JSON
 # or reads a derivation.
 @pytest.mark.parametrize("argv, extra", [
     (["check", "TERM"], set()),
-    (["erase", "TERM"], set()),
-    (["decorate", "DERIV"], {"binding", "derivation", "json"}),
-    (["reduce", "TERM"], {"binding", "reduction", "json"}),
-    (["simulate", "TERM", "LAM", "--pos="], {"binding", "reduction", "json"}),
-    (["normalize", "TERM"], {"binding", "reduction"}),
-    (["measure", "TERM"], {"binding", "reduction", "measure", "json"}),
+    (["erase", "TERM"], {"naming"}),
+    (["decorate", "DERIV"], {"binding", "derivation", "naming", "json"}),
+    (["reduce", "TERM"], {"binding", "naming", "reduction", "json"}),
+    (["simulate", "TERM", "LAM", "--pos="], {"binding", "naming", "reduction", "json"}),
+    (["normalize", "TERM"], {"binding", "naming", "reduction"}),
+    (["measure", "TERM"], {"binding", "naming", "reduction", "measure", "json"}),
     (["chains", "TERM"], {"binding", "reduction", "oracle", "measure"}),
-    (["infer-sn", "LAM"], {"binding", "reduction", "oracle"}),
-    (["graph", "TERM", "--format=dot"], {"binding", "reduction", "oracle"}),
-    (["graph", "TERM"], {"binding", "reduction", "oracle", "json"}),
+    (["infer-sn", "LAM"], {"binding", "naming", "reduction", "oracle"}),
+    (["graph", "TERM", "--format=dot"], {"binding", "naming", "reduction", "oracle"}),
+    (["graph", "TERM"], {"binding", "naming", "reduction", "oracle", "json"}),
 ], ids=lambda value: "-".join(value) if isinstance(value, list) else None)
 def test_each_command_loads_only_the_modules_it_runs(argv, extra, files):
     paths = {

@@ -12,8 +12,9 @@ MODULES = ["syntax", "binding", "typecheck", "derivation", "reduction", "measure
 
 # Aliases, duplicated walks and second definitions of identity folded
 # into one canonical name each, unused constants, the pieces of walkers
-# now written as one recursion on the trampoline, the second typing walk
-# and the second normalization strategy.
+# now written as one recursion on the trampoline, the second typing walk,
+# the second normalization strategy and the binder naming that moved to
+# `naming`.
 REMOVED = {
     "syntax": ["alpha_eq", "canonicalize", "untyped_key", "ufree_names",
                "untyped_size", "_children", "type_key", "settype_key",
@@ -21,7 +22,8 @@ REMOVED = {
                "_pretty_untyped", "map_children", "_keys_equal", "_lookup_untyped",
                "_parse_type", "_parse_settype", "_parse_settype_atom", "_parse_annot",
                "_parse_untyped", "_parse_untyped_atom", "_parse_aterm",
-               "_parse_aterm_atom", "_set_key", "_set_meta"],
+               "_parse_aterm_atom", "_set_key", "_set_meta", "_name_chain",
+               "_pick_name", "_index"],
     "binding": ["ushift", "uclose"],
     "typecheck": ["_fold_tree", "_typing", "_typing_of_set", "_erase", "_erase_set",
                   "_erase_node", "_erase_set_node", "_check_node", "_premises",

@@ -188,6 +188,24 @@ def test_graph_exports():
     assert data["formatVersion"] == 1 and data["nodeCount"] == 2
 
 
+def test_graph_exports_print_each_node_once(monkeypatch):
+    g = explore(infer_sn(church_2_2()).term, "i", Fuel(20_000, 20_000))
+    calls = []
+    printer = syntax._pretty_term
+    monkeypatch.setattr(syntax, "_pretty_term", lambda t: calls.append(t) or printer(t))
+    data = graph_to_json_dict(g)
+    graph_to_dot(g)
+    assert len(calls) == g.node_count > 1
+    calls.clear()
+    assert [pretty(n) for n in g.nodes] == data["nodes"] and calls == []
+    # the text is stored on the node, not looked up by alpha-equality
+    u, v = parse_term("\\u:{a}. u^a"), parse_term("\\v:{a}. v^a")
+    assert u == v
+    for _ in range(2):
+        assert (pretty(u), pretty(v)) == ("\\u:{a}. u^a", "\\v:{a}. v^a")
+    assert len(calls) == 2
+
+
 # --- normal_form ------------------------------------------------------------
 
 def test_normal_form_figure():

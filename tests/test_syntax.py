@@ -12,7 +12,7 @@ from setlam import (
     parse_set_type, parse_term, parse_type, parse_untyped, pretty,
     replace_at, subterm_at,
 )
-from setlam import syntax
+from setlam import naming, syntax
 from setlam.binding import locally_closed, shift
 from setlam.syntax import _Node, positions, run, term_size, type_height
 
@@ -193,6 +193,195 @@ def test_print_picks_fresh_names_on_collision():
     printed = pretty(t)
     assert printed == "\\x0:{a}. x^a"
     assert parse_term(printed) == t
+
+
+def nested_chains(n: int, typed: bool):
+    """Shape H of tests/deep.py, y {\\x. y {\\x. ... z}}, n chains deep."""
+    if typed:
+        y, z = Var("y", parse_type("(a -> a) -> a")), Var("z", a)
+        m = z
+        for _ in range(n):
+            m = App(y, SetTerm.of([Lam("x", SetType.of([a]), m)]))
+        return m
+    m = UVar("z")
+    for _ in range(n):
+        m = UApp(UVar("y"), ULam("x", m))
+    return m
+
+
+@pytest.mark.parametrize("typed", [False, True], ids=["untyped", "annotated"])
+def test_print_deep_nested_chains(typed):
+    # each chain tests its names against its body's free names by bisect,
+    # not by walking the body: linear in the depth, not quadratic
+    m = nested_chains(20_000, typed)
+    start = time.perf_counter()
+    text = pretty(m)
+    assert time.perf_counter() - start < 2
+    if typed:
+        assert text.startswith("y^((a -> a) -> a) {\\x:{a}. y^((a -> a) -> a) {\\x0:{a}. ")
+        assert text.endswith("\\x19998:{a}. z^a" + "}" * 20_000)
+    else:
+        assert text.startswith("y (\\x. y (\\x0. y (\\x1. ")
+        assert text.endswith("\\x19998. z" + ")" * 20_000)
+
+
+# The printer before binder names were tested by bisect: each chain
+# walked its body for its free names.  It is the reference the printer
+# must match byte for byte.
+
+def _reference_pick_name(hint, used, next_suffix):
+    base = hint if naming._IDENT.match(hint) else "x"
+    if base not in used:
+        return base
+    n = next_suffix.get(base, 0)
+    while f"{base}{n}" in used:
+        n += 1
+    next_suffix[base] = n
+    return f"{base}{n}"
+
+
+def _reference_name_chain(t, env):
+    taken = syntax.free_names(t) | set(env)
+    next_suffix = {}
+    chain = []
+    while isinstance(t, (Lam, ULam)):
+        name = _reference_pick_name(t.hint, taken, next_suffix)
+        taken.add(name)
+        chain.append((t, name))
+        t = t.body
+    return chain, t
+
+
+def reference_pretty(t):
+    out, env, stack = [], [], [(t, 0)]
+    annot, set_type = syntax._pretty_annot, syntax._pretty_set_type
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        if type(item) is int:
+            del env[len(env) - item:]
+            continue
+        t, prec = item
+        kind = type(t)
+        if kind is Var:
+            out.append(f"{t.name}^{annot(t.annot)}")
+        elif kind is UVar:
+            out.append(t.name)
+        elif kind is BoundVar or kind is UBoundVar:
+            name = env[-1 - t.index] if t.index < len(env) else f"?{t.index - len(env)}"
+            out.append(f"{name}^{annot(t.annot)}" if kind is BoundVar else name)
+        elif kind is Lam or kind is ULam:
+            chain, body = _reference_name_chain(t, env)
+            if prec:
+                out.append("(")
+                stack.append(")")
+            for lam, name in chain:
+                out.append(f"\\{name}:{set_type(lam.binder)}. " if kind is Lam
+                           else f"\\{name}. ")
+                env.append(name)
+            stack += [len(chain), (body, 0)]
+        elif kind is App and len(t.arg) == 1 and type(t.arg.elements[0]) in (Var, BoundVar):
+            stack += [(t.arg.elements[0], 0), " ", (t.fun, 1)]
+        elif kind is App or kind is Wrap:
+            fun, arg = (t.fun, t.arg) if kind is App else (t.head, t.payload)
+            opening, closing = (" {", "}") if kind is App else (" [", "]")
+            stack.append(closing)
+            for e in reversed(arg.elements[1:]):
+                stack += [(e, 0), ", "]
+            stack += [(arg.elements[0], 0), opening, (fun, 1)]
+        else:
+            if prec == 2:
+                out.append("(")
+                stack.append(")")
+            stack += [(t.arg, 2), " ", (t.fun, 1)]
+    return "".join(out)
+
+
+def assert_prints_as_reference(t):
+    """Every subterm of t, dangling indices and all, prints as the
+    reference prints it."""
+    for node in syntax.nodes(t):
+        if not isinstance(node, SetTerm):
+            assert pretty(node) == reference_pretty(node)
+
+
+# Hints and free names that collide with each other and with the
+# suffixed names the printer makes of them.
+COLLIDING = ["x", "x0", "x1", "x00", "y", "y0"]
+
+
+@st.composite
+def colliding_memterms_st(draw, depth=0, size=12):
+    if size <= 1:
+        annot = draw(st.sampled_from([a, b]))
+        if depth and draw(st.booleans()):
+            return BoundVar(draw(st.integers(0, depth + 1)), annot)  # may dangle
+        return Var(draw(st.sampled_from(COLLIDING)), annot)
+    shape = draw(st.sampled_from(["lam", "lam", "app", "wrap", "leaf"]))
+    if shape == "lam":
+        hint = draw(st.sampled_from(COLLIDING + ["Bad hint"]))
+        return Lam(hint, SetType.of([a]), draw(colliding_memterms_st(depth + 1, size - 1)))
+    if shape in ("app", "wrap"):
+        head = draw(colliding_memterms_st(depth, size // 2))
+        elements = draw(st.lists(colliding_memterms_st(depth, size // 3 + 1),
+                                 min_size=1, max_size=2))
+        return (App if shape == "app" else Wrap)(head, SetTerm.of(elements))
+    return draw(colliding_memterms_st(depth, 1))
+
+
+@st.composite
+def colliding_untyped_st(draw, depth=0, size=14):
+    if size <= 1:
+        if depth and draw(st.booleans()):
+            return UBoundVar(draw(st.integers(0, depth + 1)))  # may dangle
+        return UVar(draw(st.sampled_from(COLLIDING)))
+    if draw(st.integers(0, 2)):
+        hint = draw(st.sampled_from(COLLIDING + ["Bad hint"]))
+        return ULam(hint, draw(colliding_untyped_st(depth + 1, size - 1)))
+    return UApp(draw(colliding_untyped_st(depth, size // 2)),
+                draw(colliding_untyped_st(depth, size // 2)))
+
+
+@given(colliding_memterms_st())
+def test_print_matches_the_reference_on_annotated_terms(t):
+    assert_prints_as_reference(t)
+
+
+@given(colliding_untyped_st())
+def test_print_matches_the_reference_on_untyped_terms(m):
+    assert_prints_as_reference(m)
+
+
+def test_print_matches_the_reference_on_fixed_collisions():
+    texts = [
+        # a free x0 under nested \x chains, and a suffix freed deeper in
+        "\\x. \\x. x0 (\\x. \\x. x1 (\\x. x x2))",
+        "\\x. x0 x1 (\\x. \\x. x (\\x0. \\x. x0))",
+        "\\x0. \\x. (\\x. x00 x0) (\\x0. \\x. x1)",
+        "\\y. \\y0. y (\\y. y0 (\\y. \\y. y1 y2 y00))",
+    ]
+    for text in texts:
+        assert_prints_as_reference(parse_untyped(text))
+    assert_prints_as_reference(parse_term(
+        "\\x:{a}. \\x:{a}. x0^(a -> a) {\\x:{a}. x1^(a -> a) {x^a}} [\\x0:{a}. x00^a]"))
+    for n in range(6):
+        assert_prints_as_reference(nested_chains(n, typed=False))
+        assert_prints_as_reference(nested_chains(n, typed=True))
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 3)])
+def test_print_matches_the_reference_on_church_graphs(m, n):
+    from corpus import church_application
+    from setlam import Fuel, explore, infer_sn
+
+    term = infer_sn(church_application(m, n), Fuel(20_000, 20_000)).term
+    for calculus in ("i", "im"):
+        g = explore(term, calculus, Fuel(20_000, 20_000))
+        assert not g.truncated
+        for node in g.nodes:
+            assert pretty(node) == reference_pretty(node)
 
 
 # --- round trips ------------------------------------------------------------
