@@ -234,31 +234,31 @@ def infer_sn(m: UntypedTerm, fuel: Fuel = DEFAULT_FUEL) -> InferredTyping:
         if next(calls, None) is None:
             raise NotSNWithinFuel("inference fuel exhausted")
         head, args = _spine(m)
-        match head:
-            case UVar() | UBoundVar():
-                inferred = []
-                for a in args:
-                    inferred.append((yield infer(a)))
-                type_: Type = next(bases)
-                head_type = type_
-                for _, sub_type in reversed(inferred):
-                    head_type = Arrow(SetType.of([sub_type]), head_type)
-                if isinstance(head, UVar):
-                    term: MemTerm = Var(head.name, head_type)
-                else:
-                    term = BoundVar(head.index, head_type)
-                for sub_term, _ in inferred:
-                    term = App(term, SetTerm.of([sub_term]))
-            case ULam(hint, body) if not args:
-                sub_term, sub_type = yield infer(body)
-                binder = binder_types(sub_term)
-                if not binder.elements:  # a vacuous binder must be non-empty
-                    binder = SetType.of([next(bases)])
-                term, type_ = Lam(hint, binder, sub_term), Arrow(binder, sub_type)
-            case ULam(hint, body):
-                term, type_ = yield from head_redex(hint, body, args[0], args[1:])
-            case _:
-                raise TypeError(f"not an untyped term: {m!r}")
+        kind = type(head)
+        if kind is UVar or kind is UBoundVar:
+            inferred = []
+            for a in args:
+                inferred.append((yield infer(a)))
+            type_: Type = next(bases)
+            head_type = type_
+            for _, sub_type in reversed(inferred):
+                head_type = Arrow(SetType.of([sub_type]), head_type)
+            if kind is UVar:
+                term: MemTerm = Var(head.name, head_type)
+            else:
+                term = BoundVar(head.index, head_type)
+            for sub_term, _ in inferred:
+                term = App(term, SetTerm.of([sub_term]))
+        elif kind is ULam and not args:
+            sub_term, sub_type = yield infer(head.body)
+            binder = binder_types(sub_term)
+            if not binder.elements:  # a vacuous binder must be non-empty
+                binder = SetType.of([next(bases)])
+            term, type_ = Lam(head.hint, binder, sub_term), Arrow(binder, sub_type)
+        elif kind is ULam:
+            term, type_ = yield from head_redex(head.hint, head.body, args[0], args[1:])
+        else:
+            raise TypeError(f"not an untyped term: {m!r}")
         if not refines(term, m):
             raise AssertionError("inference produced a non-refinement")
         checked = subterm_type(term)
@@ -332,24 +332,24 @@ def _unsubstitute(term, pattern: UntypedTerm, depth: int, copies: list):
     """
     if pattern.loose < depth:
         return term
-    match pattern:
-        case UBoundVar(index) if index == depth:
+    kind = type(pattern)
+    if kind is UBoundVar:
+        if pattern.index == depth:
             copy_type = subterm_type(term)
             copies.append((copy_type, shift(term, -depth)))
             return BoundVar(depth, copy_type)
-        case UBoundVar(index):
-            return BoundVar(index, term.annot)
-        case ULam(_, pbody):
-            assert isinstance(term, Lam)
-            body = yield _unsubstitute(term.body, pbody, depth + 1, copies)
-            return Lam(term.hint, term.binder, body)
-        case UApp(pfun, parg):
-            assert isinstance(term, App)
-            fun = yield _unsubstitute(term.fun, pfun, depth, copies)
-            elements = []
-            for e in term.arg.elements:
-                elements.append((yield _unsubstitute(e, parg, depth, copies)))
-            return App(fun, SetTerm.of(elements))
+        return BoundVar(pattern.index, term.annot)
+    if kind is ULam:
+        assert isinstance(term, Lam)
+        body = yield _unsubstitute(term.body, pattern.body, depth + 1, copies)
+        return Lam(term.hint, term.binder, body)
+    if kind is UApp:
+        assert isinstance(term, App)
+        fun = yield _unsubstitute(term.fun, pattern.fun, depth, copies)
+        elements = []
+        for e in term.arg.elements:
+            elements.append((yield _unsubstitute(e, pattern.arg, depth, copies)))
+        return App(fun, SetTerm.of(elements))
     raise TypeError(f"not an untyped term: {pattern!r}")
 
 

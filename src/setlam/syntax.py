@@ -26,9 +26,13 @@ Every walk works at any depth: `subterms`, `nodes`, the printer,
 keep an explicit stack, and a walker written as a plain structural
 recursion (the parser among them) runs on the trampoline `run`, which
 keeps its pending calls in a list instead of on the interpreter stack.
+The functions a walk calls at every node (`children`, `rebuild`,
+`type_height`, `pretty`) find the node's case by its exact class, in a
+table or with an `is` test, not by trying class patterns one by one.
 All sets are kept canonical (sorted by key, duplicates removed); the
-smart constructors ``SetType.of`` and ``SetTerm.of`` normalize, the
-plain constructors insist on already canonical input.
+smart constructors ``SetType.of`` and ``SetTerm.of`` normalize (a
+single element needs no sort), the plain constructors insist on
+already canonical input.
 
 Concrete grammar (whitespace-insensitive, application left-associative,
 lambda bodies extend right, a postfix ``[...]`` wrapper attaches to the
@@ -211,7 +215,9 @@ class _Set(_Node):
 
     @classmethod
     def of(cls, elements: Iterable):
-        elements = list(elements)
+        elements = tuple(elements)
+        if len(elements) == 1:
+            return cls(elements)
         try:
             return cls(_sorted_unique(elements, _key))
         except RecursionError:  # keys nested deeper than the interpreter compares
@@ -392,15 +398,15 @@ def type_height(t: Type | SetType) -> int:
     stack = [(t, 0)]
     while stack:
         t, arrows = stack.pop()
-        match t:
-            case Base():
-                height = max(height, arrows)
-            case Arrow(domain, codomain):
-                stack += [(domain, arrows + 1), (codomain, arrows + 1)]
-            case SetType(elements):
-                stack += [(e, arrows) for e in elements]
-            case _:
-                raise TypeError(f"not a type: {t!r}")
+        kind = type(t)
+        if kind is Base:
+            height = max(height, arrows)
+        elif kind is Arrow:
+            stack += [(t.domain, arrows + 1), (t.codomain, arrows + 1)]
+        elif kind is SetType:
+            stack += [(e, arrows) for e in t.elements]
+        else:
+            raise TypeError(f"not a type: {t!r}")
     return height
 
 
@@ -438,22 +444,33 @@ def run(walk: Generator):
             value = None
 
 
+# `children` and `rebuild` run once per node of every walk, so each
+# dispatches on the node's class through a table instead of trying class
+# patterns one by one.  A class missing from a table is not a term.
+
+
 def children(t) -> list:
     """The subterms of t one position down, in child-index order."""
-    match t:
-        case Var() | BoundVar() | UVar() | UBoundVar():
-            return []
-        case Lam(_, _, body) | ULam(_, body):
-            return [body]
-        case App(fun, arg):
-            return [fun, *arg.elements]
-        case UApp(fun, arg):
-            return [fun, arg]
-        case Wrap(head, payload):
-            return [head, *payload.elements]
-        case SetTerm(elements):
-            return list(elements)
-    raise TypeError(f"not a term: {t!r}")
+    try:
+        listed = _CHILDREN[type(t)]
+    except KeyError:
+        raise TypeError(f"not a term: {t!r}") from None
+    return listed(t)
+
+
+def _no_children(t) -> list:
+    return []
+
+
+_CHILDREN = {
+    Var: _no_children, BoundVar: _no_children, UVar: _no_children, UBoundVar: _no_children,
+    Lam: lambda t: [t.body],
+    ULam: lambda t: [t.body],
+    App: lambda t: [t.fun, *t.arg.elements],
+    UApp: lambda t: [t.fun, t.arg],
+    Wrap: lambda t: [t.head, *t.payload.elements],
+    SetTerm: lambda t: list(t.elements),
+}
 
 
 def rebuild(t, kids: list):
@@ -463,32 +480,42 @@ def rebuild(t, kids: list):
     unchanged argument or payload set, so an untouched subterm is never
     re-sorted.  A changed set re-canonicalizes.
     """
-    match t:
-        case Var() | BoundVar() | UVar() | UBoundVar():
-            return t
-        case Lam(hint, binder, body):
-            return t if kids[0] is body else Lam(hint, binder, kids[0])
-        case ULam(hint, body):
-            return t if kids[0] is body else ULam(hint, kids[0])
-        case App(fun, arg):
-            new_arg = _rebuild_set(arg, kids[1:])
-            return t if kids[0] is fun and new_arg is arg else App(kids[0], new_arg)
-        case UApp(fun, arg):
-            return t if kids[0] is fun and kids[1] is arg else UApp(kids[0], kids[1])
-        case Wrap(head, payload):
-            new_payload = _rebuild_set(payload, kids[1:])
-            if kids[0] is head and new_payload is payload:
-                return t
-            return Wrap(kids[0], new_payload)
-        case SetTerm():
-            return _rebuild_set(t, kids)
-    raise TypeError(f"not a term: {t!r}")
+    try:
+        rebuilt = _REBUILD[type(t)]
+    except KeyError:
+        raise TypeError(f"not a term: {t!r}") from None
+    return rebuilt(t, kids)
+
+
+def _rebuild_leaf(t, kids: list):
+    return t
+
+
+def _rebuild_app(t: App, kids: list) -> App:
+    new_arg = _rebuild_set(t.arg, kids[1:])
+    return t if kids[0] is t.fun and new_arg is t.arg else App(kids[0], new_arg)
+
+
+def _rebuild_wrap(t: Wrap, kids: list) -> Wrap:
+    new_payload = _rebuild_set(t.payload, kids[1:])
+    return t if kids[0] is t.head and new_payload is t.payload else Wrap(kids[0], new_payload)
 
 
 def _rebuild_set(s: SetTerm, kids: list) -> SetTerm:
     if all(map(operator.is_, kids, s.elements)):
         return s
     return SetTerm.of(kids)
+
+
+_REBUILD = {
+    Var: _rebuild_leaf, BoundVar: _rebuild_leaf, UVar: _rebuild_leaf, UBoundVar: _rebuild_leaf,
+    Lam: lambda t, kids: t if kids[0] is t.body else Lam(t.hint, t.binder, kids[0]),
+    ULam: lambda t, kids: t if kids[0] is t.body else ULam(t.hint, kids[0]),
+    App: _rebuild_app,
+    UApp: lambda t, kids: t if kids[0] is t.fun and kids[1] is t.arg else UApp(kids[0], kids[1]),
+    Wrap: _rebuild_wrap,
+    SetTerm: _rebuild_set,
+}
 
 
 def _subterm_paths(t, flags: int) -> Iterator[tuple[list[int], object]]:
@@ -604,19 +631,17 @@ def pretty(x) -> str:
     term's text is stored on it, not on its subterms (storing every
     suffix of a spine would cost the square of its length), so a term is
     printed once however often it is asked for."""
-    match x:
-        case Base() | Arrow():
-            return _pretty_type(x)
-        case SetType():
-            return _pretty_set_type(x)
-        case SetTerm():
-            return "{" + ", ".join(_pretty_term(e) for e in x.elements) + "}"
-        case (Var() | BoundVar() | Lam() | App() | Wrap()
-              | UVar() | UBoundVar() | ULam() | UApp()):
-            if x.text is None:
-                vars(x)["text"] = _pretty_term(x)
-            return x.text
-    raise TypeError(f"cannot print {x!r}")
+    try:
+        printer = _PRINTERS[type(x)]
+    except KeyError:
+        raise TypeError(f"cannot print {x!r}") from None
+    return printer(x)
+
+
+def _pretty_stored(t) -> str:
+    if t.text is None:
+        vars(t)["text"] = _pretty_term(t)
+    return t.text
 
 
 # A type's text does not depend on where the type occurs, so the printer
@@ -732,6 +757,13 @@ def _pretty_term(t) -> str:
         else:
             raise TypeError(f"not a term: {t!r}")
     return "".join(out)
+
+
+_PRINTERS = {
+    Base: _pretty_type, Arrow: _pretty_type, SetType: _pretty_set_type,
+    SetTerm: lambda s: "{" + ", ".join(_pretty_term(e) for e in s.elements) + "}",
+    **dict.fromkeys((Var, BoundVar, Lam, App, Wrap, UVar, UBoundVar, ULam, UApp), _pretty_stored),
+}
 
 
 # ---------------------------------------------------------------------------

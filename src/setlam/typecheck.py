@@ -11,14 +11,15 @@ A node's typing is therefore a function of the node alone, and it is
 computed once: `_cached` folds a term bottom-up, children first, into
 (type, loose occurrences) per node and stores the result on each node
 it visits (`typing`), so asking again, for the node or for a larger
-term built around it, costs only the new nodes.  An abstraction
-validates the annotations of the occurrences it binds and passes the
-others up.  Where the fold rejects a term, `_first_error` reads the
-first error in position order off the cached typings, along one path
-from the root.  The erasure is cached the same way (`erasure`), so
-`refines` is a comparison with it, after which the node keeps the
-compared term as its erasure.  Both folds keep explicit stacks, so
-they work at any depth.  The derivations of the assignment system on
+term built around it, costs only the new nodes.  Each node's case is
+looked up by its class in a table (`_TYPINGS`, and `_ERASURES` for the
+erasure).  An abstraction validates the annotations of the occurrences
+it binds and passes the others up.  Where the fold rejects a term,
+`_first_error` reads the first error in position order off the cached
+typings, along one path from the root.  The erasure is cached the same
+way (`erasure`), so `refines` is a comparison with it, after which the
+node keeps the compared term as its erasure.  Both folds keep explicit
+stacks, so they work at any depth.  The derivations of the assignment system on
 untyped terms, which these terms stand in for, are in
 `setlam.derivation`.
 """
@@ -174,42 +175,65 @@ def _node_typing(t):
     """The typing of t from its children's: (type, loose), where loose
     is a sorted tuple of (index, frozenset of annotations) for the
     indices pointing outside t; or _ILL_FORMED."""
-    match t:
-        case Var(_, annot):
-            return annot, ()
-        case BoundVar(index, annot):
-            return annot, ((index, frozenset([annot])),)
-        case Lam(_, binder, body):
-            if body.typing is _ILL_FORMED:
-                return _ILL_FORMED
-            body_type, loose = body.typing
-            if loose and loose[0][0] == 0:
-                if not all(a in binder.elements for a in loose[0][1]):
-                    return _ILL_FORMED
-                loose = loose[1:]
-            return Arrow(binder, body_type), tuple((i - 1, a) for i, a in loose)
-        case App(fun, arg):
-            arg_typing = _set_value(arg, "typing", _node_typing)
-            if fun.typing is _ILL_FORMED or arg_typing is _ILL_FORMED:
-                return _ILL_FORMED
-            fun_type = fun.typing[0]
-            if not isinstance(fun_type, Arrow) or arg_typing[0] != fun_type.domain:
-                return _ILL_FORMED
-            return fun_type.codomain, _merge([fun.typing, arg_typing])
-        case Wrap(head, payload):
-            payload_typing = _set_value(payload, "typing", _node_typing)
-            if head.typing is _ILL_FORMED or payload_typing is _ILL_FORMED:
-                return _ILL_FORMED
-            return head.typing[0], _merge([head.typing, payload_typing])
-        case SetTerm(elements):
-            typings = [e.typing for e in elements]
-            if _ILL_FORMED in typings:
-                return _ILL_FORMED
-            result = SetType.of(typing[0] for typing in typings)
-            if len(result.elements) != len(typings):
-                return _ILL_FORMED  # set-term elements with equal types
-            return result, _merge(typings)
-    raise TypeError(f"not a term: {t!r}")
+    try:
+        typed = _TYPINGS[type(t)]
+    except KeyError:
+        raise TypeError(f"not a term: {t!r}") from None
+    return typed(t)
+
+
+def _lam_typing(t: Lam):
+    body = t.body
+    if body.typing is _ILL_FORMED:
+        return _ILL_FORMED
+    body_type, loose = body.typing
+    if loose and loose[0][0] == 0:
+        if not all(a in t.binder.elements for a in loose[0][1]):
+            return _ILL_FORMED
+        loose = loose[1:]
+    return Arrow(t.binder, body_type), tuple((i - 1, a) for i, a in loose)
+
+
+def _app_typing(t: App):
+    fun = t.fun
+    arg_typing = _set_value(t.arg, "typing", _node_typing)
+    if fun.typing is _ILL_FORMED or arg_typing is _ILL_FORMED:
+        return _ILL_FORMED
+    fun_type = fun.typing[0]
+    if not isinstance(fun_type, Arrow) or arg_typing[0] != fun_type.domain:
+        return _ILL_FORMED
+    return fun_type.codomain, _merge([fun.typing, arg_typing])
+
+
+def _wrap_typing(t: Wrap):
+    head = t.head
+    payload_typing = _set_value(t.payload, "typing", _node_typing)
+    if head.typing is _ILL_FORMED or payload_typing is _ILL_FORMED:
+        return _ILL_FORMED
+    return head.typing[0], _merge([head.typing, payload_typing])
+
+
+def _set_typing(t: SetTerm):
+    typings = [e.typing for e in t.elements]
+    if _ILL_FORMED in typings:
+        return _ILL_FORMED
+    result = SetType.of(typing[0] for typing in typings)
+    if len(result.elements) != len(typings):
+        return _ILL_FORMED  # set-term elements with equal types
+    return result, _merge(typings)
+
+
+# The typing of each class of annotated term, looked up by the node's
+# class: the fold visits every node, and a table finds an application's
+# case at once where class patterns would first try three others.
+_TYPINGS = {
+    Var: lambda t: (t.annot, ()),
+    BoundVar: lambda t: (t.annot, ((t.index, frozenset([t.annot])),)),
+    Lam: _lam_typing,
+    App: _app_typing,
+    Wrap: _wrap_typing,
+    SetTerm: _set_typing,
+}
 
 
 def _merge(typings: list) -> tuple:
@@ -363,25 +387,39 @@ def erase(t: MemTerm | SetTerm) -> UntypedTerm:
 
 def _node_erasure(t):
     """The erasure of t from its children's, or _NOT_UNIFORM."""
-    match t:
-        case Var(name, _):
-            return UVar(name)
-        case BoundVar(index, _):
-            return UBoundVar(index)
-        case Lam(hint, _, body):
-            return _NOT_UNIFORM if body.erasure is _NOT_UNIFORM else ULam(hint, body.erasure)
-        case App(fun, arg):
-            arg_erasure = _set_value(arg, "erasure", _node_erasure)
-            if fun.erasure is _NOT_UNIFORM or arg_erasure is _NOT_UNIFORM:
-                return _NOT_UNIFORM
-            return UApp(fun.erasure, arg_erasure)
-        case Wrap():
-            return _NOT_UNIFORM
-        case SetTerm(elements):
-            if not elements or any(e.erasure != elements[0].erasure for e in elements[1:]):
-                return _NOT_UNIFORM
-            return elements[0].erasure
-    raise TypeError(f"not a term: {t!r}")
+    try:
+        erased = _ERASURES[type(t)]
+    except KeyError:
+        raise TypeError(f"not a term: {t!r}") from None
+    return erased(t)
+
+
+def _app_erasure(t: App):
+    fun_erasure = t.fun.erasure
+    arg_erasure = _set_value(t.arg, "erasure", _node_erasure)
+    if fun_erasure is _NOT_UNIFORM or arg_erasure is _NOT_UNIFORM:
+        return _NOT_UNIFORM
+    return UApp(fun_erasure, arg_erasure)
+
+
+def _set_erasure(t: SetTerm):
+    elements = t.elements
+    if not elements or any(e.erasure != elements[0].erasure for e in elements[1:]):
+        return _NOT_UNIFORM
+    return elements[0].erasure
+
+
+# The erasure of each class of annotated term, looked up by the node's
+# class, as for the typings.
+_ERASURES = {
+    Var: lambda t: UVar(t.name),
+    BoundVar: lambda t: UBoundVar(t.index),
+    Lam: lambda t: (_NOT_UNIFORM if t.body.erasure is _NOT_UNIFORM
+                    else ULam(t.hint, t.body.erasure)),
+    App: _app_erasure,
+    Wrap: lambda t: _NOT_UNIFORM,
+    SetTerm: _set_erasure,
+}
 
 
 def is_uniform(t: MemTerm | SetTerm) -> bool:
