@@ -31,7 +31,9 @@ def _map_vars(t, leaf, indices_only: bool = False):
     where d is the number of binders above v inside t.
 
     With `indices_only`, leaf changes only indices v with v.index >= d,
-    so a subtree in which no index reaches that far is kept as it is.
+    so a subtree in which no index reaches that far is kept as it is;
+    then leaf only ever receives a bound occurrence whose index reaches
+    d, since a free occurrence's `loose` is -1.
     """
     done = []  # rebuilt subtrees, in post-order
     stack = [(t, 0, None)]
@@ -64,20 +66,15 @@ def shift(t: MemTerm | SetTerm | UntypedTerm, d: int):
         return t
 
     def leaf(v, depth):
-        if isinstance(v, (BoundVar, UBoundVar)) and v.index >= depth:
-            return _bound(v, v.index + d)
-        return v
+        return _bound(v, v.index + d)
     return _map_vars(t, leaf, True)
 
 
 def _open(body, pick):
     def leaf(v, level):
-        if isinstance(v, (BoundVar, UBoundVar)):
-            if v.index == level:
-                return shift(pick(v), level)
-            if v.index > level:
-                return _bound(v, v.index - 1)
-        return v
+        if v.index == level:
+            return shift(pick(v), level)
+        return _bound(v, v.index - 1)
     return _map_vars(body, leaf, True)
 
 

@@ -125,6 +125,10 @@ def _cmd_simulate(args) -> int:
     from . import reduction
     term = syntax.parse_term(_read(args.term_file))
     untyped = syntax.parse_untyped(_read(args.lam_file))
+    typecheck.synthesize_type(term)
+    erasure = typecheck.erase(term)
+    if erasure != untyped:
+        raise IllTyped(f"the term erases to {syntax.pretty(erasure)}, not to the untyped term")
     position = _parse_pos(args.pos)
     reduct, final, steps = reduction.simulate_beta(term, untyped, position)
     _emit_json({

@@ -2,9 +2,10 @@
 
 This is the Curry-style half of the paper: its objects are derivations,
 explicit trees supplied as JSON, whose annotated counterparts are the
-terms of `setlam.typecheck`.  `check_curry` validates each node against
-its rule schema, `decorate` turns a valid derivation into an annotated
-term and `erase_derivation` inverts it for uniform terms.  The walks
+terms of `setlam.typecheck`.  One walk validates each node against its
+rule schema and builds the annotated term the node encodes once it
+passes: `check_curry` returns the root judgement, `decorate` the term.
+`erase_derivation` inverts `decorate` for uniform terms.  The walks
 over derivations are plain recursions run on `syntax.run`, so they work
 at any depth.
 
@@ -161,7 +162,7 @@ def derivation_to_json(d: CurryDerivation) -> dict:
 def check_curry(d: CurryDerivation) -> Judgement:
     """Validate every node against its rule schema, premises before their
     node; return the root judgement."""
-    run(_check(d, []))
+    run(_check(d, [], {}, 0))
     return Judgement(d.context, d.subject, d.type_)
 
 
@@ -169,12 +170,21 @@ def _fail(path: list[int], rule, reason):
     raise InvalidDerivation(tuple(path), rule, reason)
 
 
-def _check(d: CurryDerivation, path: list[int]):
-    """Check d's premises, then d against its rule schema."""
+def _check(d: CurryDerivation, path: list[int], binders: dict[str, list[int]], depth: int):
+    """Check d's premises, then d against its rule schema; return the
+    annotated term d encodes.  `depth` intro nodes above d bind a name,
+    and `binders` maps each name to the depths of those binding it; an
+    occurrence of a name bound there becomes its innermost binder's index."""
+    binds = d.rule == "intro" and isinstance(d.subject, ULam)
+    if binds:
+        binders.setdefault(d.subject.hint, []).append(depth)
+    terms = []
     for i, premise in enumerate(d.premises):
         path.append(i)
-        yield _check(premise, path)
+        terms.append((yield _check(premise, path, binders, depth + binds)))
         path.pop()
+    if binds:
+        binders[d.subject.hint].pop()
     match d.rule:
         case "var":
             if not isinstance(d.subject, UVar):
@@ -183,10 +193,14 @@ def _check(d: CurryDerivation, path: list[int]):
                 _fail(path, "var", "conclusion must be a single type")
             if d.premises:
                 _fail(path, "var", "var takes no premises")
-            if d.type_ not in d.context.get(d.subject.name):
-                _fail(path, "var", f"{d.type_} not in context set for {d.subject.name}")
+            name = d.subject.name
+            if d.type_ not in d.context.get(name):
+                _fail(path, "var", f"{d.type_} not in context set for {name}")
             if d.select is not None and d.select != d.type_:
                 _fail(path, "var", "select does not match the conclusion type")
+            if binders.get(name):
+                return BoundVar(depth - 1 - binders[name][-1], d.type_)
+            return Var(name, d.type_)
         case "many":
             if not isinstance(d.type_, SetType):
                 _fail(path, "many", "conclusion must be a set-type")
@@ -204,6 +218,7 @@ def _check(d: CurryDerivation, path: list[int]):
                     _fail([*path, i], p.rule, "premise context differs")
                 if p.subject != d.subject:
                     _fail([*path, i], p.rule, "premise subject differs")
+            return SetTerm.of(terms)
         case "intro":
             if not isinstance(d.subject, ULam):
                 _fail(path, "intro", "subject is not an abstraction")
@@ -219,6 +234,7 @@ def _check(d: CurryDerivation, path: list[int]):
                 _fail(path, "intro", "premise subject is not the opened body")
             if premise.type_ != d.type_.codomain:
                 _fail(path, "intro", "premise type is not the codomain")
+            return Lam(name, d.type_.domain, terms[0])
         case "elim":
             if not isinstance(d.subject, UApp):
                 _fail(path, "elim", "subject is not an application")
@@ -239,47 +255,17 @@ def _check(d: CurryDerivation, path: list[int]):
                 _fail(path, "elim", "premise context differs")
             if fun_p.subject != d.subject.fun or arg_p.subject != d.subject.arg:
                 _fail(path, "elim", "premise subjects do not split the application")
+            return App(*terms)
         case other:
             _fail(path, str(other), "unknown rule")
 
 
 def decorate(d: CurryDerivation) -> MemTerm | SetTerm:
-    """Annotated term encoding a valid derivation; checks to its judgement.
-
-    An occurrence of a name becomes an index when an enclosing intro
-    node binds the name (the innermost one); a free occurrence otherwise.
-    A derivation whose root is a many node gives a set-term.
+    """Annotated term encoding a valid derivation, built by the walk that
+    checks it; it checks to the root's judgement.  A derivation whose
+    root is a many node gives a set-term.
     """
-    check_curry(d)
-    binders: dict[str, list[int]] = {}  # name -> depths of the intro nodes binding it
-    scope: list[str] = []  # the names the enclosing intro nodes bind, innermost last
-
-    def term(node):
-        match node.rule:
-            case "var":
-                name = node.subject.name
-                if binders.get(name):
-                    return BoundVar(len(scope) - 1 - binders[name][-1], node.type_)
-                return Var(name, node.type_)
-            case "many":
-                elements = []
-                for premise in node.premises:
-                    elements.append((yield term(premise)))
-                return SetTerm.of(elements)
-            case "intro":
-                name = node.subject.hint
-                binders.setdefault(name, []).append(len(scope))
-                scope.append(name)
-                body = yield term(node.premises[0])
-                binders[scope.pop()].pop()
-                return Lam(name, node.type_.domain, body)
-            case "elim":
-                fun = yield term(node.premises[0])
-                arg = yield term(node.premises[1])
-                return App(fun, arg)
-        raise AssertionError(f"unreachable rule {node.rule}")
-
-    return run(term(d))
+    return run(_check(d, [], {}, 0))
 
 
 def erase_derivation(t: MemTerm, context: TypingContext) -> CurryDerivation:

@@ -431,23 +431,15 @@ def simulate_beta(t: MemTerm, m: UntypedTerm, pos: Position
 
 
 def erased_position(t: MemTerm, pos: Position) -> Position:
-    """Map a position of a wrapper-free term to its erasure's position."""
-    out: list[int] = []
+    """Map a position of a wrapper-free term to its erasure's position:
+    every argument element of an application erases to its argument."""
     here = t
     for i in pos:
-        match here:
-            case Lam(_, _, body) if i == 0:
-                out.append(0)
-                here = body
-            case App(fun, _) if i == 0:
-                out.append(0)
-                here = fun
-            case App(_, arg) if 1 <= i <= len(arg.elements):
-                out.append(1)
-                here = arg.elements[i - 1]
-            case _:
-                raise ValueError(f"position {list(pos)} does not erase")
-    return tuple(out)
+        kids = children(here) if type(here) in (Lam, App) else []
+        if not 0 <= i < len(kids):
+            raise ValueError(f"position {list(pos)} does not erase")
+        here = kids[i]
+    return tuple(min(i, 1) for i in pos)
 
 
 def project_step(t: MemTerm, s: MemTerm, pos: Position, budget: int | None = None

@@ -187,7 +187,8 @@ def test_normalize(files, capsys):
     assert lines[1] == "steps: 2"
 
 
-@pytest.mark.parametrize("command,flag", [("chains", "--fuel=-1"), ("reduce", "--steps=-1")])
+@pytest.mark.parametrize("command,flag", [("chains", "--fuel=-1"), ("reduce", "--steps=-1"),
+                                          ("normalize", "--fuel=x")])
 def test_negative_counts_are_usage_errors(files, capsys, command, flag):
     path = files("t.term", "(\\x:{a}.x^a) {y^a}")
     with pytest.raises(SystemExit) as exited:
@@ -333,6 +334,21 @@ def test_simulate(files, capsys):
     assert len(payload["steps"]) == 2
     assert parse_term(payload["steps"][-1]["result"]) == parse_term(
         corpus.DUPLICATING_AFTER_ARG)
+
+
+# simulate type-checks its term, as check, reduce and normalize do, and
+# requires it to refine the untyped term.
+@pytest.mark.parametrize("term, lam, pos, code, err", [
+    ("z^a {(\\x:{a}. x^a) {y^a}}", "z ((\\x. x) y)", "1", 2,
+     "error: not typable at []: applied term has non-arrow type a\n"),
+    ("(\\x:{a}. x^a) {y^a}", "(\\x. x) z", "", 2,
+     "error: the term erases to (\\x. x) y, not to the untyped term\n"),
+    ("y^a [z^b]", "(\\x. x) z", "", 3, "error: not uniform at []\n"),
+    ("(\\x:{a}. x^a) {y^a}", "(\\x. x) y", "a", 1, "error: bad position 'a'\n"),
+], ids=["ill-typed", "not-refining", "not-uniform", "bad-position"])
+def test_simulate_rejects_its_inputs(term, lam, pos, code, err, files, capsys):
+    paths = files("t.term", term), files("t.lam", lam)
+    assert run(capsys, "simulate", *paths, f"--pos={pos}") == (code, "", err)
 
 
 def test_chains(files, capsys):

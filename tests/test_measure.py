@@ -311,6 +311,18 @@ def test_report_stage_degrees_bounded(corpus):
         assert redexes(report.normal_form) == []
 
 
+def test_report_refuses_wrapped_terms():
+    with pytest.raises(IllTyped, match="^the measure is defined on wrapper-free terms$"):
+        measure_report(parse_term("y^a [z^b]"))
+
+
+def test_a_redex_that_does_not_synthesize_has_no_degree():
+    t = parse_term("(\\x:{a}. x^b) {y^a}")
+    assert [r.degree for r in redexes(t)] == [None]
+    with pytest.raises(IllTyped, match=r"^redex at \[\] does not synthesize$"):
+        degree_profile(t)
+
+
 def test_report_json_shape():
     data = measure_report(SIMPLE).to_json_dict()
     assert data["formatVersion"] == 1

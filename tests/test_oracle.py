@@ -186,6 +186,9 @@ def test_graph_exports():
     assert dot.startswith("digraph") and "n0 -> n1" in dot
     data = graph_to_json_dict(g)
     assert data["formatVersion"] == 1 and data["nodeCount"] == 2
+    cut = explore(parse_term("(\\x:{a}.x^a) {(\\x:{a}.x^a) {y^a}}"), "i", Fuel(1, 1))
+    assert cut.truncated and graph_to_json_dict(cut)["truncated"]
+    assert graph_to_dot(cut).endswith('  truncated [shape=plaintext, label="(truncated)"];\n}\n')
 
 
 def test_graph_exports_print_each_node_once(monkeypatch):

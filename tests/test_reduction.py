@@ -72,6 +72,9 @@ def test_substitute_rejects_mismatched_argument():
     with pytest.raises(IllTyped):
         substitute(parse_term("x^b"), "x", parse_set_type("{b}"),
                    SetTerm.of([parse_term("y^a")]))
+    with pytest.raises(IllTyped, match="^set-term elements share the type a$"):
+        substitute(parse_term("x^a"), "x", parse_set_type("{a}"),
+                   SetTerm.of([parse_term("y^a"), parse_term("z^a")]))
 
 
 def test_substitute_checks_substituents_under_context():
@@ -486,6 +489,12 @@ def test_project_step_matches_the_reference_search(corpus):
     assert completed > 20  # searches that take steps
 
 
+def test_project_step_requires_the_step():
+    inner = next(r.position for r in i_redexes(DUP) if len(r.position) == 1)
+    with pytest.raises(ValueError, match="^s is not the step of t at pos$"):
+        project_step(DUP, DUP, inner)
+
+
 def test_project_step_budget_zero():
     inner = next(r.position for r in i_redexes(DUP) if len(r.position) == 1)
     s = step_i(DUP, inner)
@@ -504,6 +513,11 @@ def test_plain_stepping_refuses_wrapped_terms():
     # project_step erases its source first, which refuses the wrapper
     with pytest.raises(NotUniform):
         project_step(WRAPPED, step_im(WRAPPED, ()), ())
+
+
+def test_developments_take_an_annotated_calculus():
+    with pytest.raises(ValueError, match="^calculus must be 'i' or 'im', not 'beta'$"):
+        complete_development(SIMPLE, "beta")
 
 
 def test_plain_guard_is_checked_at_the_first_step_only():
@@ -540,6 +554,19 @@ def test_erased_position():
     assert erased_position(DUP, ()) == ()
     inner = next(r.position for r in i_redexes(DUP) if len(r.position) == 1)
     assert erased_position(DUP, inner) == (1,)
+    assert erased_position(DUP, inner + (0, 0)) == (1, 0, 0)
+
+
+@pytest.mark.parametrize("t, pos", [
+    (parse_term("\\x:{a}. y^a [x^a]"), (0, 0)),  # through a wrapper
+    (SetTerm.of([SIMPLE]), (0,)),  # from a set-term root
+    (parse_untyped("(\\x. x) y"), (0,)),  # an untyped term
+    (SIMPLE, (2,)), (SIMPLE, (-1,)), (SIMPLE, (0, 1)),  # out of range
+], ids=["wrapper", "set-term", "untyped", "past-argument", "negative", "past-body"])
+def test_erased_position_refuses_a_position_that_does_not_erase(t, pos):
+    with pytest.raises(ValueError) as error:
+        erased_position(t, pos)
+    assert str(error.value) == f"position {list(pos)} does not erase"
 
 
 # --- the stepping loop: one redex search per step ----------------------------

@@ -135,6 +135,11 @@ def test_parse_errors_carry_location():
         parse("{a", "type")
 
 
+def test_parse_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="^unknown parse kind 'bogus'$"):
+        parse("x", "bogus")
+
+
 def test_parse_accepts_noncanonical_sets():
     assert parse_term("x^({b,a,a} -> c)") == parse_term("x^({a,b} -> c)")
 

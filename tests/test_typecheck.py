@@ -73,6 +73,9 @@ def test_synthesize_non_arrow_application():
 def test_synthesize_rejects_duplicate_element_types():
     with pytest.raises(NotTypable):
         synthesize_type(parse_term("x^({a} -> b) {y^a, z^a}"))
+    # a set-term at the root, which the parser does not produce
+    both = SetTerm.of([Var("y", Base("a")), Var("z", Base("a"))])
+    assert _error(synthesize_type, both) == ((), "set-term elements with equal types")
 
 
 def test_synthesize_rejects_annotation_outside_binder():
