@@ -247,8 +247,6 @@ def _check(d: CurryDerivation, path: list[int], binders: dict[str, list[int]], d
                 _fail(path, "elim", "first premise must conclude an arrow type")
             if not isinstance(arg_p.type_, SetType):
                 _fail(path, "elim", "second premise must conclude a set-type")
-            if not arg_p.type_.elements:
-                _fail(path, "elim", "argument set-type must be non-empty")
             if fun_p.type_.domain != arg_p.type_ or fun_p.type_.codomain != d.type_:
                 _fail(path, "elim", "premise types do not compose")
             if fun_p.context != d.context or arg_p.context != d.context:

@@ -82,7 +82,7 @@ def _substituents(binder: SetType, arg: SetTerm) -> dict[Type, MemTerm]:
         if t in by_type:
             raise IllTyped(f"set-term elements share the type {pretty(t)}")
         by_type[t] = e
-    if SetType.of(by_type) != binder:
+    if len(by_type) != len(binder.elements) or not all(t in by_type for t in binder.elements):
         raise IllTyped(
             f"argument set-type {pretty(SetType.of(by_type))} != binder {pretty(binder)}")
     return by_type

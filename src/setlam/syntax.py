@@ -8,18 +8,20 @@ set-type on every binder; application arguments and wrapper payloads are
 inert memory next to an otherwise ordinary term.
 
 Binding is nameless: bound variables are de Bruijn indices, free
-variables are names.  Every node stores a structural key, computed once
-at construction from its children's keys; identity (``==`` and hashing)
-and the global structural order come from that key alone.  A binder's
-printing hint is not part of it, so ``==`` is exactly alpha-equivalence.
-Term nodes also store, in O(arity) from their children, `loose` (the
-largest de Bruijn index pointing outside the node, -1 when locally
-closed) and `flags` (which kinds of redex, and whether a wrapper and a
-free variable, occur in the subtree); `typecheck` caches a node's
-typing and its erasure on it the first time either is asked for, and
-the printer a type's or a term's text the first time it prints it.
-None of these is part of the key, so they change neither identity, nor
-order, nor printing.
+variables are names.  Every node stores a structural key and a hash,
+each computed once at construction in O(arity): the key from its
+children's keys, the hash by the same recipe from their stored hashes.
+``==`` and the global structural order come from the key, and ``==``
+compares keys only when the hashes agree, so hashing a node and telling
+two nodes apart walk neither.  A binder's printing hint is in neither,
+so ``==`` is exactly alpha-equivalence.  Term nodes also store, in
+O(arity) from their children, `loose` (the largest de Bruijn index
+pointing outside the node, -1 when locally closed) and `flags` (which
+kinds of redex, and whether a wrapper and a free variable, occur in the
+subtree); `typecheck` caches a node's typing and its erasure on it the
+first time either is asked for, and the printer a type's or a term's
+text the first time it prints it.  None of these is part of the key,
+so they change neither identity, nor order, nor printing.
 
 Every walk works at any depth: `subterms`, `nodes`, the printer,
 `type_height` and the comparison of keys too deep for the interpreter
@@ -87,19 +89,21 @@ class _Node:
     raises AttributeError.  `__match_args__` names the fields, for
     positional patterns and the repr.  Each node stores `key`, its
     structural sort key, computed once from the keys its children
-    already store.  Two nodes are equal when they have the same class
-    and equal keys; the hash is the key's (not cached: hashing a key
-    walks it, so caching at construction would make building a term
-    quadratic).  Term nodes also store `loose` (their largest loose
-    index, -1 when locally closed) and `flags` (the redexes, wrappers
-    and free variables below them); `typing` and `erasure`
-    stay None until `typecheck` stores them in the node's dict, and
-    `text` until the printer stores the node's printed text there: on
-    a type or set-type the first time it prints it, on a term the first
-    time `pretty` is called on that term itself (not on a term above
-    it).  The text stays with the object, so two alpha-equal terms with
-    other binder hints keep their own.  `typecheck.TypingContext` is a
-    node keyed by its entries.
+    already store, and `hash`, combined by the same recipe from the
+    hashes they already store, so `hash()` walks nothing.  Two nodes
+    are equal when they have the same class and equal keys: `__eq__`
+    tests identity, then the class, then the stored hashes, and compares
+    keys only when those agree, so it tells two unequal terms apart in
+    O(1) at any depth, but for a hash collision.  Term nodes also store
+    `loose` (their largest loose index, -1 when locally closed) and
+    `flags` (the redexes, wrappers and free variables below them);
+    `typing` and `erasure` stay None until `typecheck` stores them in
+    the node's dict, and `text` until the printer stores the node's
+    printed text there: on a type or set-type the first time it prints
+    it, on a term the first time `pretty` is called on that term itself
+    (not on a term above it).  The text stays with the object, so two
+    alpha-equal terms with other binder hints keep their own.
+    `typecheck.TypingContext` is a node keyed by its entries.
     """
 
     typing = None
@@ -117,7 +121,9 @@ class _Node:
         return f"{type(self).__name__}({fields})"
 
     def __eq__(self, other):
-        if type(other) is not type(self):
+        if other is self:
+            return True
+        if type(other) is not type(self) or other.hash != self.hash:
             return False
         try:
             return self.key == other.key
@@ -125,7 +131,12 @@ class _Node:
             return _compare_keys(self.key, other.key) == 0
 
     def __hash__(self):
-        return hash(self.key)
+        return self.hash
+
+    def __reduce__(self):
+        # Unpickled through the constructor, so that the hash is computed
+        # again: a string's hash differs from one process to the next.
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
     def __str__(self):
         return pretty(self)
@@ -168,10 +179,14 @@ def _contained(*parts: _Node) -> int:
 
 
 _key = operator.attrgetter("key")
+_hash = operator.attrgetter("hash")
 
 
 # ---------------------------------------------------------------------------
 # Types
+#
+# Each constructor stores `key` and `hash` by one recipe: the key holds
+# the children's keys where the hash input holds their stored hashes.
 
 
 class Base(_Node):
@@ -179,7 +194,8 @@ class Base(_Node):
 
     def __init__(self, name: str):
         node = vars(self)
-        node["name"], node["key"] = name, (0, name)
+        key = (0, name)
+        node["name"], node["key"], node["hash"] = name, key, hash(key)
 
 
 class Arrow(_Node):
@@ -189,8 +205,9 @@ class Arrow(_Node):
         if not domain.elements:
             raise ValueError("arrow domain must be a non-empty set-type")
         node = vars(self)
-        node["domain"], node["codomain"], node["key"] = (
-            domain, codomain, (1, domain.key, codomain.key))
+        node["domain"], node["codomain"], node["key"], node["hash"] = (
+            domain, codomain, (1, domain.key, codomain.key),
+            hash((1, domain.hash, codomain.hash)))
 
 
 Type = Union[Base, Arrow]
@@ -203,15 +220,17 @@ class _Set(_Node):
     __match_args__ = ("elements",)
 
     def __init__(self, elements: tuple):
-        keys = tuple(e.key for e in elements)
-        try:
-            ordered = all(map(operator.lt, keys, keys[1:]))
-        except RecursionError:  # keys nested deeper than the interpreter compares
-            ordered = all(_compare_keys(a, b) < 0 for a, b in zip(keys, keys[1:]))
-        if not ordered:
-            raise ValueError(f"{self._what} elements must be strictly sorted")
+        keys = tuple(map(_key, elements))
+        if len(keys) > 1:
+            try:
+                ordered = all(map(operator.lt, keys, keys[1:]))
+            except RecursionError:  # keys nested deeper than the interpreter compares
+                ordered = all(_compare_keys(a, b) < 0 for a, b in zip(keys, keys[1:]))
+            if not ordered:
+                raise ValueError(f"{self._what} elements must be strictly sorted")
         node = vars(self)
-        node["elements"], node["key"] = elements, keys
+        node["elements"], node["key"], node["hash"] = (
+            elements, keys, hash(tuple(map(_hash, elements))))
 
     @classmethod
     def of(cls, elements: Iterable):
@@ -266,8 +285,9 @@ class Var(_Node):
 
     def __init__(self, name: str, annot: Type):
         node = vars(self)
-        node["name"], node["annot"], node["key"], node["loose"], node["flags"] = (
-            name, annot, (1, name, annot.key), -1, FREE_VAR)
+        (node["name"], node["annot"], node["key"], node["hash"], node["loose"],
+         node["flags"]) = (name, annot, (1, name, annot.key), hash((1, name, annot.hash)),
+                           -1, FREE_VAR)
 
 
 class BoundVar(_Node):
@@ -277,12 +297,13 @@ class BoundVar(_Node):
 
     def __init__(self, index: int, annot: Type):
         node = vars(self)
-        node["index"], node["annot"], node["key"], node["loose"], node["flags"] = (
-            index, annot, (0, index, annot.key), index, 0)
+        (node["index"], node["annot"], node["key"], node["hash"], node["loose"],
+         node["flags"]) = (index, annot, (0, index, annot.key), hash((0, index, annot.hash)),
+                           index, 0)
 
 
 class Lam(_Node):
-    """Abstraction; `hint` is for printing only, not in the key."""
+    """Abstraction; `hint` is for printing only, in neither key nor hash."""
 
     __match_args__ = ("hint", "binder", "body")
 
@@ -290,9 +311,10 @@ class Lam(_Node):
         if not binder.elements:
             raise ValueError("binder set-type must be non-empty")
         node = vars(self)
-        (node["hint"], node["binder"], node["body"], node["key"], node["loose"],
+        (node["hint"], node["binder"], node["body"], node["key"], node["hash"], node["loose"],
          node["flags"]) = (hint, binder, body, (2, binder.key, body.key),
-                           max(body.loose - 1, -1), (body.flags & _CONTAINS) | _W_ABSTRACTION)
+                           hash((2, binder.hash, body.hash)), max(body.loose - 1, -1),
+                           (body.flags & _CONTAINS) | _W_ABSTRACTION)
 
 
 class App(_Node):
@@ -301,14 +323,16 @@ class App(_Node):
     def __init__(self, fun: MemTerm, arg: SetTerm):
         if not arg.elements:
             raise ValueError("application argument must be non-empty")
-        flags = _contained(fun, arg)
-        if isinstance(fun, Lam):
+        below = fun.flags
+        flags = (below | arg.flags) & _CONTAINS
+        if type(fun) is Lam:
             flags |= I_REDEX
-        if fun.flags & _W_ABSTRACTION:
+        if below & _W_ABSTRACTION:
             flags |= IM_REDEX
         node = vars(self)
-        node["fun"], node["arg"], node["key"], node["loose"], node["flags"] = (
-            fun, arg, (3, fun.key, arg.key), max(fun.loose, arg.loose), flags)
+        node["fun"], node["arg"], node["key"], node["hash"], node["loose"], node["flags"] = (
+            fun, arg, (3, fun.key, arg.key), hash((3, fun.hash, arg.hash)),
+            max(fun.loose, arg.loose), flags)
 
 
 class Wrap(_Node):
@@ -316,8 +340,9 @@ class Wrap(_Node):
 
     def __init__(self, head: MemTerm, payload: SetTerm):
         node = vars(self)
-        node["head"], node["payload"], node["key"], node["loose"], node["flags"] = (
-            head, payload, (4, head.key, payload.key), max(head.loose, payload.loose),
+        node["head"], node["payload"], node["key"], node["hash"], node["loose"], node["flags"] = (
+            head, payload, (4, head.key, payload.key), hash((4, head.hash, payload.hash)),
+            max(head.loose, payload.loose),
             _contained(head, payload) | WRAPPER | (head.flags & _W_ABSTRACTION))
 
 
@@ -333,8 +358,12 @@ class SetTerm(_Set):
     def __init__(self, elements: tuple):
         super().__init__(elements)
         node = vars(self)
-        node["loose"], node["flags"] = (max((e.loose for e in elements), default=-1),
-                                        _contained(*elements))
+        if len(elements) == 1:
+            only = elements[0]
+            node["loose"], node["flags"] = only.loose, only.flags & _CONTAINS
+        else:
+            node["loose"], node["flags"] = (max((e.loose for e in elements), default=-1),
+                                            _contained(*elements))
 
 # A wrapper list is the sequence of payloads between an abstraction and
 # its argument, outermost last: apply_wrappers(t, (p, q)) == t[p][q].
@@ -350,7 +379,9 @@ class UVar(_Node):
 
     def __init__(self, name: str):
         node = vars(self)
-        node["name"], node["key"], node["loose"], node["flags"] = name, (1, name), -1, FREE_VAR
+        key = (1, name)
+        node["name"], node["key"], node["hash"], node["loose"], node["flags"] = (
+            name, key, hash(key), -1, FREE_VAR)
 
 
 class UBoundVar(_Node):
@@ -358,18 +389,21 @@ class UBoundVar(_Node):
 
     def __init__(self, index: int):
         node = vars(self)
-        node["index"], node["key"], node["loose"], node["flags"] = index, (0, index), index, 0
+        key = (0, index)
+        node["index"], node["key"], node["hash"], node["loose"], node["flags"] = (
+            index, key, hash(key), index, 0)
 
 
 class ULam(_Node):
-    """Untyped abstraction; `hint` is for printing only, not in the key."""
+    """Untyped abstraction; `hint` is for printing only, in neither key nor hash."""
 
     __match_args__ = ("hint", "body")
 
     def __init__(self, hint: str, body: UntypedTerm):
         node = vars(self)
-        node["hint"], node["body"], node["key"], node["loose"], node["flags"] = (
-            hint, body, (2, body.key), max(body.loose - 1, -1), body.flags)
+        node["hint"], node["body"], node["key"], node["hash"], node["loose"], node["flags"] = (
+            hint, body, (2, body.key), hash((2, body.hash)), max(body.loose - 1, -1),
+            body.flags)
 
 
 class UApp(_Node):
@@ -380,8 +414,9 @@ class UApp(_Node):
         if isinstance(fun, ULam):
             flags |= BETA_REDEX
         node = vars(self)
-        node["fun"], node["arg"], node["key"], node["loose"], node["flags"] = (
-            fun, arg, (3, fun.key, arg.key), max(fun.loose, arg.loose), flags)
+        node["fun"], node["arg"], node["key"], node["hash"], node["loose"], node["flags"] = (
+            fun, arg, (3, fun.key, arg.key), hash((3, fun.hash, arg.hash)),
+            max(fun.loose, arg.loose), flags)
 
 
 UntypedTerm = Union[UVar, UBoundVar, ULam, UApp]

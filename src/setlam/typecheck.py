@@ -46,7 +46,8 @@ __all__ = [
 class TypingContext(_Node):
     """Finite map from variable names to non-empty set-types.
 
-    Immutable, equal and hashed by its entries, which are its key."""
+    Immutable and equal by its entries, which are its key, and hashed
+    by its (name, set-type hash) pairs."""
 
     __match_args__ = ("entries",)
 
@@ -56,7 +57,9 @@ class TypingContext(_Node):
             raise ValueError("context entries must be sorted and unique")
         if any(not s.elements for _, s in entries):
             raise ValueError("context entries must be non-empty set-types")
-        vars(self).update(entries=entries, key=entries)
+        node = vars(self)
+        node["entries"], node["key"], node["hash"] = (
+            entries, entries, hash(tuple((n, s.hash) for n, s in entries)))
 
     @staticmethod
     def of(items: Mapping[str, SetType] | Iterable[tuple[str, SetType]]) -> TypingContext:
@@ -81,9 +84,12 @@ class TypingContext(_Node):
         return SetType(())
 
     def bind(self, name: str, s: SetType) -> "TypingContext":
-        """Context update: any previous binding of `name` is replaced."""
-        kept = tuple(e for e in self.entries if e[0] != name)
-        return TypingContext.of(kept + ((name, s),))
+        """Context update: any previous binding of `name` is replaced, and
+        an empty `s` removes it."""
+        entries = self.entries
+        i = bisect_left(entries, (name,))
+        end = i + 1 if i < len(entries) and entries[i][0] == name else i
+        return TypingContext(entries[:i] + (((name, s),) if s.elements else ()) + entries[end:])
 
     def subset_of(self, other: "TypingContext") -> bool:
         return all(s.subset_of(other.get(n)) for n, s in self.entries)

@@ -22,14 +22,6 @@ file; `tests/test_cli.py` imports its shapes.
     G  y^(a -> ... -> a) z0^a ... z{N-1}^a            a spine of N distinct variables
     H  y^((a -> a) -> a) {\\x:{a}. ... z^a}            N nested binder chains
                                                       (and "y (\\x. ... z)")
-
-`graph` and `chains` on B, C, D, G and H (and `graph` on H's erasure)
-are skipped where the key nests deeper than 2 * HASH_LIMIT levels, with
-a line that says so.  `explore` indexes terms by their hash, and
-hashing a key walks it on the C stack: the key of B, C, D or G nests
-two levels per argument, the key of H three per chain (its erasure's
-two), and at 100,000 arguments (50,000 chains) the walk overflows the
-C stack and the interpreter dies (SIGSEGV).
 """
 
 from __future__ import annotations
@@ -42,10 +34,7 @@ import tempfile
 import time
 
 from setlam.cli import main
-
-HASH_LIMIT = 50_000
-# Key levels per unit of size, of the typed shapes and of H's erasure.
-KEY_LEVELS = {"B": 2, "C": 2, "D": 2, "G": 2, "H": 3, "H.lam": 2}
+from setlam.syntax import App, Arrow, Base, Lam, SetTerm, SetType, Var
 
 
 def _arrows(n: int) -> str:
@@ -72,6 +61,29 @@ def shape(name: str, n: int) -> str:
     raise ValueError(f"no shape {name!r}")
 
 
+def built(name: str, n: int):
+    """The term of shape B, C, D or H at size n built with the
+    constructors, not parsed: equal to `parse_term(shape(name, n))`, with
+    one object for each repeated leaf and set."""
+    a = Base("a")
+    one = SetType((a,))
+    if name == "H":
+        head, t = Var("y", Arrow(SetType((Arrow(one, a),)), a)), Var("z", a)
+        for _ in range(n):
+            t = App(head, SetTerm((Lam("x", one, t),)))
+        return t
+    arrows = a
+    for _ in range(n):
+        arrows = Arrow(one, arrows)
+    t = Var("y", arrows)
+    if name == "D":
+        t = App(Lam("x", one, t), SetTerm((Var("w", a),)))
+    z = SetTerm((Var("z", a),))
+    for _ in range(n - 1):
+        t = App(t, z)
+    return App(t, SetTerm((Var("z", Base("b")),)) if name == "C" else z)
+
+
 TERM_COMMANDS = [
     ["check"], ["erase"], ["measure"],
     ["normalize"], ["normalize", "--calculus=i"],
@@ -94,32 +106,25 @@ def _write(directory: str, file: str, text: str) -> str:
     return path
 
 
-def _skip(argv: list[str], name: str, n: int) -> str | None:
-    levels = KEY_LEVELS.get(name, 0)
-    if argv[0] in ("graph", "chains") and levels * n > 2 * HASH_LIMIT:
-        return f"skipped above {2 * HASH_LIMIT // levels}: hashing the term overflows the C stack"
-    return None
-
-
 def runs(n: int, directory: str, shapes: str = "ABCDEFGH"):
-    """(shape, argv, why it is skipped or None) of every run at size n of
-    the named shapes, with its files written."""
+    """(shape, argv) of every run at size n of the named shapes, with its
+    files written."""
     paths = {name: _write(directory, f"{name}.{'lam' if name == 'E' else 'term'}",
                           shape(name, n))
              for name in shapes}
     for name in [s for s in "ABCDFGH" if s in shapes]:
         for argv in TERM_COMMANDS:
-            yield name, [argv[0], paths[name], *argv[1:]], _skip(argv, name, n)
+            yield name, [argv[0], paths[name], *argv[1:]]
     if "D" in shapes:
         # the beta redex of D's erasure sits at the bottom of its spine
         lam = _write(directory, "D.lam", "(\\x. y) w" + " z" * n)
-        yield "D", ["simulate", paths["D"], lam, "--pos=" + ",".join(["0"] * n)], None
+        yield "D", ["simulate", paths["D"], lam, "--pos=" + ",".join(["0"] * n)]
     # E, and the erasures of F and H, for the commands that read an untyped term
     erasures = {"F": "(" * n + "y z" + ")" * n, "H": "y (\\x. " * n + "z" + ")" * n}
     for name in [s for s in "EFH" if s in shapes]:
         path = paths["E"] if name == "E" else _write(directory, f"{name}.lam", erasures[name])
         for argv in UNTYPED_COMMANDS:
-            yield name, [argv[0], path, *argv[1:]], _skip(argv, f"{name}.lam", n)
+            yield name, [argv[0], path, *argv[1:]]
 
 
 def run_command(argv: list[str]) -> tuple[int, float, str]:
@@ -140,10 +145,7 @@ if __name__ == "__main__":
     size = int(sys.argv[1])
     chosen = sys.argv[2] if len(sys.argv) > 2 else "ABCDEFGH"
     with tempfile.TemporaryDirectory() as directory:
-        for name, argv, skip in runs(size, directory, chosen):
-            if skip:
-                print(f"{name} {size} {_label(argv):<32} {skip}", flush=True)
-                continue
+        for name, argv in runs(size, directory, chosen):
             code, seconds, err = run_command(argv)
             message = err.splitlines()[0] if err else ""
             print(f"{name} {size} {_label(argv):<32} exit {code}  {seconds:8.3f} s  {message}",

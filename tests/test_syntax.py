@@ -1,20 +1,27 @@
 """Canonical sets, alpha-equality, positions, parse/print round trips."""
 
 import operator
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from setlam import (
     App, Arrow, Base, BoundVar, InvalidPosition, Lam, ParseError, SetTerm,
-    SetType, TypingContext, UApp, UBoundVar, ULam, UVar, Var, Wrap, parse,
-    parse_set_type, parse_term, parse_type, parse_untyped, pretty,
+    SetType, TypingContext, UApp, UBoundVar, ULam, UVar, Var, Wrap, erase,
+    parse, parse_set_type, parse_term, parse_type, parse_untyped, pretty,
     replace_at, subterm_at,
 )
 from setlam import naming, syntax
 from setlam.binding import locally_closed, shift
+from setlam.reduction import reducts
 from setlam.syntax import _Node, positions, run, term_size, type_height
+
+from deep import built, shape as deep_shape
 
 a, b, c = Base("a"), Base("b"), Base("c")
 
@@ -203,11 +210,7 @@ def test_print_picks_fresh_names_on_collision():
 def nested_chains(n: int, typed: bool):
     """Shape H of tests/deep.py, y {\\x. y {\\x. ... z}}, n chains deep."""
     if typed:
-        y, z = Var("y", parse_type("(a -> a) -> a")), Var("z", a)
-        m = z
-        for _ in range(n):
-            m = App(y, SetTerm.of([Lam("x", SetType.of([a]), m)]))
-        return m
+        return built("H", n)
     m = UVar("z")
     for _ in range(n):
         m = UApp(UVar("y"), ULam("x", m))
@@ -621,13 +624,152 @@ def test_str_is_pretty_for_every_node_class():
         assert str(x) == pretty(x)
 
 
+# --- stored hashes ----------------------------------------------------------
+
+def _copy(x, hint: str = "copy"):
+    """x built again from new objects, field by field, with every binder
+    hint replaced: equal to x, and identical to none of its nodes."""
+    if isinstance(x, tuple):
+        return tuple(_copy(e, hint) for e in x)
+    if not isinstance(x, _Node):
+        return x
+    return type(x)(*(hint if name == "hint" else _copy(getattr(x, name), hint)
+                     for name in type(x).__match_args__))
+
+
+def _assert_same_identity(x, y):
+    assert x == y and y == x
+    assert hash(x) == x.hash == y.hash == hash(y)
+    assert {x: "slot"}[y] == "slot" and y in {x}
+
+
+EVERY_CLASS = ONE_OF_EACH_CLASS + [
+    TypingContext.of({"y": SetType.of([a]), "z": SetType.of([a, parse_type("{a} -> b")])})]
+
+
+@pytest.mark.parametrize("x", EVERY_CLASS, ids=lambda x: type(x).__name__)
+def test_equal_nodes_of_every_class_have_equal_stored_hashes(x):
+    for hint in ("x", "u", "Bad hint"):
+        copy = _copy(x, hint)
+        assert copy is not x
+        _assert_same_identity(x, copy)
+
+
+@given(memterms_st(), st.sampled_from(["u", "x", "Bad hint"]))
+def test_equal_terms_have_equal_stored_hashes(t, hint):
+    _assert_same_identity(t, _copy(t, hint))
+    _assert_same_identity(t, parse_term(pretty(t)))
+
+
+@given(untyped_st(), st.sampled_from(["u", "x", "Bad hint"]))
+def test_equal_untyped_terms_have_equal_stored_hashes(m, hint):
+    _assert_same_identity(m, _copy(m, hint))
+    _assert_same_identity(m, parse_untyped(pretty(m)))
+
+
+@given(types_st)
+def test_equal_types_have_equal_stored_hashes(t):
+    _assert_same_identity(t, _copy(t))
+    _assert_same_identity(t, parse_type(pretty(t)))
+    s = SetType.of([t, a])
+    _assert_same_identity(s, parse_set_type(pretty(s)))
+
+
+@given(st.dictionaries(st.sampled_from(["x", "y", "z"]),
+                       st.lists(types_st, min_size=1, max_size=3)))
+def test_equal_contexts_have_equal_stored_hashes(items):
+    ctx = TypingContext.of((n, SetType.of(ts)) for n, ts in items.items())
+    _assert_same_identity(ctx, _copy(ctx))
+    _assert_same_identity(ctx, TypingContext.of(
+        (n, SetType.of(reversed(ts))) for n, ts in reversed(items.items())))
+
+
+def test_equal_reducts_of_corpus_terms_have_equal_stored_hashes(corpus):
+    for entry in corpus:
+        for t, calculi in ((entry.term, ("i", "im")), (erase(entry.term), ("beta",))):
+            for calculus in calculi:
+                for _, r in reducts(t, calculus, {}):
+                    _assert_same_identity(r, _copy(r))
+                    _assert_same_identity(r, parse(pretty(r), "untyped" if calculus == "beta"
+                                                   else "annotated"))
+
+
+@pytest.mark.parametrize("name", "BCDH")
+def test_built_shapes_are_the_parsed_ones(name):
+    for n in (1, 2, 5):
+        built_term, parsed = built(name, n), parse_term(deep_shape(name, n))
+        assert built_term == parsed and pretty(built_term) == pretty(parsed)
+
+
+def test_deep_spines_differing_in_the_last_argument_are_told_apart_by_hash(monkeypatch):
+    # Both spines nest 200,000 key levels, past what the interpreter
+    # compares, and differ only at the top: the hashes decide.
+    spine, ill_typed = built("B", 100_000), built("C", 100_000)
+
+    def compare_keys(a, b):
+        raise AssertionError("keys compared")
+
+    monkeypatch.setattr(syntax, "_compare_keys", compare_keys)
+    assert spine != ill_typed and not ill_typed == spine
+    assert spine == spine and spine in {spine}
+
+
+def _child(script: str, *args: str, hash_seed: str = "0", stdin: bytes = b""):
+    """Run script in a new interpreter that imports setlam and the test
+    helpers, with the given hash seed."""
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path), "PYTHONHASHSEED": hash_seed}
+    return subprocess.run([sys.executable, "-c", script, *args], input=stdin,
+                          capture_output=True, env=env)
+
+
+def test_identity_of_terms_a_hundred_thousand_deep():
+    # A spine of 100,000 arguments with a redex at its bottom, and
+    # 50,000 nested chains: hashing their keys would walk them on the C
+    # stack, which overflows (SIGSEGV) at these depths, and the stored
+    # hashes walk nothing.  In a child process, so that a crash fails
+    # this test alone.
+    script = (
+        "from deep import built\n"
+        "from setlam.oracle import Fuel, explore\n"
+        "for name, n in (('D', 100_000), ('H', 50_000)):\n"
+        "    t, copy = built(name, n), built(name, n)\n"
+        "    assert hash(t) == hash(copy) and t == copy and copy in {t}\n"
+        "    graph = explore(t, 'i', Fuel(10, 10))\n"
+        "    print(name, graph.node_count, len(graph.edges), graph.truncated)\n")
+    done = _child(script)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == b"D 2 1 False\nH 1 0 False\n"
+
+
+def test_a_node_unpickled_in_another_process_hashes_there():
+    # A string's hash differs from one process to the next, so a stored
+    # hash must not travel in a pickle.
+    script = (
+        "import pickle, sys\n"
+        "from setlam import TypingContext, parse_set_type, parse_term\n"
+        "t = parse_term('(\\\\x:{a}. f^(a -> b) x^a) {y^a}')\n"
+        "ctx = TypingContext.of({'f': parse_set_type('a -> b'), 'y': parse_set_type('a')})\n"
+        "if sys.argv[1] == 'dump':\n"
+        "    sys.stdout.buffer.write(pickle.dumps((t, ctx)))\n"
+        "else:\n"
+        "    u, c = pickle.loads(sys.stdin.buffer.read())\n"
+        "    assert u == t and hash(u) == hash(t) and u in {t} and u.fun.hint == 'x'\n"
+        "    assert c == ctx and hash(c) == hash(ctx) and c in {ctx}\n")
+    dumped = _child(script, "dump", hash_seed="1")
+    assert dumped.returncode == 0, dumped.stderr
+    loaded = _child(script, "load", hash_seed="2", stdin=dumped.stdout)
+    assert (loaded.returncode, loaded.stderr) == (0, b"")
+
+
 # --- plain immutable classes ------------------------------------------------
 
 @pytest.mark.parametrize("x", ONE_OF_EACH_CLASS + [TypingContext.of({"y": SetType.of([a])})],
                          ids=lambda x: type(x).__name__)
 def test_fields_cannot_be_assigned_or_deleted(x):
     before = repr(x)
-    for name in (*type(x).__match_args__, "key", "typing", "other"):
+    for name in (*type(x).__match_args__, "key", "hash", "typing", "other"):
         with pytest.raises(AttributeError):
             setattr(x, name, None)
         with pytest.raises(AttributeError):

@@ -171,6 +171,29 @@ def test_context_get_agrees_with_a_linear_scan():
             assert ctx.get(name) == linear
 
 
+def _bind_by_filter(ctx: TypingContext, name: str, s: SetType) -> TypingContext:
+    """The reference update: drop every entry of name, then merge the
+    new one in with `TypingContext.of`, which re-sorts and drops an empty
+    set-type."""
+    kept = tuple(e for e in ctx.entries if e[0] != name)
+    return TypingContext.of(kept + ((name, s),))
+
+
+def test_context_bind_agrees_with_filtering_and_resorting():
+    rng = random.Random(5)
+    types = [parse_type(t) for t in ("a", "b", "{a} -> b", "{a, b} -> a")]
+    pool = ["a", "b", "m", "x", "x0", "x1", "y", "z", "zz"]
+    for _ in range(200):
+        names = rng.sample(pool, rng.randint(0, 9))
+        ctx = TypingContext.of(
+            (n, SetType.of(rng.sample(types, rng.randint(1, 3)))) for n in names)
+        for name in ["", "aa", "x00", "zzz", *pool]:
+            s = SetType.of(rng.sample(types, rng.randint(0, 3)))  # empty one time in four
+            bound = ctx.bind(name, s)
+            assert bound.entries == _bind_by_filter(ctx, name, s).entries
+            assert bound.get(name) == s and hash(bound) == bound.hash
+
+
 def test_check_reports_the_first_failing_occurrence_in_term_order():
     t = parse_term("\\u:{a}. f^(a -> a -> b -> a -> c) {x^a} {u^a} {y^b} {x^a}")
     ctx = TypingContext.of({"f": parse_set_type("{a -> a -> b -> a -> c}")})
