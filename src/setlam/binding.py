@@ -13,6 +13,8 @@ operations (`shift`, `open_term`, `uopen`) change only indices that
 point outside the subtree being visited, so they return a subtree
 whose stored `loose` index stays below that cut as it is, the same
 object, without visiting it; `locally_closed` reads `loose` alone.
+Likewise `close_term` and `subst_free` change only free occurrences,
+so they keep a subtree whose flags hold no free variable as it is.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Mapping
 
 from .errors import MissingSubstituent
 from .syntax import (
-    BoundVar, Lam, MemTerm, SetTerm, Type, UBoundVar, ULam, UntypedTerm,
+    FREE_VAR, BoundVar, Lam, MemTerm, SetTerm, Type, UBoundVar, ULam, UntypedTerm,
     UVar, Var, children, rebuild,
 )
 
@@ -33,7 +35,10 @@ def _map_vars(t, leaf, indices_only: bool = False):
     With `indices_only`, leaf changes only indices v with v.index >= d,
     so a subtree in which no index reaches that far is kept as it is;
     then leaf only ever receives a bound occurrence whose index reaches
-    d, since a free occurrence's `loose` is -1.
+    d, since a free occurrence's `loose` is -1.  Without it, leaf
+    changes only free occurrences, so a subtree whose flags hold no
+    free variable is kept as it is, and leaf only ever receives a free
+    occurrence.
     """
     done = []  # rebuilt subtrees, in post-order
     stack = [(t, 0, None)]
@@ -44,7 +49,7 @@ def _map_vars(t, leaf, indices_only: bool = False):
             new = rebuild(node, done[start:])
             del done[start:]
             done.append(new)
-        elif indices_only and node.loose < depth:
+        elif node.loose < depth if indices_only else not node.flags & FREE_VAR:
             done.append(node)
         elif isinstance(node, (Var, BoundVar, UVar, UBoundVar)):
             done.append(leaf(node, depth))
@@ -105,7 +110,7 @@ def close_term(t: MemTerm | SetTerm | UntypedTerm, *names: str):
     binder = {name: len(names) - 1 - i for i, name in enumerate(names)}
 
     def leaf(v, level):
-        if isinstance(v, (Var, UVar)) and v.name in binder:
+        if v.name in binder:
             index = level + binder[v.name]
             return BoundVar(index, v.annot) if isinstance(v, Var) else UBoundVar(index)
         return v
@@ -119,7 +124,7 @@ def subst_free(t: MemTerm | SetTerm, name: str, by_type: Mapping[Type, MemTerm])
     shifting is needed.
     """
     def leaf(v, _):
-        if not (isinstance(v, Var) and v.name == name):
+        if v.name != name:
             return v
         try:
             return by_type[v.annot]

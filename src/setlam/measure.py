@@ -8,6 +8,11 @@ and lands on the normal form.  The weight of a term counts its wrapper
 nodes, and the measure W of a wrapper-free term is the weight of its
 full simplification: it strictly decreases along every plain reduction
 step, which bounds the length of every reduction sequence.
+
+`W`, `simp_full` and `measure_report` read one transcript, the stages
+of the full simplification, which is computed once per term object and
+stored on it; `measure_report` still checks the term and each stage on
+every call.  `simp_d` stores nothing.
 """
 
 from __future__ import annotations
@@ -66,19 +71,27 @@ def simp_d(t: MemTerm | SetTerm, d: int):
     return develop(t, lambda core: redex_degree(core) == d, "im")
 
 
-def _simplifications(t: MemTerm | SetTerm):
+def _simplifications(t: MemTerm | SetTerm) -> tuple:
     """(d, t after the degree-d pass) for each pass from the maximum degree
-    down to 1 that changes t; a pass with no redex of degree d returns t."""
-    for d in range(max_degree(t), 0, -1):
-        if (simplified := simp_d(t, d)) is not t:
-            yield d, (t := simplified)
+    down to 1 that changes t; a pass with no redex of degree d returns t.
+
+    Computed once per term object and stored on it (`simplifications`),
+    never on its subterms; nothing is stored when a redex of t does not
+    synthesize.
+    """
+    if t.simplifications is None:
+        passes, stage = [], t
+        for d in range(max_degree(t), 0, -1):
+            if (simplified := simp_d(stage, d)) is not stage:
+                passes.append((d, stage := simplified))
+        vars(t)["simplifications"] = tuple(passes)
+    return t.simplifications
 
 
 def simp_full(t: MemTerm | SetTerm):
     """Simplify from the maximum degree down to 1; yields the normal form."""
-    for _, t in _simplifications(t):
-        pass
-    return t
+    passes = _simplifications(t)
+    return passes[-1][1] if passes else t
 
 
 def W(t: MemTerm) -> int:

@@ -19,9 +19,11 @@ O(arity) from their children, `loose` (the largest de Bruijn index
 pointing outside the node, -1 when locally closed) and `flags` (which
 kinds of redex, and whether a wrapper and a free variable, occur in the
 subtree); `typecheck` caches a node's typing and its erasure on it the
-first time either is asked for, and the printer a type's or a term's
-text the first time it prints it.  None of these is part of the key,
-so they change neither identity, nor order, nor printing.
+first time either is asked for, the printer a type's or a term's text
+the first time it prints it, and `measure` a term's full simplification
+(`simplifications`) the first time it simplifies it.  None of these is
+part of the key, so they change neither identity, nor order, nor
+printing.
 
 Every walk works at any depth: `subterms`, `nodes`, the printer,
 `type_height` and the comparison of keys too deep for the interpreter
@@ -102,13 +104,17 @@ class _Node:
     printed text there: on a type or set-type the first time it prints
     it, on a term the first time `pretty` is called on that term itself
     (not on a term above it).  The text stays with the object, so two
-    alpha-equal terms with other binder hints keep their own.
+    alpha-equal terms with other binder hints keep their own.  Likewise
+    `simplifications` stays None until `measure` stores there the stages
+    of the term's full simplification, on the term `W`, `simp_full` or
+    `measure_report` is called on (not on its subterms).
     `typecheck.TypingContext` is a node keyed by its entries.
     """
 
     typing = None
     erasure = None
     text = None
+    simplifications = None
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

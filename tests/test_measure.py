@@ -1,7 +1,14 @@
 """Heights, weights, simplification passes, and the decreasing measure."""
 
+import gc
+import itertools
+import json
+import pickle
+import weakref
+
 import pytest
 
+from setlam import measure
 from setlam import (
     Fuel, IllTyped, SetTerm, W, degree_profile, i_redexes,
     max_degree, measure_report, normal_form, parse_set_type, parse_term,
@@ -16,6 +23,7 @@ import corpus
 
 SIMPLE = parse_term("(\\x:{a}.x^a) {y^a}")
 FIGURE = parse_term(corpus.FIGURE_START)
+BIG_FUEL = Fuel(max_nodes=50_000, max_depth=50_000)
 
 
 # --- height -----------------------------------------------------------------
@@ -216,7 +224,7 @@ def test_simp_full_simple():
 
 
 def test_simp_full_figure_matches_oracle():
-    expected = normal_form(FIGURE, "im", Fuel(max_nodes=50_000, max_depth=50_000))
+    expected = normal_form(FIGURE, "im", BIG_FUEL)
     assert simp_full(FIGURE) == expected
     assert expected == parse_term(corpus.FIGURE_NORMAL_FORM)
 
@@ -307,7 +315,10 @@ def test_report_stage_degrees_bounded(corpus):
         report = measure_report(entry.term)
         for after_degree, _, stage_max in report.stages:
             assert stage_max < after_degree
-        assert report.normal_form == simp_full(entry.term)
+        # a fresh copy and the oracle, not simp_full(entry.term), which
+        # would read the transcript the report itself was built from
+        assert report.normal_form == simp_full(parse_term(pretty(entry.term)))
+        assert report.normal_form == normal_form(entry.term, "im", BIG_FUEL)
         assert redexes(report.normal_form) == []
 
 
@@ -329,3 +340,71 @@ def test_report_json_shape():
     assert data["W"] == 1
     assert data["maxDegree"] == 1
     assert [s["afterDegree"] for s in data["stages"]] == [1]
+
+
+# --- the transcript stored on a term ----------------------------------------
+
+CALLS = {"W": W, "simp_full": simp_full, "measure_report": measure_report}
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(CALLS)), ids="-".join)
+def test_one_term_object_is_simplified_once(order, monkeypatch):
+    t = parse_term(corpus.FIGURE_START)
+    passes = []
+    simplify = measure.simp_d
+    monkeypatch.setattr(measure, "simp_d", lambda s, d: passes.append(d) or simplify(s, d))
+    results = {name: CALLS[name](t) for name in order}
+    assert passes == list(range(max_degree(FIGURE), 0, -1)) and len(passes) > 1
+    assert results["W"] == 7 == results["measure_report"].measure
+    assert results["simp_full"] is results["measure_report"].normal_form
+
+
+def test_stored_transcript_matches_a_fresh_copy(corpus):
+    # Each fresh copy is unpickled, so it is rebuilt through the
+    # constructors with t's binder hints and no stored transcript.
+    for entry in corpus:
+        t, dumped = entry.term, pickle.dumps(entry.term)
+        for _ in range(2):  # the second round reads what the first stored
+            assert W(t) == W(pickle.loads(dumped))
+            full, fresh = simp_full(t), simp_full(pickle.loads(dumped))
+            assert full == fresh and pretty(full) == pretty(fresh)
+            assert (json.dumps(measure_report(t).to_json_dict())
+                    == json.dumps(measure_report(pickle.loads(dumped)).to_json_dict()))
+
+
+def test_a_term_that_does_not_synthesize_stores_no_transcript():
+    t = parse_term("(\\x:{a}. x^b) {y^a}")
+    for call in CALLS.values():
+        raised = []
+        for _ in range(2):
+            with pytest.raises(IllTyped) as error:
+                call(t)
+            raised.append((type(error.value), str(error.value)))
+        assert raised[0] == raised[1]
+        assert t.simplifications is None
+
+
+def test_the_transcript_is_not_part_of_identity():
+    t, u = parse_term(corpus.FIGURE_START), parse_term(corpus.FIGURE_START)
+    text, dumped = repr(t), pickle.dumps(t)
+    W(t)
+    assert t.simplifications and u.simplifications is None
+    assert t == u and hash(t) == hash(u) and repr(t) == text == repr(u)
+    assert pickle.dumps(t) == dumped == pickle.dumps(u)
+    loaded = pickle.loads(dumped)
+    assert loaded == t and loaded.simplifications is None
+
+
+def test_the_transcript_is_freed_by_reference_counting():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        t = parse_term(corpus.FIGURE_START)
+        W(t)
+        measure_report(t)
+        term, normal = weakref.ref(t), weakref.ref(simp_full(t))
+        del t
+        assert term() is None and normal() is None
+    finally:
+        if enabled:
+            gc.enable()

@@ -5,9 +5,9 @@ fold, and the first error `typecheck` reads off it, with the positional
 walk `_synth` kept here as the reference, `loose` and the flags with a
 walk over every subterm, the pruned redex search and the pruned walks
 over free occurrences with the unpruned filters.  The index operations
-of `binding` must visit only the nodes they rebuild and hand back the
-others as the same objects, and a second typing of a node must visit
-no node.
+of `binding`, and those on free names, must visit only the nodes they
+rebuild and hand back the others as the same objects, and a second
+typing of a node must visit no node.
 """
 
 import pytest
@@ -19,7 +19,7 @@ from setlam import (
 )
 from setlam import binding, syntax, typecheck
 from setlam.typecheck import subterm_type
-from setlam.binding import open_term, shift, uopen
+from setlam.binding import close_term, open_term, shift, subst_free, uopen
 from setlam.reduction import _redex, _substituents, redex_positions
 from setlam.syntax import (
     BETA_REDEX, FREE_VAR, I_REDEX, IM_REDEX, WRAPPER, children, free_names,
@@ -329,3 +329,62 @@ def test_index_operations_visit_only_what_they_change(corpus, monkeypatch):
                 assert all(id(s) in kept for s in untouched)
             opened += 1
     assert opened > 50
+
+
+def _free_paths(t):
+    """The nodes above a free occurrence in t (the only ones `close_term`
+    and `subst_free` must rebuild), and the maximal subtrees without one."""
+    touched, untouched = [], []
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if not node.flags & FREE_VAR:
+            untouched.append(node)
+        elif not isinstance(node, (Var, UVar)):
+            touched.append(node)
+            stack.extend(children(node))
+    return touched, untouched
+
+
+def _close_reference(t, names: list, depth: int = 0):
+    """close_term(t, *names) by a plain recursion into every node."""
+    if isinstance(t, (Var, UVar)) and t.name in names:
+        index = depth + len(names) - 1 - names.index(t.name)
+        return BoundVar(index, t.annot) if isinstance(t, Var) else UBoundVar(index)
+    inner = depth + isinstance(t, (Lam, ULam))
+    return syntax.rebuild(t, [_close_reference(k, names, inner) for k in children(t)])
+
+
+def test_free_operations_visit_only_the_paths_to_free_occurrences(corpus, monkeypatch):
+    visited = []
+    counted = binding.children
+
+    def counting(node):
+        visited.append(node)
+        return counted(node)
+    monkeypatch.setattr(binding, "children", counting)
+    pruned = 0
+    for entry in corpus:
+        for t in (entry.term, erase(entry.term)):
+            names = sorted(free_names(t))
+            touched, untouched = _free_paths(t)
+            for operate in (lambda: close_term(t, *names),
+                            lambda: subst_free(t, "q", {})):  # no occurrence of q
+                visited.clear()
+                kept = {id(s) for s in nodes(operate())}
+                assert sorted(map(id, visited)) == sorted(map(id, touched))
+                assert all(id(s) in kept for s in untouched)
+            assert repr(close_term(t, *names)) == repr(_close_reference(t, names))
+            pruned += bool(touched and untouched)
+    assert pruned > 50
+
+
+def test_close_term_skips_a_closed_subterm(monkeypatch):
+    t = parse_term("f^({{a} -> {a} -> a} -> {a} -> b)"
+                   " {\\u:{a}. \\v:{a}. (\\w:{a}. w^a) {u^a}} {y^a}")
+    visited = []
+    counted = binding.children
+    monkeypatch.setattr(binding, "children", lambda node: visited.append(node) or counted(node))
+    closed = close_term(t, "y")
+    assert visited == [t, t.fun]
+    assert closed == App(t.fun, SetTerm((BoundVar(0, Base("a")),))) and closed.fun is t.fun

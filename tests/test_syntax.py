@@ -769,7 +769,8 @@ def test_a_node_unpickled_in_another_process_hashes_there():
                          ids=lambda x: type(x).__name__)
 def test_fields_cannot_be_assigned_or_deleted(x):
     before = repr(x)
-    for name in (*type(x).__match_args__, "key", "hash", "typing", "other"):
+    for name in (*type(x).__match_args__, "key", "hash", "typing", "simplifications",
+                 "other"):
         with pytest.raises(AttributeError):
             setattr(x, name, None)
         with pytest.raises(AttributeError):
