@@ -5,9 +5,9 @@ explicit trees supplied as JSON, whose annotated counterparts are the
 terms of `setlam.typecheck`.  One walk validates each node against its
 rule schema and builds the annotated term the node encodes once it
 passes: `check_curry` returns the root judgement, `decorate` the term.
-`erase_derivation` inverts `decorate` for uniform terms.  The walks
-over derivations are plain recursions run on `syntax.run`, so they work
-at any depth.
+`erase_derivation` builds a uniform term's derivation top-down, each
+premise's subject from its node's.  The walks are plain recursions run
+on `syntax.run`, so they work at any depth.
 
 JSON schema (docs/formats.md): {"rule": "var"|"many"|"intro"|"elim",
 "ctx": {x: [type strings]}, "term": untyped term string, "type": type
@@ -21,7 +21,7 @@ import json
 import sys
 from typing import NamedTuple, Union
 
-from .binding import close_term, uopen
+from .binding import uopen
 from .errors import InvalidDerivation
 from .naming import Names
 from .syntax import (
@@ -269,56 +269,55 @@ def decorate(d: CurryDerivation) -> MemTerm | SetTerm:
 def erase_derivation(t: MemTerm, context: TypingContext) -> CurryDerivation:
     """Derivation for the erasure of a uniform wrapper-free term.
 
-    Inverts `decorate` exactly: the derivation mirrors the term's
-    structure, with one var node per occurrence and one many node per
-    set-term.  Raises NotUniform on non-uniform input and the usual
-    typing errors when t does not check under the context.
+    It mirrors t, one var node per occurrence and one many node per
+    set-term, names t's binders as the printer does, and gives every
+    premise of a many node the node's own subject: `decorate` gives back
+    t up to binder hints, with a set's elements all named like its first.
+    Raises NotUniform on non-uniform input and the usual typing errors
+    when t does not check under the context.
     """
     check(context, t)
     erase(t)  # raises NotUniform where t does not erase
-    return run(_derivation(t, context, Names(t)))
+    return run(_derivation(t, context, run(_named(t, Names(t)))))
 
 
-def _derivation(t, context: TypingContext, binders: Names):
-    """The derivation of the uniform term t under the context; binders
-    names the binders above t as the printer does, and each sub-call
-    opens and closes the chains below t."""
+def _named(t, names: Names):
+    """The erasure of t with each binder named by `names`; every element of
+    a set is walked, as `names` requires, and the first one's is kept."""
     match t:
         case Var() | BoundVar():
-            subject = UVar(t.name if isinstance(t, Var) else binders.env[-1 - t.index])
-            return CurryDerivation("var", context, subject, t.annot, (), t.annot)
+            return erase(t)
         case Lam():
-            chain, body = binders.open(t)
-            names = [name for _, name in chain]
-            contexts = [context]
-            for lam, name in chain:
-                contexts.append(contexts[-1].bind(name, lam.binder))
-            node = yield _derivation(body, contexts.pop(), binders)
-            binders.close()
-            # Close the body over the whole chain at once, then open the
-            # binders one by one: an open visits only the paths to the
-            # occurrences it replaces.
-            subject = close_term(node.subject, *names)
-            for name in reversed(names):
+            chain, body = names.open(t)
+            subject = yield _named(body, names)
+            names.close()
+            for _, name in reversed(chain):
                 subject = ULam(name, subject)
-            subjects = [subject]
-            for name in names[:-1]:
-                subjects.append(uopen(subjects[-1].body, UVar(name)))
-            for (lam, _), outer, subject in zip(reversed(chain), reversed(contexts),
-                                                reversed(subjects)):
-                node = CurryDerivation(
-                    "intro", outer, subject, Arrow(lam.binder, node.type_), (node,))
-            return node
+            return subject
         case App(fun, arg):
-            fun_node = yield _derivation(fun, context, binders)
+            subject = yield _named(fun, names)
             elements = []
             for e in arg.elements:
-                elements.append((yield _derivation(e, context, binders)))
-            arg_node = CurryDerivation("many", context, elements[0].subject,  # all alike
-                                       SetType.of(e.type_ for e in elements), tuple(elements))
-            return CurryDerivation("elim", context, UApp(fun_node.subject, arg_node.subject),
-                                   fun_node.type_.codomain, (fun_node, arg_node))
+                elements.append((yield _named(e, names)))
+            return UApp(subject, elements[0])
     raise TypeError(f"not a uniform wrapper-free term: {t!r}")
+
+
+def _derivation(t, context: TypingContext, subject: UntypedTerm):
+    """The derivation of t, walked by `_named`, for the subject its parent built."""
+    match t:
+        case Lam():
+            body = yield _derivation(t.body, context.bind(subject.hint, t.binder),
+                                     uopen(subject.body, UVar(subject.hint)))
+            return CurryDerivation("intro", context, subject, Arrow(t.binder, body.type_), (body,))
+        case App():
+            fun = yield _derivation(t.fun, context, subject.fun)
+            elements = []
+            for e in t.arg.elements:
+                elements.append((yield _derivation(e, context, subject.arg)))
+            arg = CurryDerivation("many", context, subject.arg, fun.type_.domain, tuple(elements))
+            return CurryDerivation("elim", context, subject, fun.type_.codomain, (fun, arg))
+    return CurryDerivation("var", context, subject, t.annot, (), t.annot)
 
 
 def canonical_derivation(d: CurryDerivation) -> CurryDerivation:

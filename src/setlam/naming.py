@@ -15,9 +15,10 @@ _IDENT = re.compile(r"[a-z][A-Za-z0-9_']*\Z")
 
 class Names:
     """The binder names of one pre-order walk of a term, the printer's or
-    `derivation`'s.  A binder is named by its hint (or "x"), suffixed by
-    the least number if that is taken: in scope, or free in the body of
-    the binder's chain of abstractions.
+    `derivation`'s, which must open every chain, in each element of a set
+    too: `open` finds a chain's span by counting the chains met so far.
+    A binder is named by its hint (or "x"), suffixed by the least number
+    if that is taken: in scope, or free in the body of its chain.
 
     `open` names a chain and brings its names into scope, `close` ends
     the scope of the chain opened last.  `env` lists the names in scope,

@@ -323,6 +323,37 @@ def test_criterion_10_simulation(corpus):
     _passed(10, f"{simulated} beta steps simulated; {projected} steps projected back")
 
 
+def test_criterion_10_simulation_along_whole_sequences(sn_samples):
+    # SN carries over from the annotated terms to the Curry system: each
+    # beta step of m is replayed inside a term refining it, so W of that
+    # term falls at every beta step and bounds the number of beta steps
+    started = time.monotonic()
+    runs = [(m, inferred.term, [next]) for m, inferred in sn_samples[:60]]
+    for m, n in ((2, 2), (2, 3), (3, 2)):
+        church = corpus.church_application(m, n)
+        shuffled = random.Random(10 * m + n)
+        runs.append((church, infer_sn(church, corpus.INFER_FUEL).term,
+                     [next, lambda sites, rng=shuffled: rng.choice(list(sites))]))
+    sequences = steps = 0
+    for m, t, strategies in runs:
+        bound = W(t)
+        for choose in strategies:
+            source, refining, before, count = m, t, bound, 0
+            for pos, reduct in reduction_sequence(m, "beta", choose):
+                n, refining, _ = simulate_beta(refining, source, pos)
+                assert n == reduct
+                after = W(refining)
+                assert before > after, (m, pos)
+                source, before, count = reduct, after, count + 1
+            assert count <= bound, (m, count, bound)
+            sequences += 1
+            steps += count
+    elapsed = time.monotonic() - started
+    assert elapsed < 60.0
+    _passed(10, f"W of the refining term falls at each of {steps} simulated beta steps "
+                f"along {sequences} sequences, each at most W long, in {elapsed:.1f}s")
+
+
 # --- 11. strong normalization characterization --------------------------------------
 
 def test_criterion_11_sn_characterization(sn_samples):
