@@ -4,13 +4,18 @@ and the constructive typing of strongly normalizing untyped terms.
 Everything here is budgeted exploration or plain recursion over the
 inductive structure of strongly normalizing terms (a term is either a
 variable applied to strongly normalizing arguments, an abstraction with
-a strongly normalizing body, or a head redex whose contractum and
-argument are both strongly normalizing).  `infer_sn` follows that
-structure to build an annotated refinement of any strongly normalizing
-untyped term, re-checking its own output on every call.  It infers
-under a binder without naming the bound variable (locally nameless
-style): a body is inferred as the open term it is and its bound
-variables stay indices, so a result is wrapped as it is and the
+a strongly normalizing body, or a head redex whose contractum is
+strongly normalizing, and whose argument is too when the redex erases
+it).  `infer_sn` follows that structure to build an annotated
+refinement of any strongly normalizing untyped term, re-checking its
+own output on every call.  A head redex's argument is inferred on its
+own only under a vacuous binder: when the bound variable occurs, the
+argument's copies in the contractum are typed there, and they stand
+for it (subject expansion).  That skips no check: every result is
+re-verified, and a typed refinement is strongly normalizing.  It
+infers under a binder without naming the bound variable (locally
+nameless style): a body is inferred as the open term it is and its
+bound variables stay indices, so a result is wrapped as it is and the
 typings and erasures cached on its nodes are reused; a binder's
 set-type and the root's context are read off the term it builds.  It
 runs on the trampoline `syntax.run`, so only its fuel bounds its depth.
@@ -213,6 +218,12 @@ def infer_sn(m: UntypedTerm, fuel: Fuel = DEFAULT_FUEL) -> InferredTyping:
     checks at.  Head redexes are handled by inferring the contractum,
     un-substituting the argument copies (same-typed copies unified to
     one representative) and rebuilding through head subject expansion.
+    The copies typed inside the contractum stand for the argument, so
+    the argument is inferred on its own only when it has no copy, under
+    a vacuous binder; that is where a non-terminating argument such as
+    ``(\\x. y) Omega`` still runs out of fuel.  Skipping the other
+    inference loses no soundness: the reassembled redex is re-verified
+    like every result, and a typed refinement is strongly normalizing.
     Bound variables stay de Bruijn indices: a subterm under binders is
     inferred as it is, open, so an abstraction takes its body's result
     as it is, and no variable is named.  As the term is its own typing
@@ -226,7 +237,10 @@ def infer_sn(m: UntypedTerm, fuel: Fuel = DEFAULT_FUEL) -> InferredTyping:
     """
     if not locally_closed(m):
         raise ValueError("inference input must be locally closed")
-    bases = (Base(f"b{i}") for i in count())
+    # Drawn from a plain counter at each site: a suspended generator
+    # here would sit in the reference cycle infer/head_redex form, and
+    # the cyclic collector would resume it whenever it next ran.
+    bases = count()
     calls = iter(range(fuel.max_nodes))
 
     def infer(m):
@@ -239,7 +253,7 @@ def infer_sn(m: UntypedTerm, fuel: Fuel = DEFAULT_FUEL) -> InferredTyping:
             inferred = []
             for a in args:
                 inferred.append((yield infer(a)))
-            type_: Type = next(bases)
+            type_: Type = Base(f"b{next(bases)}")
             head_type = type_
             for _, sub_type in reversed(inferred):
                 head_type = Arrow(SetType.of([sub_type]), head_type)
@@ -253,7 +267,7 @@ def infer_sn(m: UntypedTerm, fuel: Fuel = DEFAULT_FUEL) -> InferredTyping:
             sub_term, sub_type = yield infer(head.body)
             binder = binder_types(sub_term)
             if not binder.elements:  # a vacuous binder must be non-empty
-                binder = SetType.of([next(bases)])
+                binder = SetType.of([Base(f"b{next(bases)}")])
             term, type_ = Lam(head.hint, binder, sub_term), Arrow(binder, sub_type)
         elif kind is ULam:
             term, type_ = yield from head_redex(head.hint, head.body, args[0], args[1:])
@@ -274,7 +288,6 @@ def infer_sn(m: UntypedTerm, fuel: Fuel = DEFAULT_FUEL) -> InferredTyping:
         for a in rest:
             contractum = UApp(contractum, a)
         whole_term, whole_type = yield infer(contractum)
-        arg_term, arg_type = yield infer(arg)
 
         # Split the inferred term along the argument spine.
         spine_args: list[SetTerm] = []
@@ -294,7 +307,8 @@ def infer_sn(m: UntypedTerm, fuel: Fuel = DEFAULT_FUEL) -> InferredTyping:
                     by_type[copy_type] = copy
             binder = SetType.of(by_type)
             substituents = SetTerm.of(by_type.values())
-        else:
+        else:  # a vacuous binder: the argument is typed on its own
+            arg_term, arg_type = yield infer(arg)
             binder = SetType.of([arg_type])
             substituents = SetTerm.of([arg_term])
 

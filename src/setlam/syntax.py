@@ -26,10 +26,11 @@ part of the key, so they change neither identity, nor order, nor
 printing.
 
 Every walk works at any depth: `subterms`, `nodes`, the printer,
-`type_height` and the comparison of keys too deep for the interpreter
-keep an explicit stack, and a walker written as a plain structural
-recursion (the parser among them) runs on the trampoline `run`, which
-keeps its pending calls in a list instead of on the interpreter stack.
+`type_height`, and the equality and ordering of nodes whose keys are
+too deep for the interpreter to compare, keep an explicit stack, and a
+walker written as a plain structural recursion (the parser among them)
+runs on the trampoline `run`, which keeps its pending calls in a list
+instead of on the interpreter stack.
 The functions a walk calls at every node (`children`, `rebuild`,
 `type_height`, `pretty`) find the node's case by its exact class, in a
 table or with an `is` test, not by trying class patterns one by one.
@@ -108,6 +109,8 @@ class _Node:
     `simplifications` stays None until `measure` stores there the stages
     of the term's full simplification, on the term `W`, `simp_full` or
     `measure_report` is called on (not on its subterms).
+    Two nodes whose keys are too deep for the interpreter to compare
+    are compared by `_equal_nodes`, node pair by node pair.
     `typecheck.TypingContext` is a node keyed by its entries.
     """
 
@@ -115,6 +118,10 @@ class _Node:
     erasure = None
     text = None
     simplifications = None
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._keyed = tuple(f for f in cls.__match_args__ if f != "hint")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -134,7 +141,7 @@ class _Node:
         try:
             return self.key == other.key
         except RecursionError:  # keys nested deeper than the interpreter compares
-            return _compare_keys(self.key, other.key) == 0
+            return _equal_nodes(self, other)
 
     def __hash__(self):
         return self.hash
@@ -146,6 +153,33 @@ class _Node:
 
     def __str__(self):
         return pretty(self)
+
+
+def _equal_nodes(a: _Node, b: _Node) -> bool:
+    """a == b at any depth, by a walk over pairs of nodes and of their
+    keyed fields (every field but a binder's hint) on two explicit
+    stacks, which pair up by position.  An identical pair is skipped,
+    and a pair of nodes of other classes or stored hashes settles the
+    answer."""
+    xs, ys = [a], [b]
+    while xs:
+        x, y = xs.pop(), ys.pop()
+        if x is y:
+            continue
+        if isinstance(x, _Node):
+            if type(y) is not type(x) or y.hash != x.hash:
+                return False
+            for field in x._keyed:
+                xs.append(getattr(x, field))
+                ys.append(getattr(y, field))
+        elif type(x) is tuple:
+            if type(y) is not tuple or len(y) != len(x):
+                return False
+            xs.extend(x)
+            ys.extend(y)
+        elif x != y:
+            return False
+    return True
 
 
 def _compare_keys(a: tuple, b: tuple) -> int:

@@ -12,7 +12,9 @@ root
 
     PYTHONPATH=src python tests/test_infer_sn_golden.py
 
-and log the regeneration, with its reason, in CHANGES.md.
+and log the regeneration, with its reason, in CHANGES.md.  The script
+prints how many records it changed and the input of each, so that a
+regeneration can be audited record by record.
 """
 
 from __future__ import annotations
@@ -81,6 +83,10 @@ def test_infer_sn_matches_golden(index):
 
 if __name__ == "__main__":
     cases = [record(text) for text in inputs()]
+    old = {case["input"]: case for case in CASES}
+    changed = [case["input"] for case in cases if old.get(case["input"]) != case]
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(cases, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {len(cases)} cases to {GOLDEN}")
+    print(f"wrote {len(cases)} cases to {GOLDEN}; {len(changed)} changed")
+    for text in changed:
+        print(f"  changed: {text}")

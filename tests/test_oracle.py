@@ -1,5 +1,8 @@
 """Graph exploration, normal forms, SN checking, SN-structure inference."""
 
+import cProfile
+import gc
+import pstats
 from collections import deque
 
 import pytest
@@ -16,6 +19,7 @@ import corpus
 from deep import shape
 from setlam import reduction, syntax, typecheck
 from setlam.reduction import redex_positions, step
+from test_infer_sn_golden import CHURCH_PAIRS
 
 OMEGA = parse_untyped("(\\x. x x) (\\x. x x)")
 WRAPPED = parse_term("(\\x:{a}. y^b) {z^a [w^b]}")  # a plain redex, a wrapper
@@ -413,10 +417,63 @@ def test_infer_visits_each_node_a_bounded_number_of_times(n, monkeypatch):
 
 
 def test_infer_vacuous_head_redex():
+    # The argument occurs nowhere in the contractum, so it is typed on
+    # its own, after the contractum.
     result = infer_sn(parse_untyped("(\\x. y) z"))
     assert erase(result.term) == parse_untyped("(\\x. y) z")
     assert refines(result.term, parse_untyped("(\\x. y) z"))
     assert check(result.context, result.term) == result.type_
+    assert result.term == parse_term("(\\x:{b1}. y^b0) z^b1")
+    assert result.context == TypingContext.of({"y": parse_set_type("{b0}"),
+                                               "z": parse_set_type("{b1}")})
+
+
+# Inference calls each Church input `m n y z` needs: a head redex's
+# argument is typed through its copies in the contractum, not again on
+# its own (before that, 36, 69, 27, 69, 201 and 142 calls).
+CHURCH_CALLS = {(2, 2): 13, (4, 1): 12, (1, 8): 13, (2, 3): 20, (3, 2): 25, (2, 4): 29}
+
+
+@pytest.mark.parametrize("pair", CHURCH_PAIRS)
+def test_infer_church_calls(pair):
+    m = parse_untyped(f"{corpus.church(pair[0])} {corpus.church(pair[1])} y z")
+    calls = CHURCH_CALLS[pair]
+    result = infer_sn(m, Fuel(max_nodes=calls, max_depth=calls))
+    assert erase(result.term) == m
+    with pytest.raises(NotSNWithinFuel):
+        infer_sn(m, Fuel(max_nodes=calls - 1, max_depth=calls))
+
+
+def test_infer_argument_used_only_under_an_erasing_redex_fails():
+    # x occurs in the contractum, but only as the argument of a vacuous
+    # binder, where the argument is inferred on its own: Omega is met.
+    m = parse_untyped("(\\x. (\\z. w) x) ((\\x. x x) (\\x. x x))")
+    assert is_sn(m, SMALL) == "no"
+    with pytest.raises(NotSNWithinFuel):
+        infer_sn(m, Fuel(max_nodes=2_000, max_depth=2_000))
+
+
+def _oracle_calls(collect: bool) -> int:
+    """Calls into oracle.py while profiling infer_sn on Church 2 2 y z,
+    then, when `collect`, a collection of the garbage it left."""
+    m = parse_untyped(f"{corpus.church(2)} {corpus.church(2)} y z")
+    gc.collect()
+    profile = cProfile.Profile()
+    profile.enable()
+    infer_sn(m)
+    if collect:
+        gc.collect()
+    profile.disable()
+    return sum(calls for (path, _, _), (_, calls, *_) in pstats.Stats(profile).stats.items()
+               if path.endswith("oracle.py"))
+
+
+def test_infer_leaves_no_oracle_code_for_the_collector():
+    # infer and head_redex close over each other, so what they close
+    # over lives until the cyclic collector runs; none of it may run
+    # oracle.py code then, or a profile's call count would depend on
+    # when collections fall.
+    assert _oracle_calls(collect=True) == _oracle_calls(collect=False)
 
 
 def test_infer_duplicating_argument_builds_multi_element_set():

@@ -714,6 +714,56 @@ def test_deep_spines_differing_in_the_last_argument_are_told_apart_by_hash(monke
     assert spine == spine and spine in {spine}
 
 
+def _renamed_chain(n: int, hint: str, leaf):
+    for _ in range(n):
+        leaf = Lam(hint, SetType.of([a]), leaf)
+    return leaf
+
+
+def test_the_deep_equality_walk_agrees_with_the_key_order():
+    # Pairs nested past what the interpreter compares, built apart so
+    # that no subterm is shared: equal, unequal at the bottom leaf, and
+    # equal but for every binder's hint, which is outside the key.  A
+    # context's key holds its set-types, which compare as nodes, so its
+    # reference key holds theirs.
+    deep_type = lambda leaf: _arrows(3_000, leaf)
+    context = lambda leaf: TypingContext.of({"y": SetType.of([deep_type(leaf)])})
+    pairs = [
+        (built("D", 100_000), built("D", 100_000)),
+        (built("D", 3_000), built("B", 3_000)),
+        (_chain(3_000, Var("y", a)), _chain(3_000, Var("y", a))),
+        (_chain(3_000, Var("y", a)), _chain(3_000, Var("y", b))),
+        (_chain(3_000, Var("y", a)), _renamed_chain(3_000, "u", Var("y", a))),
+        (deep_type(a), deep_type(a)),
+        (deep_type(a), deep_type(b)),
+        (context(a), context(a)),
+        (context(a), context(b)),
+    ]
+    def key(node):
+        if type(node) is TypingContext:
+            return tuple((name, s.key) for name, s in node.entries)
+        return node.key
+
+    answers = []
+    for x, y in pairs:
+        with pytest.raises(RecursionError):
+            key(x) == key(y)
+        equal = syntax._compare_keys(key(x), key(y)) == 0
+        assert syntax._equal_nodes(x, y) is equal and (x == y) is equal
+        answers.append(equal)
+    assert answers == [True, False, True, False, True, True, False, True, False]
+    # Unequal types whose stored hashes collide at every level: the
+    # walk reaches the leaves and their names settle it.
+    x, y = deep_type(a), deep_type(b)
+    u, v = x, y
+    while True:
+        vars(v)["hash"] = u.hash
+        if type(u) is Base:
+            break
+        u, v = u.codomain, v.codomain
+    assert not syntax._equal_nodes(x, y) and x != y
+
+
 def _child(script: str, *args: str, hash_seed: str = "0", stdin: bytes = b""):
     """Run script in a new interpreter that imports setlam and the test
     helpers, with the given hash seed."""
