@@ -327,7 +327,7 @@ def canonical_derivation(d: CurryDerivation) -> CurryDerivation:
         for premise in d.premises:
             premises.append((yield node(premise)))
         if d.rule == "many":
-            premises.sort(key=lambda p: p.type_.key)
+            premises.sort(key=lambda p: p.type_)
         select = d.type_ if d.rule == "var" and not isinstance(d.type_, SetType) else None
         return d._replace(premises=tuple(premises), select=select)
     return run(node(d))

@@ -303,7 +303,7 @@ def infer_sn(m: UntypedTerm, fuel: Fuel = DEFAULT_FUEL) -> InferredTyping:
         by_type: dict[Type, MemTerm] = {}
         if copies:
             for copy_type, copy in copies:
-                if copy_type not in by_type or copy.key < by_type[copy_type].key:
+                if copy_type not in by_type or copy < by_type[copy_type]:
                     by_type[copy_type] = copy
             binder = SetType.of(by_type)
             substituents = SetTerm.of(by_type.values())

@@ -26,11 +26,11 @@ part of the key, so they change neither identity, nor order, nor
 printing.
 
 Every walk works at any depth: `subterms`, `nodes`, the printer,
-`type_height`, and the equality and ordering of nodes whose keys are
-too deep for the interpreter to compare, keep an explicit stack, and a
-walker written as a plain structural recursion (the parser among them)
-runs on the trampoline `run`, which keeps its pending calls in a list
-instead of on the interpreter stack.
+`type_height` and `_compare`, the one walk that compares and orders
+nodes whose keys are too deep for the interpreter to compare, keep an
+explicit stack, and a walker written as a plain structural recursion
+(the parser among them) runs on the trampoline `run`, which keeps its
+pending calls in a list instead of on the interpreter stack.
 The functions a walk calls at every node (`children`, `rebuild`,
 `type_height`, `pretty`) find the node's case by its exact class, in a
 table or with an `is` test, not by trying class patterns one by one.
@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import operator
 import re
-from functools import cmp_to_key
 from itertools import islice
 from typing import Generator, Iterable, Iterator, Union
 
@@ -109,8 +108,10 @@ class _Node:
     `simplifications` stays None until `measure` stores there the stages
     of the term's full simplification, on the term `W`, `simp_full` or
     `measure_report` is called on (not on its subterms).
-    Two nodes whose keys are too deep for the interpreter to compare
-    are compared by `_equal_nodes`, node pair by node pair.
+    Nodes are ordered by `<` as their keys are, which is how other
+    modules sort them.  `==` and `<` compare the stored keys; where those
+    are too deep for the interpreter to compare, both fall back to
+    `_compare`, which walks the nodes pair by pair in the keys' order.
     `typecheck.TypingContext` is a node keyed by its entries.
     """
 
@@ -141,7 +142,13 @@ class _Node:
         try:
             return self.key == other.key
         except RecursionError:  # keys nested deeper than the interpreter compares
-            return _equal_nodes(self, other)
+            return _compare(self, other) == 0
+
+    def __lt__(self, other):
+        try:
+            return self.key < other.key
+        except RecursionError:  # keys nested deeper than the interpreter compares
+            return _compare(self, other) < 0
 
     def __hash__(self):
         return self.hash
@@ -155,50 +162,42 @@ class _Node:
         return pretty(self)
 
 
-def _equal_nodes(a: _Node, b: _Node) -> bool:
-    """a == b at any depth, by a walk over pairs of nodes and of their
-    keyed fields (every field but a binder's hint) on two explicit
-    stacks, which pair up by position.  An identical pair is skipped,
-    and a pair of nodes of other classes or stored hashes settles the
-    answer."""
+def _compare(a: _Node, b: _Node) -> int:
+    """-1, 0 or 1 as a sorts before, is equal to or sorts after b in the
+    interpreter's order on their keys, at any depth.
+
+    A walk over pairs of nodes, of their keyed fields (every field but a
+    binder's hint) and of the items of the fields that are tuples, on two
+    explicit stacks that pair up by position; an identical pair is
+    skipped.  Nodes of two classes are ordered by their keys' leading
+    tags, which differ within one calculus; nodes of one class by their
+    keyed fields in order; tuples (a set's elements among them) by their
+    items in order, then by their lengths, so a proper prefix sorts
+    first."""
     xs, ys = [a], [b]
     while xs:
         x, y = xs.pop(), ys.pop()
         if x is y:
             continue
-        if isinstance(x, _Node):
-            if type(y) is not type(x) or y.hash != x.hash:
-                return False
-            for field in x._keyed:
+        kind = type(x)
+        if kind is tuple:
+            n = len(y)
+            if len(x) != n:  # the lengths decide once the common prefix is equal
+                xs.append(len(x))
+                ys.append(n)
+                n = min(len(x), n)
+                x, y = x[:n], y[:n]
+            xs.extend(reversed(x))
+            ys.extend(reversed(y))
+        elif isinstance(x, _Node):
+            if type(y) is not kind:
+                return -1 if x.key[0] < y.key[0] else 1
+            for field in reversed(kind._keyed):
                 xs.append(getattr(x, field))
                 ys.append(getattr(y, field))
-        elif type(x) is tuple:
-            if type(y) is not tuple or len(y) != len(x):
-                return False
-            xs.extend(x)
-            ys.extend(y)
-        elif x != y:
-            return False
-    return True
-
-
-def _compare_keys(a: tuple, b: tuple) -> int:
-    """-1, 0 or 1 as key a sorts before, equal to or after key b, in the
-    interpreter's tuple order, with an explicit stack at any depth."""
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if x is y:
-            continue
-        if type(x) is tuple and type(y) is tuple:
-            stack.append((len(x), len(y)))  # a proper prefix sorts first
-            stack.extend(reversed(list(zip(x, y))))
         elif x != y:
             return -1 if x < y else 1
     return 0
-
-
-_deep_key = cmp_to_key(lambda a, b: _compare_keys(a.key, b.key))
 
 
 # Flag bits of a term node: the redexes a step of each calculus may
@@ -265,7 +264,7 @@ class _Set(_Node):
             try:
                 ordered = all(map(operator.lt, keys, keys[1:]))
             except RecursionError:  # keys nested deeper than the interpreter compares
-                ordered = all(_compare_keys(a, b) < 0 for a, b in zip(keys, keys[1:]))
+                ordered = all(_compare(a, b) < 0 for a, b in zip(elements, elements[1:]))
             if not ordered:
                 raise ValueError(f"{self._what} elements must be strictly sorted")
         node = vars(self)
@@ -278,9 +277,15 @@ class _Set(_Node):
         if len(elements) == 1:
             return cls(elements)
         try:
-            return cls(_sorted_unique(elements, _key))
+            ordered = sorted(elements, key=_key)
         except RecursionError:  # keys nested deeper than the interpreter compares
-            return cls(_sorted_unique(elements, _deep_key))
+            ordered = sorted(elements)  # by `_Node.__lt__`, which walks them with `_compare`
+        unique = ordered[:1]
+        for e in ordered[1:]:
+            # unequal stored hashes tell most pairs apart without a call to `__eq__`
+            if e.hash != unique[-1].hash or e != unique[-1]:
+                unique.append(e)
+        return cls(tuple(unique))
 
     def __contains__(self, item) -> bool:
         return item in self.elements
@@ -290,15 +295,6 @@ class _Set(_Node):
 
     def __len__(self) -> int:
         return len(self.elements)
-
-
-def _sorted_unique(elements: list, key) -> tuple:
-    """The elements sorted by key, each key kept once."""
-    out = []
-    for e in sorted(elements, key=key):
-        if not out or key(out[-1]) != key(e):
-            out.append(e)
-    return tuple(out)
 
 
 class SetType(_Set):

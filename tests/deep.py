@@ -1,10 +1,10 @@
-"""Deep inputs: every command on eight term shapes of size n.
+"""Deep inputs: every command on nine term shapes of size n.
 
 Run from the repository root as
 
     PYTHONPATH=src python tests/deep.py N [SHAPES]
 
-where SHAPES, by default ABCDEFGH, are the letters of the shapes to run
+where SHAPES, by default ABCDEFGHI, are the letters of the shapes to run
 (`tests/deep.py 100000 H` runs only H).  It writes each shape at size N
 to a temporary file, runs every command that takes such a file through
 `setlam.cli.main` in this process, and prints, per run, the shape, the
@@ -22,6 +22,8 @@ file; `tests/test_cli.py` imports its shapes.
     G  y^(a -> ... -> a) z0^a ... z{N-1}^a            a spine of N distinct variables
     H  y^((a -> a) -> a) {\\x:{a}. ... z^a}            N nested binder chains
                                                       (and "y (\\x. ... z)")
+    I  \\x:{a -> ... -> a, a -> ... -> b}.             a binder of two types that
+         x^(a -> ... -> a)                            agree down to their leaves
 """
 
 from __future__ import annotations
@@ -37,12 +39,12 @@ from setlam.cli import main
 from setlam.syntax import App, Arrow, Base, Lam, SetTerm, SetType, Var
 
 
-def _arrows(n: int) -> str:
-    return " -> ".join(["a"] * (n + 1))
+def _arrows(n: int, leaf: str = "a") -> str:
+    return " -> ".join(["a"] * n + [leaf])
 
 
 def shape(name: str, n: int) -> str:
-    """The text of shape A, B, C, D, E, F, G or H at size n."""
+    """The text of shape A, B, C, D, E, F, G, H or I at size n."""
     if name == "A":
         return "(" + "".join(f"\\x{i}:{{a}}. " for i in range(n)) + "x0^a) {y^a}"
     if name in ("B", "C"):
@@ -58,6 +60,8 @@ def shape(name: str, n: int) -> str:
         return f"y^({_arrows(n)})" + "".join(f" z{i}^a" for i in range(n))
     if name == "H":
         return "y^((a -> a) -> a) {\\x:{a}. " * n + "z^a" + "}" * n
+    if name == "I":
+        return f"\\x:{{{_arrows(n)}, {_arrows(n, 'b')}}}. x^({_arrows(n)})"
     raise ValueError(f"no shape {name!r}")
 
 
@@ -106,13 +110,13 @@ def _write(directory: str, file: str, text: str) -> str:
     return path
 
 
-def runs(n: int, directory: str, shapes: str = "ABCDEFGH"):
+def runs(n: int, directory: str, shapes: str = "ABCDEFGHI"):
     """(shape, argv) of every run at size n of the named shapes, with its
     files written."""
     paths = {name: _write(directory, f"{name}.{'lam' if name == 'E' else 'term'}",
                           shape(name, n))
              for name in shapes}
-    for name in [s for s in "ABCDFGH" if s in shapes]:
+    for name in [s for s in "ABCDFGHI" if s in shapes]:
         for argv in TERM_COMMANDS:
             yield name, [argv[0], paths[name], *argv[1:]]
     if "D" in shapes:
@@ -143,7 +147,7 @@ def _label(argv: list[str]) -> str:
 
 if __name__ == "__main__":
     size = int(sys.argv[1])
-    chosen = sys.argv[2] if len(sys.argv) > 2 else "ABCDEFGH"
+    chosen = sys.argv[2] if len(sys.argv) > 2 else "ABCDEFGHI"
     with tempfile.TemporaryDirectory() as directory:
         for name, argv in runs(size, directory, chosen):
             code, seconds, err = run_command(argv)

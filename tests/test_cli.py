@@ -249,7 +249,9 @@ def test_chains_argument_off_the_binder_exit_2(files, capsys):
 # the measure report; the one-step reducts, through graph; the redex
 # search, through simulate at 3,000), E an untyped spine (the printer),
 # H 10,000 nested binder chains (the parser's binder lookup, and the
-# printer's names tested against each chain's body by bisect).
+# printer's names tested against each chain's body by bisect), I a binder
+# of two types that agree down to their leaves (their order and equality,
+# past what the interpreter compares).
 @pytest.mark.parametrize("name, argv", [
     ("A", ["chains"]), ("A", ["measure"]),
     ("B", ["erase"]), ("B", ["normalize"]), ("B", ["reduce"]), ("B", ["graph"]),
@@ -257,6 +259,7 @@ def test_chains_argument_off_the_binder_exit_2(files, capsys):
     ("D", ["graph"]), ("D", ["graph", "--calculus=im", "--format=dot"]),
     ("E", ["graph", "--calculus=beta"]),
     ("H", ["erase"]), ("H", ["normalize"]), ("H", ["graph", "--calculus=i", "--format=dot"]),
+    ("I", ["check"]), ("I", ["graph"]),
 ], ids=lambda v: v if isinstance(v, str) else "-".join(v))
 def test_deep_shape_through_a_command(name, argv, files, capsys):
     path = files("deep.lam" if name == "E" else "deep.term", shape(name, 10_000))

@@ -322,3 +322,20 @@ def test_erase_derivation_visits_each_node_a_bounded_number_of_times(monkeypatch
     small = _children_calls(monkeypatch, deep.built("H", 200))
     large = _children_calls(monkeypatch, deep.built("H", 1_000))
     assert large <= 6 * small, (small, large)
+
+
+@pytest.mark.parametrize("n", [1, 100_000])
+def test_canonical_derivation_sorts_premises_of_deep_types(n):
+    # A many node whose var premises conclude arrow types that agree down
+    # to their leaves, n arrows deep: at 100,000 their keys are too deep
+    # for the interpreter to compare, and the node sorts as at 1.
+    one = SetType.of([Base("a")])
+    low, high = Base("a"), Base("b")
+    for _ in range(n):
+        low, high = Arrow(one, low), Arrow(one, high)
+    types = SetType.of([high, low])
+    context, x = TypingContext((("x", types),)), UVar("x")
+    premises = tuple(CurryDerivation("var", context, x, t) for t in (high, low))
+    many = derivation.canonical_derivation(CurryDerivation("many", context, x, types, premises))
+    assert [p.type_ for p in many.premises] == [low, high] == list(types)
+    assert [p.select for p in many.premises] == [low, high]

@@ -599,6 +599,34 @@ def test_set_term_of_sorts_by_key(elements):
     assert [e.key for e in SetTerm.of(elements)] == sorted({e.key for e in elements})
 
 
+@st.composite
+def set_type_and_prefix_st(draw):
+    # A canonical set-type and one of its proper prefixes, which is
+    # canonical too: the keys agree up to the shorter one's length.
+    s = SetType.of(draw(st.lists(types_st, min_size=2, max_size=4, unique=True)))
+    return s, SetType(s.elements[:draw(st.integers(1, len(s) - 1))])
+
+
+comparable_pairs_st = st.one_of(
+    st.tuples(memterms_st(), memterms_st()),  # Var against BoundVar, Lam, App or Wrap
+    memterms_st().map(lambda t: (t, _copy(t))),
+    st.tuples(types_st, types_st),
+    st.tuples(untyped_st(), untyped_st()),
+    st.tuples(*[st.lists(types_st, min_size=1, max_size=4).map(SetType.of)] * 2),
+    st.tuples(*[st.lists(memterms_st(), min_size=1, max_size=3).map(SetTerm.of)] * 2),
+    set_type_and_prefix_st(),
+)
+
+
+@given(comparable_pairs_st)
+def test_the_comparison_walk_orders_as_the_keys_do(pair):
+    for x, y in (pair, pair[::-1]):
+        order = syntax._compare(x, y)
+        assert order == (x.key > y.key) - (x.key < y.key)
+        assert (order == 0) is (x == y)
+        assert (x < y) is (order < 0)
+
+
 def _one_of_each_class():
     lam = Lam("x", SetType.of([a]), BoundVar(0, a))
     app = App(lam, SetTerm.of([Var("y", a), Var("y", b)]))
@@ -706,10 +734,10 @@ def test_deep_spines_differing_in_the_last_argument_are_told_apart_by_hash(monke
     # compares, and differ only at the top: the hashes decide.
     spine, ill_typed = built("B", 100_000), built("C", 100_000)
 
-    def compare_keys(a, b):
+    def compare(a, b):
         raise AssertionError("keys compared")
 
-    monkeypatch.setattr(syntax, "_compare_keys", compare_keys)
+    monkeypatch.setattr(syntax, "_compare", compare)
     assert spine != ill_typed and not ill_typed == spine
     assert spine == spine and spine in {spine}
 
@@ -724,8 +752,8 @@ def test_the_deep_equality_walk_agrees_with_the_key_order():
     # Pairs nested past what the interpreter compares, built apart so
     # that no subterm is shared: equal, unequal at the bottom leaf, and
     # equal but for every binder's hint, which is outside the key.  A
-    # context's key holds its set-types, which compare as nodes, so its
-    # reference key holds theirs.
+    # context's key holds its set-types, which compare as nodes, so the
+    # key shown too deep to compare holds theirs.
     deep_type = lambda leaf: _arrows(3_000, leaf)
     context = lambda leaf: TypingContext.of({"y": SetType.of([deep_type(leaf)])})
     pairs = [
@@ -748,10 +776,14 @@ def test_the_deep_equality_walk_agrees_with_the_key_order():
     for x, y in pairs:
         with pytest.raises(RecursionError):
             key(x) == key(y)
-        equal = syntax._compare_keys(key(x), key(y)) == 0
-        assert syntax._equal_nodes(x, y) is equal and (x == y) is equal
-        answers.append(equal)
-    assert answers == [True, False, True, False, True, True, False, True, False]
+        order = syntax._compare(x, y)
+        assert syntax._compare(y, x) == -order
+        assert (x == y) is (order == 0) and (y == x) is (order == 0)
+        assert (x < y) is (order < 0) and (y < x) is (order > 0)
+        answers.append(order)
+    # D's spine ends in an application where B's ends in a variable, and
+    # the leaf a sorts before b.
+    assert answers == [0, 1, 0, -1, 0, 0, -1, 0, -1]
     # Unequal types whose stored hashes collide at every level: the
     # walk reaches the leaves and their names settle it.
     x, y = deep_type(a), deep_type(b)
@@ -761,7 +793,7 @@ def test_the_deep_equality_walk_agrees_with_the_key_order():
         if type(u) is Base:
             break
         u, v = u.codomain, v.codomain
-    assert not syntax._equal_nodes(x, y) and x != y
+    assert syntax._compare(x, y) == -1 and x != y
 
 
 def _child(script: str, *args: str, hash_seed: str = "0", stdin: bytes = b""):
