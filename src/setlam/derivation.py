@@ -136,27 +136,32 @@ def derivation_from_json(data: str | dict) -> CurryDerivation:
             select = type_of(d["select"])
         return CurryDerivation(rule, context, subject, type_, tuple(premises), select)
 
-    return run(node(data, []))
+    try:
+        return run(node(data, []))
+    finally:
+        del node  # it refers to itself: a cycle only the collector frees
 
 
 def derivation_to_json(d: CurryDerivation) -> dict:
-    def node(d):
-        premises = []
-        for premise in d.premises:
-            premises.append((yield node(premise)))
-        out: dict = {
-            "rule": d.rule,
-            "ctx": {n: [pretty(e) for e in s.elements] for n, s in d.context.entries},
-            "term": pretty(d.subject),
-            "type": ([pretty(e) for e in d.type_.elements]
-                     if isinstance(d.type_, SetType) else pretty(d.type_)),
-        }
-        if premises:
-            out["premises"] = premises
-        if d.select is not None:
-            out["select"] = pretty(d.select)
-        return out
-    return run(node(d))
+    return run(_to_json(d))
+
+
+def _to_json(d: CurryDerivation):
+    premises = []
+    for premise in d.premises:
+        premises.append((yield _to_json(premise)))
+    out: dict = {
+        "rule": d.rule,
+        "ctx": {n: [pretty(e) for e in s.elements] for n, s in d.context.entries},
+        "term": pretty(d.subject),
+        "type": ([pretty(e) for e in d.type_.elements]
+                 if isinstance(d.type_, SetType) else pretty(d.type_)),
+    }
+    if premises:
+        out["premises"] = premises
+    if d.select is not None:
+        out["select"] = pretty(d.select)
+    return out
 
 
 def check_curry(d: CurryDerivation) -> Judgement:
@@ -322,12 +327,14 @@ def _derivation(t, context: TypingContext, subject: UntypedTerm):
 
 def canonical_derivation(d: CurryDerivation) -> CurryDerivation:
     """Sort many premises by type and normalize select fields."""
-    def node(d):
-        premises = []
-        for premise in d.premises:
-            premises.append((yield node(premise)))
-        if d.rule == "many":
-            premises.sort(key=lambda p: p.type_)
-        select = d.type_ if d.rule == "var" and not isinstance(d.type_, SetType) else None
-        return d._replace(premises=tuple(premises), select=select)
-    return run(node(d))
+    return run(_canonical(d))
+
+
+def _canonical(d: CurryDerivation):
+    premises = []
+    for premise in d.premises:
+        premises.append((yield _canonical(premise)))
+    if d.rule == "many":
+        premises.sort(key=lambda p: p.type_)
+    select = d.type_ if d.rule == "var" and not isinstance(d.type_, SetType) else None
+    return d._replace(premises=tuple(premises), select=select)

@@ -237,9 +237,6 @@ def infer_sn(m: UntypedTerm, fuel: Fuel = DEFAULT_FUEL) -> InferredTyping:
     """
     if not locally_closed(m):
         raise ValueError("inference input must be locally closed")
-    # Drawn from a plain counter at each site: a suspended generator
-    # here would sit in the reference cycle infer/head_redex form, and
-    # the cyclic collector would resume it whenever it next ran.
     bases = count()
     calls = iter(range(fuel.max_nodes))
 
@@ -321,7 +318,10 @@ def infer_sn(m: UntypedTerm, fuel: Fuel = DEFAULT_FUEL) -> InferredTyping:
                            whole_type if unified else None)
         return expanded, whole_type
 
-    term, type_ = run(infer(m))
+    try:
+        term, type_ = run(infer(m))
+    finally:
+        del infer, head_redex  # they refer to each other: a cycle only the collector frees
     return InferredTyping(term, minimal_context(term), type_)
 
 

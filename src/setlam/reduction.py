@@ -345,7 +345,10 @@ def develop(t, contract, calculus: str):
             return _contract(core, body, tuple(developed), arg, calculus)
         fun = (yield dev(node.fun)) if node.fun.flags & flag else node.fun
         return node if fun is node.fun and arg is node.arg else App(fun, arg)
-    return run(dev(t)) if t.flags & flag else t
+    try:
+        return run(dev(t)) if t.flags & flag else t
+    finally:
+        del dev  # it refers to itself: a cycle only the collector frees
 
 
 def complete_development(t: MemTerm | SetTerm, calculus: str = "im"):

@@ -25,43 +25,27 @@ the first time it prints it, and `measure` a term's full simplification
 part of the key, so they change neither identity, nor order, nor
 printing.
 
-Every walk works at any depth: `subterms`, `nodes`, the printer,
-`type_height` and `_compare`, the one walk that compares and orders
-nodes whose keys are too deep for the interpreter to compare, keep an
-explicit stack, and a walker written as a plain structural recursion
-(the parser among them) runs on the trampoline `run`, which keeps its
-pending calls in a list instead of on the interpreter stack.
+Every walk works at any depth: `subterms`, `nodes`, the printer, the
+repr, `type_height`, `_compare` (the one walk that compares and orders
+nodes whose keys are too deep for the interpreter) and the parser (in
+`parsing`, with the grammar) keep an explicit stack, and a walker
+written as a plain structural recursion runs on the trampoline `run`,
+which keeps its pending calls in a list, not on the interpreter stack.
 The functions a walk calls at every node (`children`, `rebuild`,
 `type_height`, `pretty`) find the node's case by its exact class, in a
 table or with an `is` test, not by trying class patterns one by one.
 All sets are kept canonical (sorted by key, duplicates removed); the
 smart constructors ``SetType.of`` and ``SetTerm.of`` normalize (a
 single element needs no sort), the plain constructors insist on
-already canonical input.
-
-Concrete grammar (whitespace-insensitive, application left-associative,
-lambda bodies extend right, a postfix ``[...]`` wrapper attaches to the
-term on its left before application grouping):
-
-    type    := base | setty "->" type | "(" type ")"      right-assoc
-    base    := lowercase identifier
-    setty   := "{" type ("," type)* "}" | base | "(" type ")"
-    uterm   := var | "\\" var "." uterm | uterm uterm | "(" uterm ")"
-    aterm   := var "^" atype | "\\" var ":" setty "." aterm
-             | aterm aarg | aterm "[" aset "]" | "(" aterm ")"
-    atype   := base | "(" type ")"
-    aarg    := "{" aterm ("," aterm)* "}" | var "^" atype | "(" aterm ")"
-    aset    := aterm ("," aterm)*
+already canonical input unless `of` tells them it has sorted it.
 """
 
 from __future__ import annotations
 
 import operator
-import re
-from itertools import islice
 from typing import Generator, Iterable, Iterator, Union
 
-from .errors import InvalidPosition, ParseError
+from .errors import InvalidPosition
 
 __all__ = [
     "Type", "Base", "Arrow", "SetType",
@@ -131,8 +115,22 @@ class _Node:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
-        return f"{type(self).__name__}({fields})"
+        # An explicit stack of what is left to print: a string is emitted, a node or tuple expanded.
+        out, stack = [], [self]
+        while stack:
+            x = stack.pop()
+            if type(x) is str:
+                out.append(x)
+                continue
+            tupled = type(x) is tuple
+            fields = ([("", item) for item in x] if tupled else
+                      [(f"{name}=", getattr(x, name)) for name in x.__match_args__])
+            pieces = ["(" if tupled else f"{type(x).__name__}("]
+            for j, (label, value) in enumerate(fields):
+                pieces += [", " * (j > 0) + label,
+                           value if isinstance(value, (_Node, tuple)) else repr(value)]
+            stack += [",)" if tupled and len(x) == 1 else ")", *reversed(pieces)]
+        return "".join(out)
 
     def __eq__(self, other):
         if other is self:
@@ -258,9 +256,9 @@ class _Set(_Node):
 
     __match_args__ = ("elements",)
 
-    def __init__(self, elements: tuple):
+    def __init__(self, elements: tuple, ordered: bool = False):
         keys = tuple(map(_key, elements))
-        if len(keys) > 1:
+        if len(keys) > 1 and not ordered:  # `of` has sorted them and says so
             try:
                 ordered = all(map(operator.lt, keys, keys[1:]))
             except RecursionError:  # keys nested deeper than the interpreter compares
@@ -285,7 +283,7 @@ class _Set(_Node):
             # unequal stored hashes tell most pairs apart without a call to `__eq__`
             if e.hash != unique[-1].hash or e != unique[-1]:
                 unique.append(e)
-        return cls(tuple(unique))
+        return cls(tuple(unique), True)  # a check would walk a too-deep deciding pair again
 
     def __contains__(self, item) -> bool:
         return item in self.elements
@@ -391,8 +389,8 @@ class SetTerm(_Set):
     elements: tuple[MemTerm, ...]
     _what = "set-term"
 
-    def __init__(self, elements: tuple):
-        super().__init__(elements)
+    def __init__(self, elements: tuple, ordered: bool = False):
+        super().__init__(elements, ordered)
         node = vars(self)
         if len(elements) == 1:
             only = elements[0]
@@ -841,97 +839,10 @@ _PRINTERS = {
 # Parsing
 
 
-# A token, or (as the empty string) a character that starts none.
-_TOKEN = re.compile(r"(->|[a-z][A-Za-z0-9_']*|[\\.:,^(){}\[\]])|\S")
-
-
-class _Tokens:
-    """The tokens of a text, the parser's place in them and the binders
-    in scope there.  A token's line and column are computed only for the
-    error that reports them.  `bound` maps a name to the depths of the
-    binders in scope that bind it, innermost last, so a name's de Bruijn
-    index is found in O(1) at any depth."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _TOKEN.findall(text)
-        if "" in self.tokens:
-            self.index = self.tokens.index("")
-            self.error()
-        self.tokens.append("")  # end marker
-        self.index = 0
-        self.bound: dict[str, list[int]] = {}
-        self.depth = 0
-
-    def bind(self, names: list[str]) -> None:
-        for name in names:
-            self.bound.setdefault(name, []).append(self.depth)
-            self.depth += 1
-
-    def unbind(self, names: list[str]) -> None:
-        for name in names:
-            self.bound[name].pop()
-        self.depth -= len(names)
-
-    def de_bruijn(self, name: str) -> int:
-        """The index of the innermost binder of name, -1 when name is free."""
-        depths = self.bound.get(name)
-        return self.depth - 1 - depths[-1] if depths else -1
-
-    def peek(self) -> str:
-        return self.tokens[self.index]
-
-    def take(self, token: str) -> bool:
-        """Consume the current token if it is `token`."""
-        if self.tokens[self.index] != token:
-            return False
-        self.index += 1
-        return True
-
-    def expect(self, token: str) -> None:
-        if not self.take(token):
-            self.error(f"expected {token!r}, found {self.shown()!r}")
-
-    def name(self) -> str:
-        value = self.tokens[self.index]
-        if not value[:1].isalpha():
-            self.error(f"expected identifier, found {self.shown()!r}")
-        self.index += 1
-        return value
-
-    def at_name(self) -> bool:
-        return self.tokens[self.index][:1].isalpha()
-
-    def shown(self) -> str:
-        return self.tokens[self.index] or "end of input"
-
-    def error(self, message: str | None = None):
-        """Raise a ParseError at the current token; with no message, the
-        current token is a character that starts no token."""
-        text = self.text
-        found = next(islice(_TOKEN.finditer(text), self.index, None), None)
-        offset = found.start() if found else len(text)
-        line = text.count("\n", 0, offset) + 1
-        column = offset - text.rfind("\n", 0, offset)
-        raise ParseError(message or f"unexpected character {text[offset]!r}", line, column)
-
-
 def parse(text: str, kind: str) -> Type | UntypedTerm | MemTerm:
-    """Parse text as a "type", "untyped" term, or "annotated" term.
-
-    Non-canonical set syntax is accepted and canonicalized.
-    """
-    toks = _Tokens(text)
-    match kind:
-        case "type":
-            walk = _type(toks)
-        case "untyped":
-            walk = _untyped(toks)
-        case "annotated":
-            walk = _term(toks)
-        case _:
-            raise ValueError(f"unknown parse kind {kind!r}")
-    return _parse_all(toks, walk)
+    """Parse text as a "type", "untyped" term, or "annotated" term;
+    non-canonical set syntax is accepted and canonicalized."""
+    return _parse(text, kind, False)
 
 
 def parse_type(text: str) -> Type:
@@ -948,117 +859,15 @@ def parse_term(text: str) -> MemTerm:
 
 def parse_set_type(text: str) -> SetType:
     """A braced or bare set-type, e.g. "{a, b -> c}"."""
-    toks = _Tokens(text)
-    return _parse_all(toks, _type(toks, True))
+    return _parse(text, "type", True)
 
 
-def _parse_all(toks: _Tokens, walk: Generator):
-    result = run(walk)
-    if toks.peek():
-        toks.error(f"trailing input {toks.peek()!r}")
-    return result
+# `parsing.read`, bound on the first parse: `parsing` imports this module.
+_read = None
 
 
-# The grammar's walkers run on `run`: a sub-call (``yield``) is made where
-# the grammar nests, into brackets and set elements; binder chains,
-# application spines and arrow chains are loops.  Each walker binds the
-# names of its binder chain in `toks` and unbinds them when it returns.
-
-
-def _elements(toks: _Tokens, walker, closing: str):
-    """The elements of a bracketed, comma-separated list, whose opening
-    bracket is consumed, each parsed by a sub-call to walker."""
-    elements = [(yield walker(toks))]
-    while toks.take(","):
-        elements.append((yield walker(toks)))
-    toks.expect(closing)
-    return elements
-
-
-def _type(toks: _Tokens, as_set: bool = False):
-    """An arrow chain of set-type atoms.  With as_set, a set-type: a
-    braced set not followed by "->" is the set itself, any other type the
-    set of that one type."""
-    domains = []  # the atoms before each "->"
-    while True:
-        if toks.take("{"):
-            atom = SetType.of((yield from _elements(toks, _type, "}")))
-        elif toks.take("("):
-            atom = SetType.of([(yield _type(toks))])
-            toks.expect(")")
-        else:
-            atom = SetType.of([Base(toks.name())])
-        if not toks.take("->"):
-            break
-        domains.append(atom)
-    if as_set and not domains:
-        return atom
-    if len(atom.elements) != 1:
-        toks.error("a braced set of types must be followed by ->")
-    result = atom.elements[0]
-    for domain in reversed(domains):
-        result = Arrow(domain, result)
-    return SetType.of([result]) if as_set else result
-
-
-def _untyped(toks: _Tokens):
-    names = []
-    while toks.take("\\"):
-        names.append(toks.name())
-        toks.expect(".")
-    toks.bind(names)
-    term = None
-    while True:
-        if toks.take("("):
-            atom = yield _untyped(toks)
-            toks.expect(")")
-        elif term is None or toks.at_name():
-            name = toks.name()
-            index = toks.de_bruijn(name)
-            atom = UBoundVar(index) if index >= 0 else UVar(name)
-        else:
-            break
-        term = atom if term is None else UApp(term, atom)
-    toks.unbind(names)
-    for name in reversed(names):
-        term = ULam(name, term)
-    return term
-
-
-def _term(toks: _Tokens):
-    binders = []
-    while toks.take("\\"):
-        name = toks.name()
-        toks.expect(":")
-        binders.append((name, (yield from _type(toks, True))))
-        toks.expect(".")
-    names = [name for name, _ in binders]
-    toks.bind(names)
-    term = None
-    while True:
-        if toks.take("("):
-            atom = yield _term(toks)
-            toks.expect(")")
-        elif term is None or toks.at_name():
-            name = toks.name()
-            toks.expect("^")
-            if toks.take("("):
-                annot = yield from _type(toks)
-                toks.expect(")")
-            else:
-                annot = Base(toks.name())
-            index = toks.de_bruijn(name)
-            atom = BoundVar(index, annot) if index >= 0 else Var(name, annot)
-        elif toks.take("{"):
-            term = App(term, SetTerm.of((yield from _elements(toks, _term, "}"))))
-            continue
-        elif toks.take("["):
-            term = Wrap(term, SetTerm.of((yield from _elements(toks, _term, "]"))))
-            continue
-        else:
-            break
-        term = atom if term is None else App(term, SetTerm.of([atom]))
-    toks.unbind(names)
-    for name, binder in reversed(binders):
-        term = Lam(name, binder, term)
-    return term
+def _parse(text: str, kind: str, as_set: bool):
+    global _read
+    if _read is None:
+        from .parsing import read as _read
+    return _read(text, kind, as_set)

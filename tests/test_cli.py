@@ -462,10 +462,10 @@ def test_import_cli_loads_syntax_and_typecheck_only():
         "setlam", "setlam.cli", "setlam.errors", "setlam.syntax", "setlam.typecheck"}
 
 
-# What each command loads beyond the package, cli, errors, syntax and
-# typecheck: the setlam modules it runs, naming where it prints a term
-# (check prints a type, chains a number), and json where it writes JSON
-# or reads a derivation.
+# What each command loads beyond the package, cli, errors, syntax,
+# parsing (every command reads a text) and typecheck: the setlam modules
+# it runs, naming where it prints a term (check prints a type, chains a
+# number), and json where it writes JSON or reads a derivation.
 @pytest.mark.parametrize("argv, extra", [
     (["check", "TERM"], set()),
     (["erase", "TERM"], {"naming"}),
@@ -488,5 +488,6 @@ def test_each_command_loads_only_the_modules_it_runs(argv, extra, files):
     runner = ("import runpy\nsys.argv[0] = 'setlam'\n"
               "runpy.run_module('setlam', run_name='__main__', alter_sys=True)\n")
     loaded = _loaded_modules(runner, *[paths.get(arg, arg) for arg in argv])
-    expected = {"setlam", "setlam.cli", "setlam.errors", "setlam.syntax", "setlam.typecheck"}
+    expected = {"setlam", "setlam.cli", "setlam.errors", "setlam.syntax", "setlam.parsing",
+                "setlam.typecheck"}
     assert loaded == expected | {m if m == "json" else f"setlam.{m}" for m in extra}

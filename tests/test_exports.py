@@ -13,8 +13,8 @@ MODULES = ["syntax", "binding", "typecheck", "derivation", "reduction", "measure
 # Aliases, duplicated walks and second definitions of identity folded
 # into one canonical name each, unused constants, the pieces of walkers
 # now written as one recursion on the trampoline, the second typing walk,
-# the second normalization strategy and the binder naming that moved to
-# `naming`.
+# the second normalization strategy, the binder naming that moved to
+# `naming` and the parser's walkers, replaced by one loop per grammar.
 REMOVED = {
     "syntax": ["alpha_eq", "canonicalize", "untyped_key", "ufree_names",
                "untyped_size", "_children", "type_key", "settype_key",
@@ -23,7 +23,8 @@ REMOVED = {
                "_parse_type", "_parse_settype", "_parse_settype_atom", "_parse_annot",
                "_parse_untyped", "_parse_untyped_atom", "_parse_aterm",
                "_parse_aterm_atom", "_set_key", "_set_meta", "_name_chain",
-               "_pick_name", "_index", "_compare_keys", "_deep_key", "_equal_nodes"],
+               "_pick_name", "_index", "_compare_keys", "_deep_key", "_equal_nodes",
+               "_type", "_untyped", "_term", "_elements", "_Tokens", "_parse_all"],
     "binding": ["ushift", "uclose"],
     "typecheck": ["_fold_tree", "_typing", "_typing_of_set", "_erase", "_erase_set",
                   "_erase_node", "_erase_set_node", "_check_node", "_premises",

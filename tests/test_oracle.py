@@ -469,11 +469,16 @@ def _oracle_calls(collect: bool) -> int:
 
 
 def test_infer_leaves_no_oracle_code_for_the_collector():
-    # infer and head_redex close over each other, so what they close
-    # over lives until the cyclic collector runs; none of it may run
-    # oracle.py code then, or a profile's call count would depend on
-    # when collections fall.
+    # Nothing infer_sn leaves for the cyclic collector may run oracle.py
+    # code then, or a profile's call count would depend on when
+    # collections fall.
     assert _oracle_calls(collect=True) == _oracle_calls(collect=False)
+
+
+def test_infer_refuses_an_annotated_term_ten_thousand_deep():
+    # its error message shows the term's repr
+    with pytest.raises(TypeError, match="^not an untyped term: App"):
+        infer_sn(parse_term(shape("A", 10_000)))
 
 
 def test_infer_duplicating_argument_builds_multi_element_set():

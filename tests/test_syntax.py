@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from setlam import (
     parse, parse_set_type, parse_term, parse_type, parse_untyped, pretty,
     replace_at, subterm_at,
 )
-from setlam import naming, syntax
+from setlam import naming, parsing, syntax
 from setlam.binding import locally_closed, shift
 from setlam.reduction import reducts
 from setlam.syntax import _Node, positions, run, term_size, type_height
@@ -445,6 +446,297 @@ def test_parse_print_round_trip_types(ty):
     assert parse_type(pretty(ty)) == ty
 
 
+# --- the parser against its walker version ----------------------------------
+
+# The parser when it was four walkers on the trampoline `run`, a sub-call
+# per bracket and set element, with a method per token.  It is the
+# reference the parser must match: the same nodes, the same printed text,
+# the same errors at the same line and column.
+
+class _ReferenceTokens:
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = parsing._TOKEN.findall(text)
+        if "" in self.tokens:
+            self.index = self.tokens.index("")
+            self.error()
+        self.tokens.append("")
+        self.index = 0
+        self.bound: dict[str, list[int]] = {}
+        self.depth = 0
+
+    def bind(self, names):
+        for name in names:
+            self.bound.setdefault(name, []).append(self.depth)
+            self.depth += 1
+
+    def unbind(self, names):
+        for name in names:
+            self.bound[name].pop()
+        self.depth -= len(names)
+
+    def de_bruijn(self, name):
+        depths = self.bound.get(name)
+        return self.depth - 1 - depths[-1] if depths else -1
+
+    def peek(self):
+        return self.tokens[self.index]
+
+    def take(self, token):
+        if self.tokens[self.index] != token:
+            return False
+        self.index += 1
+        return True
+
+    def expect(self, token):
+        if not self.take(token):
+            self.error(f"expected {token!r}, found {self.shown()!r}")
+
+    def name(self):
+        value = self.tokens[self.index]
+        if not value[:1].isalpha():
+            self.error(f"expected identifier, found {self.shown()!r}")
+        self.index += 1
+        return value
+
+    def at_name(self):
+        return self.tokens[self.index][:1].isalpha()
+
+    def shown(self):
+        return self.tokens[self.index] or "end of input"
+
+    def error(self, message=None):
+        text = self.text
+        found = next(islice(parsing._TOKEN.finditer(text), self.index, None), None)
+        offset = found.start() if found else len(text)
+        line = text.count("\n", 0, offset) + 1
+        column = offset - text.rfind("\n", 0, offset)
+        raise ParseError(message or f"unexpected character {text[offset]!r}", line, column)
+
+
+def _reference_elements(toks, walker, closing):
+    elements = [(yield walker(toks))]
+    while toks.take(","):
+        elements.append((yield walker(toks)))
+    toks.expect(closing)
+    return elements
+
+
+def _reference_type(toks, as_set=False):
+    domains = []
+    while True:
+        if toks.take("{"):
+            atom = SetType.of((yield from _reference_elements(toks, _reference_type, "}")))
+        elif toks.take("("):
+            atom = SetType.of([(yield _reference_type(toks))])
+            toks.expect(")")
+        else:
+            atom = SetType.of([Base(toks.name())])
+        if not toks.take("->"):
+            break
+        domains.append(atom)
+    if as_set and not domains:
+        return atom
+    if len(atom.elements) != 1:
+        toks.error("a braced set of types must be followed by ->")
+    result = atom.elements[0]
+    for domain in reversed(domains):
+        result = Arrow(domain, result)
+    return SetType.of([result]) if as_set else result
+
+
+def _reference_untyped(toks):
+    names = []
+    while toks.take("\\"):
+        names.append(toks.name())
+        toks.expect(".")
+    toks.bind(names)
+    term = None
+    while True:
+        if toks.take("("):
+            atom = yield _reference_untyped(toks)
+            toks.expect(")")
+        elif term is None or toks.at_name():
+            name = toks.name()
+            index = toks.de_bruijn(name)
+            atom = UBoundVar(index) if index >= 0 else UVar(name)
+        else:
+            break
+        term = atom if term is None else UApp(term, atom)
+    toks.unbind(names)
+    for name in reversed(names):
+        term = ULam(name, term)
+    return term
+
+
+def _reference_term(toks):
+    binders = []
+    while toks.take("\\"):
+        name = toks.name()
+        toks.expect(":")
+        binders.append((name, (yield from _reference_type(toks, True))))
+        toks.expect(".")
+    names = [name for name, _ in binders]
+    toks.bind(names)
+    term = None
+    while True:
+        if toks.take("("):
+            atom = yield _reference_term(toks)
+            toks.expect(")")
+        elif term is None or toks.at_name():
+            name = toks.name()
+            toks.expect("^")
+            if toks.take("("):
+                annot = yield from _reference_type(toks)
+                toks.expect(")")
+            else:
+                annot = Base(toks.name())
+            index = toks.de_bruijn(name)
+            atom = BoundVar(index, annot) if index >= 0 else Var(name, annot)
+        elif toks.take("{"):
+            term = App(term, SetTerm.of((yield from _reference_elements(toks, _reference_term, "}"))))
+            continue
+        elif toks.take("["):
+            term = Wrap(term, SetTerm.of((yield from _reference_elements(toks, _reference_term, "]"))))
+            continue
+        else:
+            break
+        term = atom if term is None else App(term, SetTerm.of([atom]))
+    toks.unbind(names)
+    for name, binder in reversed(binders):
+        term = Lam(name, binder, term)
+    return term
+
+
+_REFERENCE_WALKERS = {"type": _reference_type, "untyped": _reference_untyped,
+                      "annotated": _reference_term,
+                      "set-type": lambda toks: _reference_type(toks, True)}
+
+
+def reference_parse(text: str, kind: str):
+    toks = _ReferenceTokens(text)
+    result = run(_REFERENCE_WALKERS[kind](toks))
+    if toks.peek():
+        toks.error(f"trailing input {toks.peek()!r}")
+    return result
+
+
+def _parsed(text: str, kind: str, reference: bool):
+    """The repr and text of what text parses to, or the error's message,
+    line and column."""
+    try:
+        if reference:
+            result = reference_parse(text, kind)
+        else:
+            result = parse_set_type(text) if kind == "set-type" else parse(text, kind)
+    except ParseError as error:
+        return "error", str(error), error.line, error.column
+    return "parsed", repr(result), pretty(result)
+
+
+def assert_parses_as_reference(text: str):
+    for kind in _REFERENCE_WALKERS:
+        assert _parsed(text, kind, False) == _parsed(text, kind, True), (text, kind)
+
+
+# Texts of every grammar, printed from generated nodes: a term applied
+# to itself repeats each of its annotations and binder set-types.
+grammar_texts_st = st.one_of(
+    memterms_st().map(pretty),
+    memterms_st().map(lambda t: pretty(App(t, SetTerm((t,))))),
+    untyped_st().map(pretty),
+    types_st.map(pretty),
+    st.lists(types_st, min_size=1, max_size=3).map(lambda ts: pretty(SetType.of(ts))),
+)
+_MUTANT_TOKENS = ["x", "a", "\\", ".", ":", ",", "^", "(", ")", "{", "}", "[", "]", "->", "#"]
+
+
+@st.composite
+def mutated_texts_st(draw):
+    """A grammar text with one token deleted, duplicated or replaced."""
+    text = draw(grammar_texts_st)
+    start, end = draw(st.sampled_from([m.span() for m in parsing._TOKEN.finditer(text)]))
+    how = draw(st.sampled_from(["delete", "duplicate", "replace"]))
+    if how == "delete":
+        return text[:start] + text[end:]
+    if how == "duplicate":
+        return text[:end] + " " + text[start:end] + text[end:]
+    spacing = draw(st.sampled_from(["", " ", "\n"]))
+    return text[:start] + spacing + draw(st.sampled_from(_MUTANT_TOKENS)) + text[end:]
+
+
+@given(grammar_texts_st)
+def test_the_parser_matches_the_reference_on_printed_texts(text):
+    assert_parses_as_reference(text)
+
+
+@given(mutated_texts_st())
+def test_the_parser_matches_the_reference_on_mutated_texts(text):
+    assert_parses_as_reference(text)
+
+
+# Braced sets where a type ends, in brackets and at the top; the same
+# tokens as binder and annotation; errors after an annotation was read.
+CORNER_TEXTS = [
+    "{a, a}", "({a, a})", "{a, b}", "({a, b})", "{{a, b}}", "{{a, b} c}", "{{a, b} -> c}",
+    "{a, b} -> {c, d}", "((a)) -> {(a), a}", "\\x:{{a, b}}. x^a", "\\x:({a, b}). x^a",
+    "\\x:{a, a}. x^({a, a})", "\\x:a. x^(a)", "\\x:a -> b. x^(a -> b) {y^a}",
+    "x^(a -> b) {y^a} x^(a -> b", "x^(a -> b) x^(a -> b))", "x^((a) -> b) {x^((a) -> b}",
+    "\\x:{a}. \\y:{a}. y^a \\z:{a}.", "\\x:{a}.\n  x^a [y^a,\n z^(a -> ]",
+    "\\x:{a}. x^a {\\y:{a}. y^a, \\y:{a}. y^b}", "x^a [y^a] [z^a {w^a}]", "(x^a)", "((x^a)",
+    "x^a)", "\\x. \\y. x y (\\z. z) w", "x \\y. y", "(x", "x)", "x y # z", "",
+]
+
+
+@pytest.mark.parametrize("text", CORNER_TEXTS)
+def test_the_parser_matches_the_reference_on_corner_texts(text):
+    assert_parses_as_reference(text)
+
+
+@pytest.mark.parametrize("name", "ABCDEFGHI")
+def test_the_parser_matches_the_reference_on_the_deep_shapes(name):
+    for n in range(7):
+        assert_parses_as_reference(deep_shape(name, n))
+    for n in range(7):
+        assert_parses_as_reference("(" * n + "y z" + ")" * n)
+        assert_parses_as_reference("y (\\x. " * n + "z" + ")" * n)
+
+
+def test_equal_annotations_in_one_text_are_one_object():
+    t = parse_term("\\x:{a -> b}. \\y:{a -> b}. x^(a -> b) {y^(a -> b)} [z^a, w^a]")
+    assert t.binder is t.body.binder
+    app, payload = t.body.body.head, t.body.body.payload
+    assert app.fun.annot is app.arg.elements[0].annot
+    assert payload.elements[0].annot is payload.elements[1].annot is app.fun.annot.domain.elements[0]
+    # the same tokens as a binder and as an annotation: a set-type and a type
+    lam = parse_term("\\x:a -> b. x^(a -> b)")
+    assert lam.binder == SetType((lam.body.annot,)) and lam.binder is not lam.body.annot
+    # other annotations stay apart
+    u = parse_term("x^(a -> b) {y^(b -> a)}")
+    assert u.fun.annot != u.arg.elements[0].annot
+
+
+def test_parsing_deep_shape_h_builds_a_fixed_number_of_types(monkeypatch):
+    # Each level repeats the annotation ((a -> a) -> a) and the binder
+    # {a}: each is built once.
+    counts = {Arrow: 0, SetType: 0}
+
+    def counting(kind):
+        init = kind.__init__
+
+        def counted(self, *fields):
+            counts[kind] += 1
+            init(self, *fields)
+        return counted
+
+    monkeypatch.setattr(Arrow, "__init__", counting(Arrow))
+    monkeypatch.setattr(SetType, "__init__", counting(SetType))
+    t = parse_term(deep_shape("H", 2_000))
+    monkeypatch.undo()
+    assert counts[Arrow] + counts[SetType] <= 5
+    assert t == built("H", 2_000)
+
+
 # --- positions --------------------------------------------------------------
 
 def test_positions_resolve_and_replace():
@@ -535,6 +827,16 @@ def test_sets_of_elements_that_agree_down_a_long_path():
     low_type, high_type = _arrows(3_000, a), _arrows(3_000, b)
     assert SetType.of([high_type, low_type]).elements == (low_type, high_type)
     assert SetType.of([low_type, high_type]) == SetType.of([high_type, low_type])
+
+
+def test_a_set_of_deep_elements_is_sorted_with_one_walk(monkeypatch):
+    # of builds the set it sorted without checking the order again
+    low, high = _arrows(100_000, a), _arrows(100_000, b)
+    walks = []
+    compare = syntax._compare
+    monkeypatch.setattr(syntax, "_compare", lambda x, y: walks.append(1) or compare(x, y))
+    assert SetType.of([high, low]).elements == (low, high)
+    assert len(walks) == 1
 
 
 def test_type_height_clauses():
@@ -873,6 +1175,33 @@ def test_repr_is_the_field_by_field_text():
         "ULam(hint='x', body=UApp(fun=UBoundVar(index=0), arg=UVar(name='y')))")
     assert repr(TypingContext.of({"y": SetType.of([a])})) == (
         "TypingContext(entries=(('y', SetType(elements=(Base(name='a'),))),))")
+
+
+def _recursive_repr(x):
+    """The repr as a recursion: a node field by field, a tuple item by item."""
+    if isinstance(x, _Node):
+        fields = ", ".join(f"{name}={_recursive_repr(getattr(x, name))}"
+                           for name in type(x).__match_args__)
+        return f"{type(x).__name__}({fields})"
+    if isinstance(x, tuple):
+        return "(" + ", ".join(map(_recursive_repr, x)) + ("," if len(x) == 1 else "") + ")"
+    return repr(x)
+
+
+contexts_st = st.dictionaries(st.sampled_from(["x", "y", "z"]),
+                              st.lists(types_st, min_size=1, max_size=3).map(SetType.of),
+                              max_size=3).map(TypingContext.of)
+
+
+@given(st.one_of(memterms_st(), untyped_st(), types_st, contexts_st))
+def test_repr_is_the_recursive_one(x):
+    assert repr(x) == _recursive_repr(x)
+
+
+def test_repr_of_a_term_ten_thousand_deep():
+    text = repr(parse_term(deep_shape("H", 10_000)))
+    assert text.startswith("App(fun=Var(name='y', annot=Arrow(domain=SetType(elements=(Arrow(")
+    assert text.endswith("body=Var(name='z', annot=Base(name='a'))" + "),)))" * 10_000)
 
 
 def _fields(x):
