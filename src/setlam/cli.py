@@ -147,6 +147,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_chains(args) -> int:
     from . import measure, oracle
     term = syntax.parse_term(_read(args.file))
+    typecheck.synthesize_type(term)
     fuel = oracle.Fuel(max_nodes=args.fuel, max_depth=args.fuel)
     chain = oracle.longest_chain(term, "i", fuel)
     bound = measure.W(term)

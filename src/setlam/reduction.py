@@ -411,19 +411,21 @@ def simulate_beta(t: MemTerm, m: UntypedTerm, pos: Position
 
     Contracts, one at a time, every copy in t of the redex at pos; the
     result refines the beta reduct.  Returns (reduct of m, final term,
-    the non-empty step list).
+    the non-empty step list).  Refuses at entry a set-term t (ValueError,
+    as `project_step` does) and an ill-typed t (NotTypable).
     """
-    if not refines(t, m):
-        raise ValueError("t does not refine m")
+    if isinstance(t, SetTerm) or not refines(t, m):
+        raise ValueError("t is not a term that refines m")
+    typecheck.synthesize_type(t)
     n = beta_step(m, pos)
     target = subterm_at(n, pos)
-    current: MemTerm = t  # wrapper-free, since it refines m
+    current: MemTerm = t  # wrapper-free (it refines m) and typed: every copy contracts
     steps: list[Step] = []
     while not refines(current, n):
         # Contract the first copy of the redex (in canonical order) not yet
         # contracted: a copy is a redex whose position erases to pos.
         site = next(((q, redex) for q, node, redex in _redex_sites(current, "i")
-                     if _try_erased(current, q) == pos and not refines(node, target)), None)
+                     if erased_position(current, q) == pos and not refines(node, target)), None)
         assert site is not None, "mixed state without a remaining redex copy"
         q, (core, wrappers, arg) = site
         nxt = replace_at(current, q, _contract(core, core.body, wrappers, arg, "i"))
@@ -464,7 +466,7 @@ def project_step(t: MemTerm, s: MemTerm, pos: Position, budget: int | None = Non
     n = beta_step(m, bpos)
 
     if budget is None:
-        copies = sum(1 for q in redex_positions(s, "i") if _try_erased(s, q) == bpos)
+        copies = sum(1 for q in redex_positions(s, "i") if erased_position(s, q) == bpos)
         budget = (1 + copies) * term_size(s) + term_size(s)
 
     explored = 0
@@ -484,10 +486,3 @@ def project_step(t: MemTerm, s: MemTerm, pos: Position, budget: int | None = Non
                 queue.append((nxt, steps + (Step("i", q, current, nxt),)))
     raise SearchBudgetExceeded(
         f"no completion within {budget} explored terms")
-
-
-def _try_erased(t: MemTerm, pos: Position) -> Position | None:
-    try:
-        return erased_position(t, pos)
-    except ValueError:
-        return None

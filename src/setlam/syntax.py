@@ -92,9 +92,9 @@ class _Node:
     `simplifications` stays None until `measure` stores there the stages
     of the term's full simplification, on the term `W`, `simp_full` or
     `measure_report` is called on (not on its subterms).
-    Nodes are ordered by `<` as their keys are, which is how other
-    modules sort them.  `==` and `<` compare the stored keys; where those
-    are too deep for the interpreter to compare, both fall back to
+    Nodes are ordered by `<` as their keys are: so other modules sort
+    them, and a set checks its order.  `==` and `<` compare the stored
+    keys; where those are too deep for the interpreter, both fall back to
     `_compare`, which walks the nodes pair by pair in the keys' order.
     `typecheck.TypingContext` is a node keyed by its entries.
     """
@@ -251,23 +251,17 @@ Type = Union[Base, Arrow]
 
 
 class _Set(_Node):
-    """Canonical duplicate-free sequence, strictly sorted by key; the
-    set's key is the tuple of its element keys."""
+    """Canonical duplicate-free sequence, strictly sorted by key, as `<`
+    checks unless `of` sorted it; the key is the tuple of element keys."""
 
     __match_args__ = ("elements",)
 
     def __init__(self, elements: tuple, ordered: bool = False):
-        keys = tuple(map(_key, elements))
-        if len(keys) > 1 and not ordered:  # `of` has sorted them and says so
-            try:
-                ordered = all(map(operator.lt, keys, keys[1:]))
-            except RecursionError:  # keys nested deeper than the interpreter compares
-                ordered = all(_compare(a, b) < 0 for a, b in zip(elements, elements[1:]))
-            if not ordered:
-                raise ValueError(f"{self._what} elements must be strictly sorted")
+        if not ordered and len(elements) > 1 and not all(map(operator.lt, elements, elements[1:])):
+            raise ValueError(f"{self._what} elements must be strictly sorted")
         node = vars(self)
         node["elements"], node["key"], node["hash"] = (
-            elements, keys, hash(tuple(map(_hash, elements))))
+            elements, tuple(map(_key, elements)), hash(tuple(map(_hash, elements))))
 
     @classmethod
     def of(cls, elements: Iterable):

@@ -63,6 +63,21 @@ def generate_sn_samples(count: int, seed: int = 0, max_size: int = 12
     return samples
 
 
+def all_untyped(size: int, depth: int = 0) -> list[UntypedTerm]:
+    """Every untyped term of `size` nodes (`UVar`, `UBoundVar`, `ULam` and
+    `UApp` each count one) over the one free name y, under `depth`
+    binders, each once up to alpha: indices are de Bruijn, and every
+    binder has the hint x.  Sizes 1-9 hold 1, 2, 4, 12, 38, 127, 464,
+    1,763 and 7,008 closed-but-for-y terms."""
+    if size == 1:
+        return [UVar("y"), *map(UBoundVar, range(depth))]
+    terms = [ULam("x", body) for body in all_untyped(size - 1, depth + 1)]
+    for left in range(1, size - 1):
+        terms += [UApp(fun, arg) for fun in all_untyped(left, depth)
+                  for arg in all_untyped(size - 1 - left, depth)]
+    return terms
+
+
 # Worked fixtures.  The two-step wrapper examples, the figure's
 # self-application start term (with A = a -> a and its three
 # identities), and the duplicated-argument example (A = b -> b).

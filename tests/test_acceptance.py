@@ -20,8 +20,8 @@ from setlam import (
 )
 from setlam.binding import open_term
 from setlam.errors import NotSNWithinFuel
-from setlam.reduction import reduction_sequence
-from setlam.syntax import Var, free_names
+from setlam.reduction import normalize, reduction_sequence
+from setlam.syntax import Var, free_names, pretty
 from setlam.derivation import canonical_derivation
 
 import corpus
@@ -376,3 +376,40 @@ def test_criterion_11_sn_characterization(sn_samples):
             infer_sn(parse_untyped(text), Fuel(max_nodes=2_000, max_depth=2_000))
     _passed(11, f"inference succeeds and re-checks on {verified} SN terms; "
                 f"fails on all {len(failing)} non-SN inputs")
+
+
+def test_criterion_11_on_every_term_up_to_size_9():
+    """Typable iff SN, exhaustively on a small scope: every untyped term
+    over the free name y of 1-9 nodes, up to alpha (9,419 terms).  With
+    fuel 2,000/2,000, `infer_sn` types exactly the terms `is_sn` calls
+    "yes"; each result refines its input and checks at its context and
+    type, its longest beta chain is at most W, and both im
+    leftmost-outermost `normalize` and the longest im chain take exactly
+    W steps.  That last equality is checked on this scope, not proved
+    (ROADMAP item 3(b)).  About 5 s on a shared 2-vCPU host, most of it
+    in `infer_sn`; the im checks take about 0.5 s of it."""
+    started = time.monotonic()
+    fuel = Fuel(max_nodes=2_000, max_depth=2_000)
+    scope = [corpus.all_untyped(size) for size in range(1, 10)]
+    assert list(map(len, scope)) == [1, 2, 4, 12, 38, 127, 464, 1_763, 7_008]
+    verdicts = {"yes": 0, "no": 0, "unknown": 0}
+    for m in (m for terms in scope for m in terms):
+        verdict = is_sn(m, fuel)
+        verdicts[verdict] += 1
+        try:
+            inferred = infer_sn(m, fuel)
+        except NotSNWithinFuel:
+            assert verdict != "yes", pretty(m)
+            continue
+        assert verdict == "yes", pretty(m)
+        t = inferred.term
+        assert refines(t, m) and check(inferred.context, t) == inferred.type_
+        bound = W(t)
+        assert longest_chain(m, "beta", fuel) <= bound, pretty(m)
+        assert normalize(t, "im", fuel.max_depth)[1] == bound, pretty(m)
+        assert longest_chain(t, "im", fuel) == bound, pretty(m)
+    assert verdicts == {"yes": 9_418, "no": 1, "unknown": 0}
+    elapsed = time.monotonic() - started
+    _passed(11, f"typable iff SN on all {sum(verdicts.values())} terms of size 1-9; "
+                f"im normalizes in exactly W steps on the {verdicts['yes']} typed ones; "
+                f"{elapsed:.1f}s")

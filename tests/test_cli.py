@@ -234,10 +234,19 @@ def test_deep_binder_chain_through_every_command(argv, files, capsys):
 
 
 def test_chains_argument_off_the_binder_exit_2(files, capsys):
-    # chains does not synthesize first: the contraction's binder check refuses
+    # chains type-checks before it explores, so the typing refuses, not the contraction
     path = files("t.term", "(\\x:{a}. z^c) {y^b}")
     code, out, err = run(capsys, "chains", path)
-    assert (code, out, err) == (2, "", "error: argument set-type {b} != binder {a}\n")
+    assert (code, out, err) == (
+        2, "", "error: not typable at []: argument set-type {b} != domain {a}\n")
+
+
+def test_chains_reports_the_error_where_check_does(files, capsys):
+    # the error lies in the argument, at [1], not at the redex's root []
+    path = files("t.term", "(\\u:{a}. u^a) {f^a {g^a}}")
+    error = "error: not typable at [1]: applied term has non-arrow type a\n"
+    assert run(capsys, "check", path) == (2, "", error)
+    assert run(capsys, "chains", path) == (2, "", error)
 
 
 # Shapes of tests/deep.py at 10,000, each through commands that reach a

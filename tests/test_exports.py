@@ -31,7 +31,8 @@ REMOVED = {
                   "_synth", "_synth_set"],
     "reduction": ["_develop", "_walk", "_collect_redexes", "_collect_beta",
                   "_par_set", "_is_redex", "_split_redex", "_lam_degree",
-                  "_elements_by_type", "_residual_position", "_leftmost_innermost"],
+                  "_elements_by_type", "_residual_position", "_leftmost_innermost",
+                  "_try_erased"],
     "measure": ["height", "_simp", "_wabs_degree"],
     "oracle": ["_has_cycle", "_label", "_FreshNames", "_FuelMeter", "_rename_binder",
                "_infer", "_infer_head_variable", "_infer_abstraction", "_infer_head_redex"],

@@ -8,7 +8,7 @@ from operator import itemgetter
 import pytest
 
 from setlam import (
-    FuelExhausted, IllTyped, MissingSubstituent, NotARedex, NotUniform,
+    FuelExhausted, IllTyped, MissingSubstituent, NotARedex, NotTypable, NotUniform,
     SearchBudgetExceeded, SetLamError, SetTerm,
     Step, beta_redexes, beta_step, check, complete_development,
     corresponding_step, erase, erased_position, forgetful_reducts,
@@ -21,7 +21,7 @@ from setlam.binding import open_term
 from setlam.measure import simp_d
 from setlam import reduction
 from setlam.reduction import (
-    _try_erased, normalize, reducts, reduction_sequence, redex_positions, require_plain,
+    normalize, reducts, reduction_sequence, redex_positions, require_plain,
     step,
 )
 from setlam.syntax import (
@@ -414,6 +414,24 @@ def test_simulate_outer_redex_of_duplicating_term():
     assert final == step_i(DUP, ())
 
 
+def test_simulate_refuses_a_set_term():
+    t = parse_term("(\\x:{a}. x^a) {y^a}")
+    with pytest.raises(ValueError, match="not a term that refines m"):
+        simulate_beta(SetTerm.of([t]), parse_untyped("(\\x. x) y"), ())
+
+
+def test_simulate_refuses_an_ill_typed_term():
+    # it refines Omega, but applies x^a, whose type is no arrow
+    t = parse_term("(\\x:{a}. x^a {x^a}) {\\x:{a}. x^a {x^a}}")
+    with pytest.raises(NotTypable):
+        simulate_beta(t, parse_untyped("(\\x. x x) (\\x. x x)"), ())
+
+
+def test_simulate_refuses_a_term_that_does_not_refine():
+    with pytest.raises(ValueError, match="not a term that refines m"):
+        simulate_beta(parse_term("(\\x:{a}. x^a) {y^a}"), parse_untyped("(\\x. x) z"), ())
+
+
 def test_simulate_on_corpus(corpus):
     done = 0
     for entry in corpus:
@@ -600,7 +618,7 @@ def reference_simulate_beta(t, m, pos):
     current, steps = t, []
     while not refines(current, n):
         q = next(q for q in redex_positions(current, "i")
-                 if _try_erased(current, q) == pos
+                 if erased_position(current, q) == pos
                  and not refines(subterm_at(current, q), target))
         nxt = step(current, q, "i")
         steps.append(Step("i", q, current, nxt))

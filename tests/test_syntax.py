@@ -822,6 +822,7 @@ def test_sets_of_elements_that_agree_down_a_long_path():
     for s in (SetTerm.of([low, high]), SetTerm.of([high, low])):
         assert s.elements[0] is low and s.elements[1] is high
     assert SetTerm.of([low, _chain(3_000, Var("y", a))]).elements == (low,)
+    assert SetTerm((low, high)).elements == (low, high)
     with pytest.raises(ValueError, match="strictly sorted"):
         SetTerm((high, low))
     low_type, high_type = _arrows(3_000, a), _arrows(3_000, b)
