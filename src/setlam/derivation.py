@@ -276,8 +276,9 @@ def erase_derivation(t: MemTerm, context: TypingContext) -> CurryDerivation:
 
     It mirrors t, one var node per occurrence and one many node per
     set-term, names t's binders as the printer does, and gives every
-    premise of a many node the node's own subject: `decorate` gives back
-    t up to binder hints, with a set's elements all named like its first.
+    premise of a many node the node's own subject, the erasure of the
+    set's first element: `decorate` gives back t up to binder hints,
+    with a set's elements all named like its first.
     Raises NotUniform on non-uniform input and the usual typing errors
     when t does not check under the context.
     """
@@ -287,8 +288,8 @@ def erase_derivation(t: MemTerm, context: TypingContext) -> CurryDerivation:
 
 
 def _named(t, names: Names):
-    """The erasure of t with each binder named by `names`; every element of
-    a set is walked, as `names` requires, and the first one's is kept."""
+    """The erasure of t with each binder named by `names`; a set erases
+    to its first element, so only that one is walked."""
     match t:
         case Var() | BoundVar():
             return erase(t)
@@ -301,10 +302,7 @@ def _named(t, names: Names):
             return subject
         case App(fun, arg):
             subject = yield _named(fun, names)
-            elements = []
-            for e in arg.elements:
-                elements.append((yield _named(e, names)))
-            return UApp(subject, elements[0])
+            return UApp(subject, (yield _named(arg.elements[0], names)))
     raise TypeError(f"not a uniform wrapper-free term: {t!r}")
 
 

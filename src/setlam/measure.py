@@ -22,7 +22,7 @@ from typing import NamedTuple
 from .errors import IllTyped
 from .syntax import WRAPPER, MemTerm, SetTerm, Wrap, is_wrapper_free, nodes, pretty
 from .reduction import develop, redex_degree, redexes
-from .typecheck import synthesize_type
+from .typecheck import subterm_type, synthesize_type
 
 __all__ = [
     "DegreeProfile", "MeasureReport",
@@ -64,10 +64,18 @@ def simp_d(t: MemTerm | SetTerm, d: int):
     On an application whose function part is a w-abstraction of degree
     d, the simplified body is substituted with the simplified argument,
     the argument is recorded in a wrapper and the simplified wrapper
-    list is re-attached; everything else is a congruence.
+    list is re-attached; everything else is a congruence.  t is typed
+    first, as a contraction types a subterm, so an ill-typed t fails at
+    a position of its own.
     """
     if d < 1:
         raise ValueError("simplification degree must be >= 1")
+    subterm_type(t)
+    return _degree_pass(t, d)
+
+
+def _degree_pass(t, d: int):
+    """simp_d of a typed term."""
     return develop(t, lambda core: redex_degree(core) == d, "im")
 
 
@@ -76,13 +84,14 @@ def _simplifications(t: MemTerm | SetTerm) -> tuple:
     down to 1 that changes t; a pass with no redex of degree d returns t.
 
     Computed once per term object and stored on it (`simplifications`),
-    never on its subterms; nothing is stored when a redex of t does not
-    synthesize.
+    never on its subterms, after t is typed; nothing is stored when t
+    does not synthesize.  Each pass keeps the term typed, so only t is.
     """
     if t.simplifications is None:
+        synthesize_type(t)
         passes, stage = [], t
         for d in range(max_degree(t), 0, -1):
-            if (simplified := simp_d(stage, d)) is not stage:
+            if (simplified := _degree_pass(stage, d)) is not stage:
                 passes.append((d, stage := simplified))
         vars(t)["simplifications"] = tuple(passes)
     return t.simplifications
@@ -98,7 +107,6 @@ def W(t: MemTerm) -> int:
     """Weight of the full simplification of a wrapper-free term."""
     if not is_wrapper_free(t):
         raise IllTyped("the measure is defined on wrapper-free terms")
-    synthesize_type(t)
     return weight(simp_full(t))
 
 
@@ -130,7 +138,6 @@ def measure_report(t: MemTerm) -> MeasureReport:
     the term; after the degree-k pass no redex of degree >= k may be left."""
     if not is_wrapper_free(t):
         raise IllTyped("the measure is defined on wrapper-free terms")
-    synthesize_type(t)
     stages = []
     stage = t
     for d, stage in _simplifications(t):

@@ -14,9 +14,9 @@ _IDENT = re.compile(r"[a-z][A-Za-z0-9_']*\Z")
 
 
 class Names:
-    """The binder names of one pre-order walk of a term, the printer's or
-    `derivation`'s, which must open every chain, in each element of a set
-    too: `open` finds a chain's span by counting the chains met so far.
+    """The binder names of one walk of a term, the printer's or
+    `derivation`'s, which may open any of its chains in any order: a
+    chain's span is found by the identity of its top abstraction.
     A binder is named by its hint (or "x"), suffixed by the least number
     if that is taken: in scope, or free in the body of its chain.
 
@@ -31,8 +31,7 @@ class Names:
     suffixed name its search passes, at any depth.
     """
 
-    spans: list | None = None  # per chain with a free variable, its span
-    met = 0  # chains with a free variable opened so far
+    spans: dict | None = None  # per chain with a free variable, by id, its span
 
     def __init__(self, root):
         self.root = root
@@ -48,8 +47,7 @@ class Names:
         if t.flags & FREE_VAR:
             if self.spans is None:
                 self._index_free()
-            span = self.spans[self.met]
-            self.met += 1
+            span = self.spans[id(t)]
         env, scope, changed = self.env, self.scope, {}
         chain = []
         kind = type(t)
@@ -94,10 +92,12 @@ class Names:
         return i < len(at) and at[i] < span[1]
 
     def _index_free(self) -> None:
-        """Number the root's free occurrences in pre-order, and list the
-        span of numbers below each chain with a free variable, in the
-        order the walk opens them; closed subtrees are skipped."""
-        spans: list = []
+        """Number the root's free occurrences in pre-order, and map the id
+        of each chain with a free variable to the span of numbers below
+        it; closed subtrees are skipped.  The free names below a chain do
+        not depend on where it sits, so a chain that occurs twice keeps
+        either visit's span."""
+        spans: dict = {}
         self.occurrences: dict[str, list[int]] = {}
         count = 0
         stack = [self.root]
@@ -111,8 +111,8 @@ class Names:
                     self.occurrences.setdefault(t.name, []).append(count)
                     count += 1
                 elif kind is Lam or kind is ULam:
-                    stack.append(len(spans))
-                    spans.append(count)
+                    stack.append(id(t))
+                    spans[id(t)] = count
                     while isinstance(t, (Lam, ULam)):
                         t = t.body
                     stack.append(t)

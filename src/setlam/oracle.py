@@ -35,7 +35,7 @@ from .syntax import (
     App, Arrow, Base, BoundVar, Lam, MemTerm, Position, SetTerm, SetType,
     Type, UApp, UBoundVar, ULam, UntypedTerm, UVar, Var, pretty, run,
 )
-from .reduction import has_redex, normalize, reducts, require_plain
+from .reduction import has_redex, normalize, reducts, require_typed
 from .typecheck import (
     TypingContext, binder_types, check, minimal_context, refines, subterm_type,
 )
@@ -96,7 +96,7 @@ def explore(t, calculus: str, fuel: Fuel = DEFAULT_FUEL) -> ReductionGraph:
             truncated = True
             continue
         if i == 0:
-            require_plain(t, calculus)  # checked once: steps keep the precondition
+            require_typed(t, calculus)  # checked once: steps keep the precondition
         for pos, nxt in reducts(nodes[i], calculus, memo):
             j = index.get(nxt)
             if j is None:

@@ -9,6 +9,10 @@ wrapper-free terms, and as a plain step keeps a term wrapper-free,
 `require_plain` checks that once per call, at its first step.  Memory
 reduction ("im") contracts to ``body{x := args} [args] L``, keeping the
 argument in a wrapper.  Beta reduction ("beta") opens the body with it.
+An ill-typed term reports its own first error, not one of an argument
+that a contraction types alone: a call that contracts many redexes
+types its term once, at entry, and `step` types it when a contraction
+fails.
 
 The redex search `_redex_sites` yields each redex node with its
 position, lazily and in lexicographic order.  The stepping loop and
@@ -44,8 +48,8 @@ from . import binding, typecheck
 __all__ = [
     "Redex", "Step",
     "substitute", "redex_degree", "redexes", "i_redexes", "redex_positions", "has_redex",
-    "require_plain", "step_i", "step_im", "step", "reducts", "reduction_sequence",
-    "normalize",
+    "require_plain", "require_typed", "step_i", "step_im", "step", "reducts",
+    "reduction_sequence", "normalize",
     "corresponding_step", "forgetful_reducts",
     "develop", "complete_development", "parallel_reducts", "par_reduces",
     "random_parallel_reduct",
@@ -189,19 +193,34 @@ def require_plain(t, calculus: str):
     return t
 
 
+def require_typed(t, calculus: str):
+    """t, once checked by `require_plain` and, for an annotated calculus,
+    typed as a contraction types a subterm (`subterm_type`)."""
+    require_plain(t, calculus)
+    if calculus != "beta":
+        subterm_type(t)
+    return t
+
+
 def step(t, pos: Position, calculus: str):
     """One step of `calculus` ("beta", "i" or "im") at pos.
 
     The wrapper-free precondition of a plain step is left to the caller
     (`require_plain`): a plain step keeps a term wrapper-free, so a
-    sequence of steps checks it once.
+    sequence of steps checks it once.  t is typed only when the
+    contraction fails, so that an ill-typed t reports its own first error.
     """
     _redex_flag(calculus)  # rejects an unknown calculus
     redex = _redex(subterm_at(t, pos), calculus)
     if redex is None:
         raise NotARedex(f"no {calculus} redex at {list(pos)}")
     core, wrappers, arg = redex
-    return replace_at(t, pos, _contract(core, core.body, wrappers, arg, calculus))
+    try:
+        contractum = _contract(core, core.body, wrappers, arg, calculus)
+    except IllTyped:
+        subterm_type(t)
+        raise
+    return replace_at(t, pos, contractum)
 
 
 def reducts(t, calculus: str, memo: dict):
@@ -279,7 +298,7 @@ def reduction_sequence(t, calculus: str, choose):
     where sites lazily yields (position, node, redex) in lexicographic
     order; `next` stops the search at the leftmost-outermost redex."""
     if has_redex(t, calculus):
-        require_plain(t, calculus)
+        require_typed(t, calculus)
     while has_redex(t, calculus):
         pos, _, (core, wrappers, arg) = choose(_redex_sites(t, calculus))
         t = replace_at(t, pos, _contract(core, core.body, wrappers, arg, calculus))
@@ -311,9 +330,12 @@ def forgetful_reducts(t: MemTerm | SetTerm) -> list[tuple[Position, MemTerm | Se
 # Parallel reduction and complete developments
 
 
-def _check_calculus(calculus: str) -> None:
+def _development_input(t, calculus: str):
+    """t, once checked to be a typed term that a development of
+    `calculus` starts from (`require_typed`)."""
     if calculus not in ("i", "im"):
         raise ValueError(f"calculus must be 'i' or 'im', not {calculus!r}")
+    return require_typed(t, calculus)
 
 
 def develop(t, contract, calculus: str):
@@ -353,14 +375,12 @@ def develop(t, contract, calculus: str):
 
 def complete_development(t: MemTerm | SetTerm, calculus: str = "im"):
     """Simultaneous contraction of every visible redex."""
-    _check_calculus(calculus)
-    return develop(require_plain(t, calculus), lambda core: True, calculus)
+    return develop(_development_input(t, calculus), lambda core: True, calculus)
 
 
 def parallel_reducts(t: MemTerm | SetTerm, calculus: str = "im") -> frozenset:
     """All one-parallel-step reducts: each redex contracted or not."""
-    _check_calculus(calculus)
-    return _par_reducts(require_plain(t, calculus), calculus, {})
+    return _par_reducts(_development_input(t, calculus), calculus, {})
 
 
 def _par_reducts(t, calculus: str, memo: dict) -> frozenset:
@@ -385,8 +405,7 @@ def par_reduces(t, s, calculus: str = "im") -> bool:
 
 def random_parallel_reduct(t, rng: random.Random, calculus: str = "im"):
     """One parallel reduct sampled by a fair coin at every redex."""
-    _check_calculus(calculus)
-    return develop(require_plain(t, calculus), lambda core: rng.random() < 0.5, calculus)
+    return develop(_development_input(t, calculus), lambda core: rng.random() < 0.5, calculus)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@ where SHAPES, by default ABCDEFGHI, are the letters of the shapes to run
 to a temporary file, runs every command that takes such a file through
 `setlam.cli.main` in this process, and prints, per run, the shape, the
 command, the exit code, the seconds and the first line of standard
-error.  Standard output is discarded.  pytest does not collect this
-file; `tests/test_cli.py` imports its shapes.
+error.  Standard output is discarded.  Each exit code is compared with
+the one its shape and size call for (`expected_code`); the script exits
+1 and lists every run that differs on standard error, else 0.  pytest
+does not collect this file; `tests/test_cli.py` imports its shapes.
 
     A  (\\x0:{a}. ... \\x{N-1}:{a}. x0^a) {y^a}        a redex on a binder chain
     B  y^(a -> ... -> a) z^a ... z^a                  a spine of N arguments
@@ -36,6 +38,7 @@ import tempfile
 import time
 
 from setlam.cli import main
+from setlam.oracle import DEFAULT_FUEL
 from setlam.syntax import App, Arrow, Base, Lam, SetTerm, SetType, Var
 
 
@@ -131,6 +134,18 @@ def runs(n: int, directory: str, shapes: str = "ABCDEFGHI"):
             yield name, [argv[0], path, *argv[1:]]
 
 
+def expected_code(name: str, argv: list[str], n: int) -> int:
+    """The exit code of a run at size n: 2 on the ill-typed shape C, 4
+    for `infer-sn` once its inference calls (n + 1 on E, 2 on F's
+    erasure, 2n + 1 on H's) exceed the default fuel, else 0."""
+    if name == "C":
+        return 2
+    calls = {"E": n + 1, "F": 2, "H": 2 * n + 1}
+    if argv[0] == "infer-sn" and calls[name] > DEFAULT_FUEL.max_nodes:
+        return 4
+    return 0
+
+
 def run_command(argv: list[str]) -> tuple[int, float, str]:
     """(exit code, seconds, standard error) of one in-process run."""
     err = io.StringIO()
@@ -148,9 +163,15 @@ def _label(argv: list[str]) -> str:
 if __name__ == "__main__":
     size = int(sys.argv[1])
     chosen = sys.argv[2] if len(sys.argv) > 2 else "ABCDEFGHI"
+    mismatches = []
     with tempfile.TemporaryDirectory() as directory:
         for name, argv in runs(size, directory, chosen):
             code, seconds, err = run_command(argv)
             message = err.splitlines()[0] if err else ""
             print(f"{name} {size} {_label(argv):<32} exit {code}  {seconds:8.3f} s  {message}",
                   flush=True)
+            if code != (expected := expected_code(name, argv, size)):
+                mismatches.append(f"{name} {size} {_label(argv)}: exit {code}, expected {expected}")
+    for line in mismatches:
+        print(f"mismatch: {line}", file=sys.stderr)
+    sys.exit(1 if mismatches else 0)

@@ -385,9 +385,11 @@ def test_criterion_11_on_every_term_up_to_size_9():
     "yes"; each result refines its input and checks at its context and
     type, its longest beta chain is at most W, and both im
     leftmost-outermost `normalize` and the longest im chain take exactly
-    W steps.  That last equality is checked on this scope, not proved
-    (ROADMAP item 3(b)).  About 5 s on a shared 2-vCPU host, most of it
-    in `infer_sn`; the im checks take about 0.5 s of it."""
+    W steps.  `docs/measure.md` argues that last equality from two facts
+    the suite checks but does not prove: im is confluent (criterion 8),
+    and `simp_full` reaches the im normal form by im steps (criterion
+    4).  About 5 s on a shared 2-vCPU host, most of it in `infer_sn`;
+    the im checks take about 0.5 s of it."""
     started = time.monotonic()
     fuel = Fuel(max_nodes=2_000, max_depth=2_000)
     scope = [corpus.all_untyped(size) for size in range(1, 10)]

@@ -351,8 +351,8 @@ CALLS = {"W": W, "simp_full": simp_full, "measure_report": measure_report}
 def test_one_term_object_is_simplified_once(order, monkeypatch):
     t = parse_term(corpus.FIGURE_START)
     passes = []
-    simplify = measure.simp_d
-    monkeypatch.setattr(measure, "simp_d", lambda s, d: passes.append(d) or simplify(s, d))
+    simplify = measure._degree_pass
+    monkeypatch.setattr(measure, "_degree_pass", lambda s, d: passes.append(d) or simplify(s, d))
     results = {name: CALLS[name](t) for name in order}
     assert passes == list(range(max_degree(FIGURE), 0, -1)) and len(passes) > 1
     assert results["W"] == 7 == results["measure_report"].measure

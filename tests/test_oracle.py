@@ -17,7 +17,7 @@ from setlam import (
 
 import corpus
 from deep import shape
-from setlam import reduction, syntax, typecheck
+from setlam import oracle, reduction, syntax, typecheck
 from setlam.reduction import redex_positions, step
 from test_infer_sn_golden import CHURCH_PAIRS
 
@@ -414,6 +414,25 @@ def test_infer_visits_each_node_a_bounded_number_of_times(n, monkeypatch):
         monkeypatch.undo()
         assert erase(result.term) == m and check(result.context, result.term) == result.type_
         assert len(calls) <= limit
+
+
+@pytest.mark.parametrize("text", [
+    "(\\f. f (f y)) (\\x. (\\u. x) w)",
+    "(\\f. \\x. f (f x)) (\\g. (\\u. g) w) y z",
+])
+def test_infer_retypes_a_redex_whose_copies_share_a_type(text, monkeypatch):
+    # Two copies of the argument get the same type, and the one that is
+    # not its type's representative is dropped: the substituted form
+    # changed, so `_expand` re-types it (expected=None).
+    m = parse_untyped(text)
+    expected = []
+    expand = oracle._expand
+    monkeypatch.setattr(oracle, "_expand",
+                        lambda *args: expected.append(args[5]) or expand(*args))
+    result = infer_sn(m)
+    assert None in expected
+    assert refines(result.term, m)
+    assert check(result.context, result.term) == result.type_
 
 
 def test_infer_vacuous_head_redex():

@@ -18,7 +18,8 @@ from setlam import (
     step_im, substitute, synthesize_type, weight,
 )
 from setlam.binding import open_term
-from setlam.measure import simp_d
+from setlam.measure import W, measure_report, simp_d, simp_full
+from setlam.oracle import explore, longest_chain, normal_form
 from setlam import reduction
 from setlam.reduction import (
     normalize, reducts, reduction_sequence, redex_positions, require_plain,
@@ -564,8 +565,41 @@ def test_developments_check_the_binder():
                 lambda: random_parallel_reduct(MISMATCHED, heads, "im"),
                 lambda: parallel_reducts(MISMATCHED, "im"),
                 lambda: simp_d(MISMATCHED, 1)):
-        with pytest.raises(IllTyped, match=r"argument set-type \{b\} != binder \{a\}"):
+        with pytest.raises(NotTypable) as error:
             run()
+        assert str(error.value) == "not typable at []: argument set-type {b} != domain {a}"
+    # A contraction with no entry check names the binder itself.
+    with pytest.raises(IllTyped, match=r"^argument set-type \{b\} != binder \{a\}$"):
+        list(reducts(MISMATCHED, "i", {}))
+
+
+# The argument's element f^a {g^a} applies a non-arrow.  Contracting the
+# redex types that element alone, where the failure is at its root.
+APPLIES_A_BASE = parse_term("(\\u:{a}. u^a) {f^a {g^a}}")
+
+
+@pytest.mark.parametrize("run", [
+    lambda t: synthesize_type(t), lambda t: W(t), lambda t: measure_report(t),
+    lambda t: explore(t, "i"), lambda t: explore(t, "im"),
+    lambda t: normal_form(t, "i"), lambda t: normal_form(t, "im"),
+    lambda t: longest_chain(t, "i"), lambda t: longest_chain(t, "im"),
+    lambda t: normalize(t, "i", 10), lambda t: normalize(t, "im", 10),
+    lambda t: list(reduction_sequence(t, "im", next)),
+    lambda t: step_i(t, ()), lambda t: step_im(t, ()), lambda t: corresponding_step(t, ()),
+    lambda t: complete_development(t, "i"), lambda t: complete_development(t, "im"),
+    lambda t: parallel_reducts(t, "im"), lambda t: parallel_reducts(t, "i"),
+    lambda t: random_parallel_reduct(t, random.Random(0)),
+    lambda t: simp_full(t), lambda t: simp_d(t, 1),
+], ids=["synthesize_type", "W", "measure_report", "explore-i", "explore-im",
+        "normal_form-i", "normal_form-im", "longest_chain-i", "longest_chain-im",
+        "normalize-i", "normalize-im", "reduction_sequence", "step_i", "step_im",
+        "corresponding_step", "complete_development-i", "complete_development-im",
+        "parallel_reducts-im", "parallel_reducts-i", "random_parallel_reduct",
+        "simp_full", "simp_d"])
+def test_an_ill_typed_term_fails_at_its_own_position(run):
+    with pytest.raises(NotTypable) as error:
+        run(APPLIES_A_BASE)
+    assert str(error.value) == "not typable at [1]: applied term has non-arrow type a"
 
 
 def test_erased_position():
