@@ -247,6 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@syntax.paused_collector
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:

@@ -33,7 +33,8 @@ from .errors import (
 )
 from .syntax import (
     App, Arrow, Base, BoundVar, Lam, MemTerm, Position, SetTerm, SetType,
-    Type, UApp, UBoundVar, ULam, UntypedTerm, UVar, Var, pretty, run,
+    Type, UApp, UBoundVar, ULam, UntypedTerm, UVar, Var, paused_collector,
+    pretty, run,
 )
 from .reduction import has_redex, normalize, reducts, require_typed
 from .typecheck import (
@@ -68,6 +69,7 @@ class ReductionGraph(NamedTuple):
         return len(self.nodes)
 
 
+@paused_collector
 def explore(t, calculus: str, fuel: Fuel = DEFAULT_FUEL) -> ReductionGraph:
     """Breadth-first closure of t under single steps, up to fuel.
 
@@ -80,7 +82,12 @@ def explore(t, calculus: str, fuel: Fuel = DEFAULT_FUEL) -> ReductionGraph:
     that maps each stepped node's identity to its reducts: a reduct
     shares its untouched subterms with its source, so a subterm met in
     many nodes is searched, rebuilt and contracted once.  The dict dies
-    with the call.
+    with the call.  It runs with the cyclic collector paused
+    (`syntax.paused_collector`): the graph's terms are acyclic, so
+    reference counting frees them, and each older-generation collection
+    would walk all of them again.  The caller's collector state is
+    restored on return and on raise; `gc.disable` is process-wide, so no
+    thread collects meanwhile.
     """
     index = {t: 0}
     nodes = [t]
@@ -371,6 +378,7 @@ def _unsubstitute(term, pattern: UntypedTerm, depth: int, copies: list):
 # Graph export
 
 
+@paused_collector
 def graph_to_dot(graph: ReductionGraph) -> str:
     lines = ["digraph reduction {", "  rankdir=TB;"]
     for i, node in enumerate(graph.nodes):
@@ -385,6 +393,7 @@ def graph_to_dot(graph: ReductionGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+@paused_collector
 def graph_to_json_dict(graph: ReductionGraph) -> dict:
     return {
         "formatVersion": 1,

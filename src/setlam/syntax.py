@@ -38,10 +38,24 @@ All sets are kept canonical (sorted by key, duplicates removed); the
 smart constructors ``SetType.of`` and ``SetTerm.of`` normalize (a
 single element needs no sort), the plain constructors insist on
 already canonical input unless `of` tells them it has sorted it.
+
+Nodes hold no reference cycle, so the cyclic collector never frees a
+term, yet each of its older-generation passes walks every live one.
+`paused_collector` turns it off for the length of a call: it wraps
+`oracle.explore` (so `longest_chain` and `is_sn` too) and the graph
+exports, which hold thousands of terms at once, and `cli.main`, so
+every command runs paused.  That is safe because no public call leaves
+a cycle (`tests/test_garbage.py` pins it), so reference counting frees
+all a paused call made.  `gc.disable` is process-wide: while a paused
+call runs, no thread collects.  Calls on small terms (parsing,
+printing, typing, `normalize`, `W`, `infer_sn`) are not paused: there
+the wrapper costs more than the collections it would skip.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 import operator
 from typing import Generator, Iterable, Iterator, Union
 
@@ -55,7 +69,7 @@ __all__ = [
     "BETA_REDEX", "I_REDEX", "IM_REDEX", "WRAPPER", "FREE_VAR",
     "parse", "pretty",
     "parse_type", "parse_untyped", "parse_term", "parse_set_type",
-    "run", "children", "rebuild", "subterms", "nodes",
+    "run", "paused_collector", "children", "rebuild", "subterms", "nodes",
     "subterm_at", "replace_at", "positions",
     "free_occurrences", "free_names", "is_wrapper_free", "type_height",
     "apply_wrappers", "peel_wrappers", "term_size",
@@ -505,6 +519,28 @@ def run(walk: Generator):
         else:
             stack.append(call)
             value = None
+
+
+def paused_collector(call):
+    """`call` made to run with the cyclic collector off (the module
+    docstring says where and why).
+
+    On return or raise the wrapper enables the collector again only if
+    it was on at entry, so a call nested in a paused one changes
+    nothing.  `gc.disable` acts on the whole process: while a paused
+    call runs no thread collects, and the wrapper restores only the
+    state it changed.
+    """
+    @functools.wraps(call)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return call(*args, **kwargs)
+        gc.disable()
+        try:
+            return call(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
 
 
 # `children` and `rebuild` run once per node of every walk, so each

@@ -1,5 +1,6 @@
 """Command-line behaviors: outputs, exit codes, determinism."""
 
+import gc
 import json
 import os
 import subprocess
@@ -388,6 +389,24 @@ def test_infer_sn_omega_runs_out_of_fuel_at_the_default(files, capsys):
     path = files("m.lam", "(\\x. x x) (\\x. x x)")
     code, out, err = run(capsys, "infer-sn", path)
     assert (code, out, err) == (4, "", "error: inference fuel exhausted\n")
+
+
+def test_an_internal_error_exits_5_and_leaves_the_collector_on(files, capsys, monkeypatch):
+    from setlam import cli
+
+    def boom(args):
+        raise AssertionError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_check", boom)
+    enabled = gc.isenabled()
+    gc.enable()
+    try:
+        assert run(capsys, "check", files("t.term", "y^a")) == (
+            5, "", "internal error: AssertionError: boom\n")
+        assert gc.isenabled()
+    finally:
+        if not enabled:
+            gc.disable()
 
 
 def test_graph_formats(files, capsys):
