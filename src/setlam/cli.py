@@ -87,19 +87,20 @@ def _cmd_decorate(args) -> int:
 def _cmd_reduce(args) -> int:
     import random
     from . import reduction
+    from .naming import pretty_all
     term = syntax.parse_term(_read(args.file))
     typecheck.synthesize_type(term)
     rng = random.Random(args.seed)
     choose = next if args.strategy == "leftmost" else lambda sites: rng.choice(list(sites))
-    sequence = reduction.reduction_sequence(term, args.calculus, choose)
-    steps = [
-        {"kind": args.calculus, "position": list(position), "result": syntax.pretty(current)}
-        for position, current in islice(sequence, args.steps)
-    ]
+    steps = list(islice(reduction.reduction_sequence(term, args.calculus, choose), args.steps))
+    source, *results = pretty_all([term, *(current for _, current in steps)])
     _emit_json({
         "formatVersion": 1,
-        "source": syntax.pretty(term),
-        "steps": steps,
+        "source": source,
+        "steps": [
+            {"kind": args.calculus, "position": list(position), "result": result}
+            for (position, _), result in zip(steps, results)
+        ],
     })
     return 0
 
@@ -123,6 +124,7 @@ def _cmd_measure(args) -> int:
 
 def _cmd_simulate(args) -> int:
     from . import reduction
+    from .naming import pretty_all
     term = syntax.parse_term(_read(args.term_file))
     untyped = syntax.parse_untyped(_read(args.lam_file))
     typecheck.synthesize_type(term)
@@ -131,14 +133,15 @@ def _cmd_simulate(args) -> int:
         raise IllTyped(f"the term erases to {syntax.pretty(erasure)}, not to the untyped term")
     position = _parse_pos(args.pos)
     reduct, final, steps = reduction.simulate_beta(term, untyped, position)
+    source, lam, beta, *results = pretty_all([term, untyped, reduct, *(s.target for s in steps)])
     _emit_json({
         "formatVersion": 1,
-        "source": syntax.pretty(term),
-        "untyped": syntax.pretty(untyped),
-        "beta": {"position": list(position), "result": syntax.pretty(reduct)},
+        "source": source,
+        "untyped": lam,
+        "beta": {"position": list(position), "result": beta},
         "steps": [
-            {"kind": "i", "position": list(s.position), "result": syntax.pretty(s.target)}
-            for s in steps
+            {"kind": "i", "position": list(s.position), "result": result}
+            for s, result in zip(steps, results)
         ],
     })
     return 0
@@ -184,72 +187,57 @@ def _cmd_graph(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_FILE = ("file", {})
+_FUEL = ("--fuel", {"type": _count, "default": 10_000})
+
+# Each command's help line and its arguments, as (name or flag,
+# `add_argument` keywords) pairs; command c runs `_cmd_c` ("-" read as "_").
+_COMMANDS = {
+    "check": ("synthesize a term's type and minimal context", [_FILE]),
+    "erase": ("erase a uniform term to its untyped form", [_FILE]),
+    "decorate": ("decorate a derivation JSON file into a term", [_FILE]),
+    "reduce": ("step a term and emit a JSON trace", [
+        _FILE, ("--calculus", {"choices": ["i", "im"], "default": "i"}),
+        ("--strategy", {"choices": ["leftmost", "random"], "default": "leftmost"}),
+        ("--steps", {"type": _count, "default": 1}), ("--seed", {"type": int, "default": 0})]),
+    "normalize": ("reduce to normal form", [
+        _FILE, ("--calculus", {"choices": ["i", "im"], "default": "im"}), _FUEL]),
+    "measure": ("full-simplification report and W", [_FILE]),
+    "simulate": ("replay a beta step inside a refining term", [
+        ("term_file", {}), ("lam_file", {}),
+        ("--pos", {"required": True, "help": "comma-separated child indices"})]),
+    "chains": ("longest chain versus the W bound", [_FILE, _FUEL]),
+    "infer-sn": ("type a strongly normalizing untyped term", [_FILE, _FUEL]),
+    "graph": ("export the reduction graph", [
+        _FILE, ("--calculus", {"choices": ["beta", "i", "im"], "default": "i"}), _FUEL,
+        ("--format", {"choices": ["dot", "json"], "default": "json"})]),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of the named command alone, which
+    is all a run of it reads; the usage still lists every command."""
     parser = argparse.ArgumentParser(
         prog="setlam",
         description="Set-annotated lambda calculi: typing, reduction, measures.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="synthesize a term's type and minimal context")
-    p.add_argument("file")
-    p.set_defaults(run=_cmd_check)
-
-    p = sub.add_parser("erase", help="erase a uniform term to its untyped form")
-    p.add_argument("file")
-    p.set_defaults(run=_cmd_erase)
-
-    p = sub.add_parser("decorate", help="decorate a derivation JSON file into a term")
-    p.add_argument("file")
-    p.set_defaults(run=_cmd_decorate)
-
-    p = sub.add_parser("reduce", help="step a term and emit a JSON trace")
-    p.add_argument("file")
-    p.add_argument("--calculus", choices=["i", "im"], default="i")
-    p.add_argument("--strategy", choices=["leftmost", "random"], default="leftmost")
-    p.add_argument("--steps", type=_count, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(run=_cmd_reduce)
-
-    p = sub.add_parser("normalize", help="reduce to normal form")
-    p.add_argument("file")
-    p.add_argument("--calculus", choices=["i", "im"], default="im")
-    p.add_argument("--fuel", type=_count, default=10_000)
-    p.set_defaults(run=_cmd_normalize)
-
-    p = sub.add_parser("measure", help="full-simplification report and W")
-    p.add_argument("file")
-    p.set_defaults(run=_cmd_measure)
-
-    p = sub.add_parser("simulate", help="replay a beta step inside a refining term")
-    p.add_argument("term_file")
-    p.add_argument("lam_file")
-    p.add_argument("--pos", required=True, help="comma-separated child indices")
-    p.set_defaults(run=_cmd_simulate)
-
-    p = sub.add_parser("chains", help="longest chain versus the W bound")
-    p.add_argument("file")
-    p.add_argument("--fuel", type=_count, default=10_000)
-    p.set_defaults(run=_cmd_chains)
-
-    p = sub.add_parser("infer-sn", help="type a strongly normalizing untyped term")
-    p.add_argument("file")
-    p.add_argument("--fuel", type=_count, default=10_000)
-    p.set_defaults(run=_cmd_infer_sn)
-
-    p = sub.add_parser("graph", help="export the reduction graph")
-    p.add_argument("file")
-    p.add_argument("--calculus", choices=["beta", "i", "im"], default="i")
-    p.add_argument("--fuel", type=_count, default=10_000)
-    p.add_argument("--format", choices=["dot", "json"], default="json")
-    p.set_defaults(run=_cmd_graph)
-
+    # argparse names the command argument after an explicit metavar in its
+    # errors, so it gets one only where no error can name it.
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_, arguments) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_)
+            for flag, options in arguments:
+                p.add_argument(flag, **options)
+            p.set_defaults(run=globals()["_cmd_" + name.replace("-", "_")])
     return parser
 
 
 @syntax.paused_collector
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         return args.run(args)
     except (ParseError, InvalidPosition, OSError, UnicodeDecodeError) as error:

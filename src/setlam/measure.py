@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import IllTyped
-from .syntax import WRAPPER, MemTerm, SetTerm, Wrap, is_wrapper_free, nodes, pretty
+from .syntax import WRAPPER, MemTerm, SetTerm, Wrap, is_wrapper_free, nodes
 from .reduction import develop, redex_degree, redexes
 from .typecheck import subterm_type, synthesize_type
 
@@ -120,15 +120,18 @@ class MeasureReport(NamedTuple):
     measure: int
 
     def to_json_dict(self) -> dict:
+        from .naming import pretty_all  # `chains` loads this module and prints no term
+        term, *stages, normal_form = pretty_all(
+            [self.term, *(s for _, s, _ in self.stages), self.normal_form])
         return {
             "formatVersion": 1,
-            "term": pretty(self.term),
+            "term": term,
             "maxDegree": self.max_degree,
             "stages": [
-                {"afterDegree": d, "term": pretty(s), "maxDegree": m}
-                for d, s, m in self.stages
+                {"afterDegree": d, "term": text, "maxDegree": m}
+                for (d, _, m), text in zip(self.stages, stages)
             ],
-            "normalForm": pretty(self.normal_form),
+            "normalForm": normal_form,
             "W": self.measure,
         }
 

@@ -1,6 +1,8 @@
 """Binder names, the printer's and those `derivation.erase_derivation`
 gives the variables it binds: O(log n) per binder at any depth, so a
-term prints in O(n log n) however deeply its binder chains nest.
+term prints in O(n log n) however deeply its binder chains nest.  And
+`pretty_all`, which prints terms together, each shared subterm once per
+naming state.
 """
 
 from __future__ import annotations
@@ -8,6 +10,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 
+from . import syntax
 from .syntax import FREE_VAR, Lam, ULam, UVar, Var, children
 
 _IDENT = re.compile(r"[a-z][A-Za-z0-9_']*\Z")
@@ -29,16 +32,24 @@ class Names:
     pre-pass over the root made the first time a chain over a free
     variable opens.  So a binder costs O(log n), plus a test per free
     suffixed name its search passes, at any depth.
+
+    Given `states`, a dict shared by the walks of one printing call,
+    `state` numbers the naming state: `open` interns (the state it
+    opened in, the chain's names, the suffixes it changed), and `close`
+    returns to the state it opened in.  Equal numbers mean equal scopes
+    and suffixes, so a subterm prints alike under them.
     """
 
     spans: dict | None = None  # per chain with a free variable, by id, its span
 
-    def __init__(self, root):
+    def __init__(self, root, states: dict | None = None):
         self.root = root
         self.env: list[str] = []
         self.scope: set[str] = set()
         self.suffix: dict[str, int] = {}
-        self.opened: list = []  # per open chain, (its length, the suffixes it changed)
+        self.opened: list = []  # per open chain: length, suffixes changed, state opened in
+        self.states = states
+        self.state = 0
 
     def open(self, t):
         """Name the chain of abstractions at the top of t; returns
@@ -59,11 +70,15 @@ class Names:
             scope.add(name)
             chain.append((t, name))
             t = t.body
-        self.opened.append((len(chain), changed))
+        self.opened.append((len(chain), changed, self.state))
+        if self.states is not None:
+            key = (self.state, tuple(env[-len(chain):]),
+                   tuple((base, self.suffix[base]) for base in changed))
+            self.state = self.states.setdefault(key, len(self.states) + 1)
         return chain, t
 
     def close(self) -> None:
-        count, changed = self.opened.pop()
+        count, changed, self.state = self.opened.pop()
         self.scope.difference_update(self.env[-count:])
         del self.env[-count:]
         if changed:
@@ -119,3 +134,43 @@ class Names:
                 else:
                     stack.extend(reversed(children(t)))
         self.spans = spans
+
+
+def pretty_all(xs) -> list[str]:
+    """[pretty(x) for x in xs], the terms among xs not yet printed printed
+    with one memo, which keeps the text of each subterm they share.
+
+    A pre-pass over the DAG of those terms (`_shared`) finds the inner
+    nodes reached more than once.  The printer keeps the text of each
+    such node under (its id, its precedence, the naming state), and
+    reads it where the node recurs: a subterm's text depends on nothing
+    else.  No other node is kept, so a spine does not store its
+    prefixes, and the memo dies with the call.  Each term's text is
+    stored on it, as by `pretty`.  The nodes of a reduction graph share
+    most of their subterms, so its exports cost what is distinct in it.
+    """
+    xs = list(xs)
+    todo = {id(x): x for x in xs
+            if syntax._PRINTERS.get(type(x)) is syntax._pretty_stored and x.text is None}
+    memo = (_shared(todo.values()), {}, {})
+    for t in todo.values():
+        vars(t)["text"] = syntax._pretty_term(t, memo)
+    return [syntax.pretty(x) for x in xs]
+
+
+def _shared(roots) -> set[int]:
+    """The ids of the inner nodes, roots included, that the roots and
+    their parents reach more than once; each node is walked once."""
+    seen, shared = set(), set()
+    stack = list(roots)
+    while stack:
+        t = stack.pop()
+        i = id(t)
+        if i in seen:
+            shared.add(i)
+            continue
+        kids = children(t)
+        if kids:
+            seen.add(i)
+            stack += kids
+    return shared

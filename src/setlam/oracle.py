@@ -380,9 +380,10 @@ def _unsubstitute(term, pattern: UntypedTerm, depth: int, copies: list):
 
 @paused_collector
 def graph_to_dot(graph: ReductionGraph) -> str:
+    from .naming import pretty_all  # only the exports print, `chains` does not
     lines = ["digraph reduction {", "  rankdir=TB;"]
-    for i, node in enumerate(graph.nodes):
-        label = pretty(node).replace("\\", "\\\\").replace('"', '\\"')
+    for i, text in enumerate(pretty_all(graph.nodes)):
+        label = text.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  n{i} [label="{label}"];')
     for i, pos, j in graph.edges:
         label = ",".join(map(str, pos))
@@ -395,13 +396,14 @@ def graph_to_dot(graph: ReductionGraph) -> str:
 
 @paused_collector
 def graph_to_json_dict(graph: ReductionGraph) -> dict:
+    from .naming import pretty_all
     return {
         "formatVersion": 1,
         "calculus": graph.calculus,
         "root": graph.root,
         "truncated": graph.truncated,
         "nodeCount": graph.node_count,
-        "nodes": [pretty(n) for n in graph.nodes],
+        "nodes": pretty_all(graph.nodes),
         "edges": [
             {"from": i, "position": list(pos), "to": j}
             for i, pos, j in graph.edges

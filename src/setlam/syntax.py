@@ -23,7 +23,8 @@ first time either is asked for, the printer a type's or a term's text
 the first time it prints it, and `measure` a term's full simplification
 (`simplifications`) the first time it simplifies it.  None of these is
 part of the key, so they change neither identity, nor order, nor
-printing.
+printing.  Terms printed together (`naming.pretty_all`) also keep, for
+that call only, each shared subterm's text per naming state.
 
 Every walk works at any depth: `subterms`, `nodes`, the printer, the
 repr, `type_height`, `_compare` (the one walk that compares and orders
@@ -729,7 +730,11 @@ def pretty(x) -> str:
     """Canonical text form; parse(pretty(x)) is alpha-equal to x.  A
     term's text is stored on it, not on its subterms (storing every
     suffix of a spine would cost the square of its length), so a term is
-    printed once however often it is asked for."""
+    printed once however often it is asked for.  Terms printed together
+    (`naming.pretty_all`) share a memo that holds, until the call returns,
+    the text of each subterm object they reach twice, by (identity,
+    precedence, naming state).  A lone term takes none: finding its
+    shared subterms would cost a walk of its own, and it seldom has any."""
     try:
         printer = _PRINTERS[type(x)]
     except KeyError:
@@ -792,7 +797,7 @@ def _pretty_annot(a: Type) -> str:
 _Names = None
 
 
-def _pretty_term(t) -> str:
+def _pretty_term(t, memo: tuple | None = None) -> str:
     """The text of an annotated or untyped term.
 
     An explicit stack holds what is left to print, last piece on top: a
@@ -801,16 +806,20 @@ def _pretty_term(t) -> str:
     precedence 1 (the function of an application or the head of a
     wrapper) an abstraction is parenthesized, at 2 (an untyped argument)
     an application too.  Binder names depend on the context, so a
-    subterm is printed afresh at each occurrence, and `pretty` stores
-    only the text of the term it is called on.  A type's text does not,
+    subterm is printed afresh at each occurrence, unless `pretty_all`
+    passes a memo (the ids of the shared nodes, their texts, the naming
+    states): a shared node's text is read by (id, precedence, state), or
+    printed, then joined and kept at the (start in out, key) pair pushed
+    below it.  A type's text does not depend on the context,
     and each annotation and binder set-type is read from the text stored
     on its node (`_pretty_type`), computed the first time it is printed.
     """
     global _Names
     if _Names is None:
         from .naming import Names as _Names
+    shared, texts, states = memo or (None, None, None)
     out: list[str] = []
-    names = _Names(t)
+    names = _Names(t, states)
     env = names.env  # names of the binders in scope, innermost last
     stack: list = [(t, 0)]
     while stack:
@@ -822,6 +831,12 @@ def _pretty_term(t) -> str:
             names.close()
             continue
         t, prec = item
+        if shared is not None and (i := id(t)) in shared:
+            key = (i, prec, names.state)
+            if key in texts:
+                out.append(texts[key])
+                continue
+            stack.append((len(out), key))
         kind = type(t)
         if kind is Var:
             out.append(f"{t.name}^{_pretty_annot(t.annot)}")
@@ -853,6 +868,9 @@ def _pretty_term(t) -> str:
                 out.append("(")
                 stack.append(")")
             stack += [(t.arg, 2), " ", (t.fun, 1)]
+        elif kind is int:  # a shared node printed from out[t] on, kept under the key prec
+            texts[prec] = text = "".join(out[t:])
+            out[t:] = [text]
         else:
             raise TypeError(f"not a term: {t!r}")
     return "".join(out)

@@ -198,6 +198,64 @@ def test_negative_counts_are_usage_errors(files, capsys, command, flag):
     assert "usage:" in capsys.readouterr().err
 
 
+_USAGE = (
+    "usage: setlam [-h]\n"
+    "              {check,erase,decorate,reduce,normalize,measure,simulate,chains,infer-sn,graph}\n"
+    "              ...\n")
+
+
+# argparse's own texts, at 80 columns, for a run with no command, an
+# unknown one, a bad command line of a known one, and the help pages.
+@pytest.mark.parametrize("argv, code, out, err", [
+    ([], 2, "", _USAGE + "setlam: error: the following arguments are required: command\n"),
+    (["--help"], 0, _USAGE + (
+        "\n"
+        "Set-annotated lambda calculi: typing, reduction, measures.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {check,erase,decorate,reduce,normalize,measure,simulate,chains,infer-sn,graph}\n"
+        "    check               synthesize a term's type and minimal context\n"
+        "    erase               erase a uniform term to its untyped form\n"
+        "    decorate            decorate a derivation JSON file into a term\n"
+        "    reduce              step a term and emit a JSON trace\n"
+        "    normalize           reduce to normal form\n"
+        "    measure             full-simplification report and W\n"
+        "    simulate            replay a beta step inside a refining term\n"
+        "    chains              longest chain versus the W bound\n"
+        "    infer-sn            type a strongly normalizing untyped term\n"
+        "    graph               export the reduction graph\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"), ""),
+    (["bogus"], 2, "", _USAGE + (
+        "setlam: error: argument command: invalid choice: 'bogus' (choose from 'check', "
+        "'erase', 'decorate', 'reduce', 'normalize', 'measure', 'simulate', 'chains', "
+        "'infer-sn', 'graph')\n")),
+    (["check"], 2, "", "usage: setlam check [-h] file\n"
+                       "setlam check: error: the following arguments are required: file\n"),
+    (["check", "f", "--bogus"], 2, "", _USAGE + "setlam: error: unrecognized arguments: --bogus\n"),
+    (["graph", "--help"], 0, (
+        "usage: setlam graph [-h] [--calculus {beta,i,im}] [--fuel FUEL]\n"
+        "                    [--format {dot,json}]\n"
+        "                    file\n"
+        "\n"
+        "positional arguments:\n"
+        "  file\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --calculus {beta,i,im}\n"
+        "  --fuel FUEL\n"
+        "  --format {dot,json}\n"), ""),
+], ids=lambda v: " ".join(v) or "none" if isinstance(v, list) else None)
+def test_usage_texts(argv, code, out, err, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == code
+    assert capsys.readouterr() == (out, err)
+
+
 def test_zero_counts_are_accepted(files, capsys):
     path = files("t.term", "(\\x:{a}.x^a) {y^a}")
     code, out, _ = run(capsys, "reduce", path, "--steps=0")

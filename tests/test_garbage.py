@@ -92,7 +92,7 @@ def test_a_graph_command_leaves_only_its_argument_parser_for_the_collector(tmp_p
     path.write_text(corpus.FIGURE_START, encoding="utf-8")
     argv = ["graph", str(path), "--calculus=im", "--format=dot"]
     assert cli.main(argv) == 0  # loads the modules the command runs
-    parser = _garbage(lambda: cli._build_parser().parse_args(argv))
+    parser = _garbage(lambda: cli._build_parser("graph").parse_args(argv))
     assert parser > 0
     assert _garbage(lambda: cli.main(argv)) == parser
     assert capsys.readouterr().out.count("digraph") == 2

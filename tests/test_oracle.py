@@ -3,6 +3,8 @@
 import cProfile
 import gc
 import pstats
+import random
+import re
 from collections import deque
 
 import pytest
@@ -18,6 +20,7 @@ from setlam import (
 import corpus
 from deep import shape
 from setlam import oracle, reduction, syntax, typecheck
+from setlam.naming import pretty_all
 from setlam.reduction import redex_positions, step
 from test_infer_sn_golden import CHURCH_PAIRS
 
@@ -199,7 +202,8 @@ def test_graph_exports_print_each_node_once(monkeypatch):
     g = explore(infer_sn(church_2_2()).term, "i", Fuel(20_000, 20_000))
     calls = []
     printer = syntax._pretty_term
-    monkeypatch.setattr(syntax, "_pretty_term", lambda t: calls.append(t) or printer(t))
+    monkeypatch.setattr(syntax, "_pretty_term",
+                        lambda t, memo=None: calls.append(t) or printer(t, memo))
     data = graph_to_json_dict(g)
     graph_to_dot(g)
     assert len(calls) == g.node_count > 1
@@ -211,6 +215,77 @@ def test_graph_exports_print_each_node_once(monkeypatch):
     for _ in range(2):
         assert (pretty(u), pretty(v)) == ("\\u:{a}. u^a", "\\v:{a}. v^a")
     assert len(calls) == 2
+
+
+def _printed_alone(nodes):
+    """Each node's text printed on its own, without a memo."""
+    return [syntax._pretty_term(n) for n in nodes]
+
+
+def _colliding_untyped(rng, size, depth=0):
+    """A random untyped term whose binder hints and free names are drawn
+    from names the printer's suffixes make of each other."""
+    names = ("x", "x0", "f", "f0")
+    if size <= 1:
+        if depth and rng.random() < 0.5:
+            return UBoundVar(rng.randrange(depth))
+        return UVar(rng.choice(names))
+    if rng.random() < 0.5:
+        left = rng.randint(1, size - 1)
+        return UApp(_colliding_untyped(rng, left, depth),
+                    _colliding_untyped(rng, size - left, depth))
+    return ULam(rng.choice(names), _colliding_untyped(rng, size - 1, depth + 1))
+
+
+def test_printing_together_prints_each_node_as_alone(corpus):
+    # The nodes of one term's graphs share subterms across graphs too, so
+    # each term's beta, i and im nodes are printed in one call.
+    church = church_2_2()
+    typed = infer_sn(church).term
+    groups = [[(church, "beta"), (typed, "i"), (typed, "im")]]
+    for entry in corpus:
+        group = [(entry.term, "i"), (entry.term, "im")]
+        if entry.untyped is not None:
+            group.append((entry.untyped, "beta"))
+        groups.append(group)
+    rng = random.Random(30)
+    for _ in range(300):
+        groups.append([(_colliding_untyped(rng, rng.randint(3, 12)), "beta")])
+    suffixed = printed = 0
+    for group in groups:
+        nodes = [n for t, calculus in group
+                 for n in explore(t, calculus, Fuel(2_000, 2_000)).nodes]
+        alone = _printed_alone(nodes)
+        assert pretty_all(nodes) == alone
+        printed += len(alone)
+        suffixed += any(re.search(r"\\(x1|x00|x01|f1|f00|f01)\b", text) for text in alone)
+    assert printed > 3_000 and suffixed > 30
+
+
+def test_printing_together_visits_less_than_the_trees_hold(monkeypatch):
+    # Each variable occurrence the printer expands prints its annotation
+    # through `_pretty_annot` once; a memo hit expands none.
+    g = explore(infer_sn(church_2_2()).term, "i", Fuel(20_000, 20_000))
+    occurrences = sum(isinstance(n, (syntax.Var, syntax.BoundVar))
+                      for node in g.nodes for n in syntax.nodes(node))
+    annotated = syntax._pretty_annot
+    calls = []
+    monkeypatch.setattr(syntax, "_pretty_annot", lambda a: calls.append(a) or annotated(a))
+    alone = _printed_alone(g.nodes)
+    assert len(calls) >= occurrences
+    calls.clear()
+    assert pretty_all(g.nodes) == alone
+    assert 0 < len(calls) < occurrences
+
+
+def test_a_shared_spine_graph_prints_as_its_nodes_alone():
+    # 12 redexes side by side: 4,096 nodes, each spine prefix shared by
+    # the nodes that agree on it.
+    g = explore(parse_untyped("y" + " ((\\x. x) z)" * 12), "beta", Fuel(5_000, 5_000))
+    assert g.node_count == 4_096
+    alone = _printed_alone(g.nodes)
+    assert graph_to_json_dict(g)["nodes"] == alone
+    assert [n.text for n in g.nodes] == alone
 
 
 # --- normal_form ------------------------------------------------------------
