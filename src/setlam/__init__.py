@@ -19,8 +19,8 @@ _EXPORTS = {
     "errors": (
         "CycleDetected", "FuelExhausted", "IllTyped", "InvalidDerivation",
         "InvalidPosition", "MissingSubstituent", "NotARedex", "NotSNWithinFuel",
-        "NotTypable", "NotUniform", "ParseError", "SearchBudgetExceeded",
-        "SetLamError", "UnboundOrWrongAnnotation",
+        "NotTypable", "NotUniform", "ParseError", "SetLamError",
+        "UnboundOrWrongAnnotation",
     ),
     "syntax": (
         "App", "Arrow", "Base", "BoundVar", "Lam", "MemTerm", "Position", "SetTerm",

@@ -21,8 +21,7 @@ from itertools import islice
 from . import syntax, typecheck
 from .errors import (
     CycleDetected, FuelExhausted, IllTyped, InvalidDerivation,
-    InvalidPosition, NotARedex, NotSNWithinFuel, NotUniform, ParseError,
-    SearchBudgetExceeded, SetLamError,
+    InvalidPosition, NotARedex, NotSNWithinFuel, NotUniform, ParseError, SetLamError,
 )
 
 def _read(path: str) -> str:
@@ -249,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
     except NotUniform as error:
         print(f"error: {error}", file=sys.stderr)
         return 3
-    except (FuelExhausted, NotSNWithinFuel, SearchBudgetExceeded, CycleDetected) as error:
+    except (FuelExhausted, NotSNWithinFuel, CycleDetected) as error:
         print(f"error: {error}", file=sys.stderr)
         return 4
     except RecursionError:

@@ -76,10 +76,6 @@ class NotARedex(SetLamError):
     """The position does not hold a contractible redex."""
 
 
-class SearchBudgetExceeded(SetLamError):
-    """Bounded reduction search gave up before finding a witness."""
-
-
 class FuelExhausted(SetLamError):
     """Exploration or normalization ran out of fuel."""
 

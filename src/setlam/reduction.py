@@ -23,24 +23,23 @@ from its children's, in a table one search shares.  A development is a
 structural recursion run on `syntax.run`, so it works at any depth.
 A beta step is simulated by contracting, one by one, the copies of its
 redex in a refining annotated term; a single annotated step is
-projected back to a beta step plus a bounded search for the completion.
+projected back to a beta step, and the same loop, run from its target,
+contracts the copies it left.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from itertools import islice, product
 from typing import NamedTuple
 
 from .binding import open_term, uopen
-from .errors import FuelExhausted, IllTyped, NotARedex, SearchBudgetExceeded
+from .errors import FuelExhausted, IllTyped, NotARedex
 from .syntax import (
     BETA_REDEX, I_REDEX, IM_REDEX, WRAPPER, App, Lam, MemTerm, Position, SetTerm,
     SetType, Type, UApp, ULam, UntypedTerm, Wrap, WrapperList, _subterm_paths,
     apply_wrappers, children, is_wrapper_free, peel_wrappers, pretty,
-    rebuild, replace_at, run, subterm_at, subterms, term_size,
-    type_height,
+    rebuild, replace_at, run, subterm_at, subterms, type_height,
 )
 from .typecheck import check, refines, subterm_type
 from . import binding, typecheck
@@ -424,6 +423,26 @@ def beta_step(m: UntypedTerm, pos: Position) -> UntypedTerm:
 # Simulation between beta and plain annotated reduction
 
 
+def _replay_copies(current: MemTerm, pos: Position, n: UntypedTerm
+                   ) -> tuple[MemTerm, list[Step]]:
+    """Contract, in canonical order, each copy in the wrapper-free
+    `current` of the beta redex at pos (a redex whose position erases to
+    pos) not yet contracted, until `current` refines n, the beta reduct;
+    returns (final term, steps).  `project_step` says why this is the
+    shortest completion."""
+    target = subterm_at(n, pos)
+    steps: list[Step] = []
+    while not refines(current, n):
+        site = next(((q, redex) for q, node, redex in _redex_sites(current, "i")
+                     if erased_position(current, q) == pos and not refines(node, target)), None)
+        assert site is not None, "mixed state without a remaining redex copy"
+        q, (core, wrappers, arg) = site
+        nxt = replace_at(current, q, _contract(core, core.body, wrappers, arg, "i"))
+        steps.append(Step("i", q, current, nxt))
+        current = nxt
+    return current, steps
+
+
 def simulate_beta(t: MemTerm, m: UntypedTerm, pos: Position
                   ) -> tuple[UntypedTerm, MemTerm, list[Step]]:
     """Replay the beta step of m at pos inside the refining term t.
@@ -437,21 +456,9 @@ def simulate_beta(t: MemTerm, m: UntypedTerm, pos: Position
         raise ValueError("t is not a term that refines m")
     typecheck.synthesize_type(t)
     n = beta_step(m, pos)
-    target = subterm_at(n, pos)
-    current: MemTerm = t  # wrapper-free (it refines m) and typed: every copy contracts
-    steps: list[Step] = []
-    while not refines(current, n):
-        # Contract the first copy of the redex (in canonical order) not yet
-        # contracted: a copy is a redex whose position erases to pos.
-        site = next(((q, redex) for q, node, redex in _redex_sites(current, "i")
-                     if erased_position(current, q) == pos and not refines(node, target)), None)
-        assert site is not None, "mixed state without a remaining redex copy"
-        q, (core, wrappers, arg) = site
-        nxt = replace_at(current, q, _contract(core, core.body, wrappers, arg, "i"))
-        steps.append(Step("i", q, current, nxt))
-        current = nxt
+    final, steps = _replay_copies(t, pos, n)  # t is wrapper-free (it refines m) and typed
     assert steps, "a beta step must have at least one copy to contract"
-    return n, current, steps
+    return n, final, steps
 
 
 def erased_position(t: MemTerm, pos: Position) -> Position:
@@ -466,42 +473,31 @@ def erased_position(t: MemTerm, pos: Position) -> Position:
     return tuple(min(i, 1) for i in pos)
 
 
-def project_step(t: MemTerm, s: MemTerm, pos: Position, budget: int | None = None
+def project_step(t: MemTerm, s: MemTerm, pos: Position
                  ) -> tuple[UntypedTerm, MemTerm, list[Step]]:
     """Project the step t -> s at pos to a beta step on the erasure.
 
     Returns (beta reduct N of erase(t), a term s' with s ->* s' and
-    refines(s', N), and the completing steps from s).  The completion is
-    found by breadth-first search over plain reduction, smallest witness
-    first; `budget` caps the number of explored terms.  The search steps
-    each term by `reducts`, with one dict for the whole search that maps
-    each stepped node's identity to its reducts, so a subterm shared by
-    several terms is searched, rebuilt and contracted once.
+    refines(s', N), and the completing steps from s).  Refuses at entry
+    a set-term t (ValueError, as `simulate_beta` does).
+
+    The completion contracts, in canonical order, each copy of the
+    redex left in s (`_replay_copies`), and it is a shortest one:
+    - a copy is an i-redex whose position erases to the beta redex's
+      position; erased positions keep their length, so no copy lies
+      inside another, and contracting one leaves the others in place;
+    - any other i-step contracts a redex the beta step does not, and
+      changes the erasure for good: no later step brings it back to N;
+    - so a shortest completion contracts exactly the copies left in s,
+      one step each.  A copy already contracted is told apart by
+      refining N's subterm at the position, not by being no redex, as
+      a contractum can itself be a redex at the same position.
     """
+    if isinstance(t, SetTerm):
+        raise ValueError("t is not a term")
     m = typecheck.erase(t)
     if step_i(t, pos) != s:
         raise ValueError("s is not the step of t at pos")
     bpos = erased_position(t, pos)
     n = beta_step(m, bpos)
-
-    if budget is None:
-        copies = sum(1 for q in redex_positions(s, "i") if erased_position(s, q) == bpos)
-        budget = (1 + copies) * term_size(s) + term_size(s)
-
-    explored = 0
-    seen = {s}
-    memo: dict = {}
-    queue: deque[tuple[MemTerm, tuple[Step, ...]]] = deque([(s, ())])
-    while queue:
-        current, steps = queue.popleft()
-        explored += 1
-        if refines(current, n):
-            return n, current, list(steps)
-        if explored >= budget:
-            break
-        for q, nxt in reducts(current, "i", memo):
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append((nxt, steps + (Step("i", q, current, nxt),)))
-    raise SearchBudgetExceeded(
-        f"no completion within {budget} explored terms")
+    return (n, *_replay_copies(s, bpos, n))

@@ -8,13 +8,14 @@ import pytest
 import setlam
 
 MODULES = ["syntax", "binding", "typecheck", "derivation", "reduction", "measure", "oracle",
-           "cli"]
+           "cli", "errors"]
 
 # Aliases, duplicated walks and second definitions of identity folded
 # into one canonical name each, unused constants, the pieces of walkers
 # now written as one recursion on the trampoline, the second typing walk,
 # the second normalization strategy, the binder naming that moved to
-# `naming` and the parser's walkers, replaced by one loop per grammar.
+# `naming`, the parser's walkers, replaced by one loop per grammar, and
+# the error of `project_step`'s search, replaced by replaying the copies.
 REMOVED = {
     "syntax": ["alpha_eq", "canonicalize", "untyped_key", "ufree_names",
                "untyped_size", "_children", "type_key", "settype_key",
@@ -37,6 +38,7 @@ REMOVED = {
     "oracle": ["_has_cycle", "_label", "_FreshNames", "_FuelMeter", "_rename_binder",
                "_infer", "_infer_head_variable", "_infer_abstraction", "_infer_head_redex"],
     "cli": ["_TRACE_KINDS", "_steps_of", "_apply"],
+    "errors": ["SearchBudgetExceeded"],
 }
 
 
@@ -63,13 +65,18 @@ def test_binding_functions_take_no_depth():
         assert not {"depth", "cutoff"} & set(inspect.signature(f).parameters)
 
 
+def test_project_step_takes_no_budget():
+    from setlam import reduction
+    assert list(inspect.signature(reduction.project_step).parameters) == ["t", "s", "pos"]
+
+
 # The names the package exported when it imported every module eagerly,
 # by the module that defines them: each still resolves, to that object.
 PUBLIC = {
     "errors": ["CycleDetected", "FuelExhausted", "IllTyped", "InvalidDerivation",
                "InvalidPosition", "MissingSubstituent", "NotARedex", "NotSNWithinFuel",
-               "NotTypable", "NotUniform", "ParseError", "SearchBudgetExceeded",
-               "SetLamError", "UnboundOrWrongAnnotation"],
+               "NotTypable", "NotUniform", "ParseError", "SetLamError",
+               "UnboundOrWrongAnnotation"],
     "syntax": ["App", "Arrow", "Base", "BoundVar", "Lam", "MemTerm", "Position", "SetTerm",
                "SetType", "Type", "UApp", "UBoundVar", "ULam", "UntypedTerm", "UVar", "Var",
                "Wrap", "WrapperList", "is_wrapper_free", "parse", "parse_set_type",
@@ -98,7 +105,7 @@ MOVED = ["CurryDerivation", "check_curry", "decorate", "erase_derivation",
 
 def test_public_names_resolve_to_their_defining_objects():
     names = [name for names in PUBLIC.values() for name in names]
-    assert len(names) + len(PUBLIC_MODULES) == 102
+    assert len(names) + len(PUBLIC_MODULES) == 101
     for module, names in PUBLIC.items():
         defining = importlib.import_module(f"setlam.{module}")
         for name in names:

@@ -13,10 +13,10 @@ import pytest
 
 from setlam import (
     Fuel, FuelExhausted, InvalidDerivation, NotSNWithinFuel, ParseError, W, check_curry,
-    complete_development, decorate, derivation_from_json, derivation_to_json,
+    complete_development, decorate, derivation_from_json, derivation_to_json, erase,
     erase_derivation, explore, graph_to_dot, graph_to_json_dict, infer_sn, is_sn,
     longest_chain, measure_report, minimal_context, parse_term, parse_untyped,
-    random_parallel_reduct,
+    project_step, random_parallel_reduct, simulate_beta, step_i,
 )
 from setlam import cli
 from setlam.derivation import canonical_derivation
@@ -31,6 +31,16 @@ GROWING = parse_untyped("(\\x. x x) (\\x. \\x0. x x)")  # an endless beta chain
 def _raises(error, call, *args):
     with pytest.raises(error):
         call(*args)
+
+
+def _simulate_argument_redex():
+    t = parse_term(corpus.DUPLICATING)
+    return simulate_beta(t, erase(t), (1,))  # contracts both copies
+
+
+def _project_argument_redex(step=step_i):
+    t = parse_term(corpus.DUPLICATING)
+    return project_step(t, step(t, (1,)), (1,))  # completes with the other copy
 
 
 CALLS = {
@@ -63,6 +73,10 @@ CALLS = {
     "is_sn": lambda: is_sn(parse_untyped("(\\x. x x) (\\y. y) z")),
     "graph_to_json_dict": lambda: graph_to_json_dict(explore(parse_term(corpus.FIGURE_START), "i")),
     "graph_to_dot": lambda: graph_to_dot(explore(parse_term(corpus.FIGURE_START), "im")),
+    "simulate_beta": _simulate_argument_redex,
+    "project_step": _project_argument_redex,
+    "project_step refused": lambda: _raises(
+        ValueError, _project_argument_redex, lambda t, pos: t),  # s is not the step
 }
 
 
