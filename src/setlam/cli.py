@@ -7,7 +7,7 @@ identical inputs and flags.  Each command imports the modules it runs
 when it runs, since every command starts a fresh interpreter.
 
 Exit codes: 0 ok, 1 parse or read error, 2 type or derivation error or bad
-usage, 3 non-uniform term, 4 fuel/SN/search failure or input nested too
+usage, 3 non-uniform term, 4 fuel or SN failure or input nested too
 deeply (derivation JSON nested beyond about 20,000 levels), 5 internal
 invariant violation (always a bug).
 """

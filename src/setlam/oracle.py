@@ -180,36 +180,31 @@ def head_subject_expansion(body: MemTerm, name: str, binder: SetType,
                            context: TypingContext) -> MemTerm:
     """Reassemble ``(\\name:binder. body) arg args...`` and re-check it.
 
-    The reassembled application must check under the context, and have
-    the type of the substituted form ``body{name := arg} args...``
-    (head subject expansion), which is verified rather than trusted.
+    The reassembled application must have the type of the substituted
+    form ``body{name := arg} args...`` (head subject expansion), which
+    is verified rather than trusted, and then check under the context.
     Every free occurrence of the substituted form occurs in the
-    reassembled term, so the one check covers both.
+    reassembled term, so that one check covers both terms.  `infer_sn`
+    reassembles its redexes with the same `_applied` and checks each
+    once, where it re-verifies every result.
     """
-    expanded = _expand(close_term(body, name), name, binder, arg, args)
-    check(context, expanded)
-    return expanded
-
-
-def _expand(body: MemTerm, hint: str, binder: SetType, arg: SetTerm,
-            args: list[SetTerm], expected: Type | None = None) -> MemTerm:
-    """head_subject_expansion on the nameless body of the abstraction,
-    without the context: the terms may be open.  `expected` is the type
-    of the substituted form when the caller has already verified one.
-    """
-    if expected is None:
-        substituted = open_term(body, {subterm_type(e): e for e in arg.elements})
-        for a in args:
-            substituted = App(substituted, a)
-        expected = subterm_type(substituted)
-    expanded: MemTerm = App(Lam(hint, binder, body), arg)
-    for a in args:
-        expanded = App(expanded, a)
+    body = close_term(body, name)
+    substituted = open_term(body, {subterm_type(e): e for e in arg.elements})
+    expected = subterm_type(_applied(substituted, args))
+    expanded = _applied(Lam(name, binder, body), [arg, *args])
     actual = subterm_type(expanded)
     if actual != expected:
         raise IllTyped(
             f"expansion changed the type: {pretty(expected)} -> {pretty(actual)}")
+    check(context, expanded)
     return expanded
+
+
+def _applied(fun: MemTerm, args: list[SetTerm]) -> MemTerm:
+    """``fun args...``: fun applied to each set-term in turn."""
+    for a in args:
+        fun = App(fun, a)
+    return fun
 
 
 class InferredTyping(NamedTuple):
@@ -223,8 +218,11 @@ def infer_sn(m: UntypedTerm, fuel: Fuel = DEFAULT_FUEL) -> InferredTyping:
 
     Produces an annotated refinement together with a context and type it
     checks at.  Head redexes are handled by inferring the contractum,
-    un-substituting the argument copies (same-typed copies unified to
-    one representative) and rebuilding through head subject expansion.
+    un-substituting the argument copies (one representative kept per
+    type) and reassembling the redex at the contractum's type (head
+    subject expansion).  A copy's representative has its type, so
+    every type above it stays as inferred; the reassembled redex is
+    checked once, where every result is re-verified (below).
     The copies typed inside the contractum stand for the argument, so
     the argument is inferred on its own only when it has no copy, under
     a vacuous binder; that is where a non-terminating argument such as
@@ -316,14 +314,10 @@ def infer_sn(m: UntypedTerm, fuel: Fuel = DEFAULT_FUEL) -> InferredTyping:
             binder = SetType.of([arg_type])
             substituents = SetTerm.of([arg_term])
 
-        # Where every copy is its type's representative, the substituted
-        # form is whole_term, whose type is already verified; otherwise
-        # unifying same-typed copies changed it, and it is re-checked.
-        # Head subject expansion re-checks the reassembled term.
-        unified = all(copy == by_type[copy_type] for copy_type, copy in copies)
-        expanded = _expand(unsubstituted, hint, binder, substituents, spine_args,
-                           whole_type if unified else None)
-        return expanded, whole_type
+        # The reassembled redex has whole_type, the contractum's: `infer`
+        # re-verifies it like every result.
+        redex = _applied(Lam(hint, binder, unsubstituted), [substituents, *spine_args])
+        return redex, whole_type
 
     try:
         term, type_ = run(infer(m))

@@ -478,8 +478,9 @@ def project_step(t: MemTerm, s: MemTerm, pos: Position
     """Project the step t -> s at pos to a beta step on the erasure.
 
     Returns (beta reduct N of erase(t), a term s' with s ->* s' and
-    refines(s', N), and the completing steps from s).  Refuses at entry
-    a set-term t (ValueError, as `simulate_beta` does).
+    refines(s', N), and the completing steps from s).  Refuses at entry,
+    as `simulate_beta` does, a set-term t (ValueError) and an ill-typed
+    t (NotTypable, at its own position).
 
     The completion contracts, in canonical order, each copy of the
     redex left in s (`_replay_copies`), and it is a shortest one:
@@ -495,6 +496,7 @@ def project_step(t: MemTerm, s: MemTerm, pos: Position
     """
     if isinstance(t, SetTerm):
         raise ValueError("t is not a term")
+    typecheck.synthesize_type(t)
     m = typecheck.erase(t)
     if step_i(t, pos) != s:
         raise ValueError("s is not the step of t at pos")

@@ -28,10 +28,27 @@ import corpus
 from test_reduction import reference_project_step
 
 BIG_FUEL = Fuel(max_nodes=50_000, max_depth=50_000)
+SCOPE_FUEL = Fuel(max_nodes=2_000, max_depth=2_000)
 
 
 def _passed(n, text):
     print(f"PASS criterion {n}: {text}")
+
+
+@pytest.fixture(scope="module")
+def scope_9():
+    """Every untyped term over the free name y of 1-9 nodes, up to alpha,
+    by size, and each term with its `infer_sn` outcome at SCOPE_FUEL:
+    the typing, or the `NotSNWithinFuel` raised.  Criteria 7, 10 and 11
+    share the one inference pass, about 3 s on a shared 2-vCPU host."""
+    scope = [corpus.all_untyped(size) for size in range(1, 10)]
+    outcomes = []
+    for m in (m for terms in scope for m in terms):
+        try:
+            outcomes.append((m, infer_sn(m, SCOPE_FUEL)))
+        except NotSNWithinFuel as error:
+            outcomes.append((m, error))
+    return scope, outcomes
 
 
 # --- 1. golden wrapper examples ----------------------------------------------
@@ -228,21 +245,39 @@ def test_criterion_6_chain_bound(corpus):
 
 # --- 7. subject reduction and set invariants ------------------------------------
 
+def _subject_reduction(t, context, ty):
+    """Check that every single im- and i-step of t, which checks at
+    context and ty, keeps both; return the number of steps."""
+    steps = 0
+    for found, step in ((redexes(t), step_im), (i_redexes(t), step_i)):
+        for r in found:
+            stepped = step(t, r.position)
+            assert synthesize_type(stepped) == ty, (pretty(t), r)  # also re-validates set invariants
+            assert check(context, stepped) == ty
+            steps += 1
+    return steps
+
+
 def test_criterion_7_subject_reduction(corpus):
     steps = 0
     for entry in corpus:
-        ty = synthesize_type(entry.term)
-        for r in redexes(entry.term):
-            stepped = step_im(entry.term, r.position)
-            assert synthesize_type(stepped) == ty  # also re-validates set invariants
-            assert check(entry.context, stepped) == ty
-            steps += 1
-        for r in i_redexes(entry.term):
-            stepped = step_i(entry.term, r.position)
-            assert synthesize_type(stepped) == ty
-            assert check(entry.context, stepped) == ty
-            steps += 1
+        steps += _subject_reduction(entry.term, entry.context, synthesize_type(entry.term))
     _passed(7, f"type and set invariants preserved across {steps} single steps")
+
+
+def test_criterion_7_on_every_term_up_to_size_9(scope_9):
+    """Subject reduction on criterion 11's scope: every im- and i-step of
+    each of the 9,418 typings keeps its type and checks at its context
+    (13,396 steps).  About 0.5 s on a shared 2-vCPU host after the
+    shared inference (`scope_9`)."""
+    started = time.monotonic()
+    typings = [inferred for _, inferred in scope_9[1]
+               if not isinstance(inferred, NotSNWithinFuel)]
+    steps = sum(_subject_reduction(t.term, t.context, t.type_) for t in typings)
+    assert (len(typings), steps) == (9_418, 13_396)
+    elapsed = time.monotonic() - started
+    _passed(7, f"type and set invariants preserved across {steps} single steps "
+               f"of the {len(typings)} typed terms of size 1-9 in {elapsed:.1f}s")
 
 
 # --- 8. confluence and the diamond ----------------------------------------------
@@ -379,7 +414,7 @@ def test_criterion_11_sn_characterization(sn_samples):
                 f"fails on all {len(failing)} non-SN inputs")
 
 
-def test_criterion_11_on_every_term_up_to_size_9():
+def test_criterion_11_on_every_term_up_to_size_9(scope_9):
     """Typable iff SN, exhaustively on a small scope: every untyped term
     over the free name y of 1-9 nodes, up to alpha (9,419 terms).  With
     fuel 2,000/2,000, `infer_sn` types exactly the terms `is_sn` calls
@@ -389,19 +424,17 @@ def test_criterion_11_on_every_term_up_to_size_9():
     W steps.  `docs/measure.md` argues that last equality from two facts
     the suite checks but does not prove: im is confluent (criterion 8),
     and `simp_full` reaches the im normal form by im steps (criterion
-    4).  About 5 s on a shared 2-vCPU host, most of it in `infer_sn`;
-    the im checks take about 0.5 s of it."""
+    4).  About 1 s on a shared 2-vCPU host after the shared inference
+    (`scope_9`)."""
     started = time.monotonic()
-    fuel = Fuel(max_nodes=2_000, max_depth=2_000)
-    scope = [corpus.all_untyped(size) for size in range(1, 10)]
+    fuel = SCOPE_FUEL
+    scope, outcomes = scope_9
     assert list(map(len, scope)) == [1, 2, 4, 12, 38, 127, 464, 1_763, 7_008]
     verdicts = {"yes": 0, "no": 0, "unknown": 0}
-    for m in (m for terms in scope for m in terms):
+    for m, inferred in outcomes:
         verdict = is_sn(m, fuel)
         verdicts[verdict] += 1
-        try:
-            inferred = infer_sn(m, fuel)
-        except NotSNWithinFuel:
+        if isinstance(inferred, NotSNWithinFuel):
             assert verdict != "yes", pretty(m)
             continue
         assert verdict == "yes", pretty(m)
@@ -418,29 +451,23 @@ def test_criterion_11_on_every_term_up_to_size_9():
                 f"{elapsed:.1f}s")
 
 
-def test_criterion_10_both_directions_on_every_term_up_to_size_9():
+def test_criterion_10_both_directions_on_every_term_up_to_size_9(scope_9):
     """The two systems simulate each other, exhaustively on criterion
     11's scope: on each of the 9,418 terms of size 1-9 that `infer_sn`
     types, `simulate_beta` replays every beta redex of the term inside
     its typing (6,696 redexes), where the result refines the reduct and
     W strictly falls, and `project_step` projects every i-redex of the
     typing (6,698 redexes) to the result that the breadth-first search
-    `reference_project_step` finds, printed alike.  About 5 s on a
-    shared 2-vCPU host: 3 s of inference and 2 s of checks."""
+    `reference_project_step` finds, printed alike.  About 1.2 s on a
+    shared 2-vCPU host after the shared inference (`scope_9`)."""
     def printed(result):
         n, completed, steps = result
         return n, pretty(completed), [
             (st.kind, st.position, pretty(st.source), pretty(st.target)) for st in steps]
 
     started = time.monotonic()
-    fuel = Fuel(max_nodes=2_000, max_depth=2_000)
-    typed = []
-    for m in (m for size in range(1, 10) for m in corpus.all_untyped(size)):
-        try:
-            typed.append((m, infer_sn(m, fuel).term))
-        except NotSNWithinFuel:
-            pass
-    inferred = time.monotonic()
+    typed = [(m, inferred.term) for m, inferred in scope_9[1]
+             if not isinstance(inferred, NotSNWithinFuel)]
     simulated = projected = 0
     for m, t in typed:
         bound = W(t)
@@ -454,7 +481,6 @@ def test_criterion_10_both_directions_on_every_term_up_to_size_9():
                     == printed(reference_project_step(t, s, r.position))), (pretty(t), r)
             projected += 1
     assert (len(typed), simulated, projected) == (9_418, 6_696, 6_698)
-    checked = time.monotonic()
+    elapsed = time.monotonic() - started
     _passed(10, f"{simulated} beta steps simulated and {projected} i-steps projected "
-                f"on the {len(typed)} typed terms of size 1-9; inference "
-                f"{inferred - started:.1f}s, checks {checked - inferred:.1f}s")
+                f"on the {len(typed)} typed terms of size 1-9 in {elapsed:.1f}s")

@@ -36,7 +36,8 @@ REMOVED = {
                   "_try_erased", "_check_calculus"],
     "measure": ["height", "_simp", "_wabs_degree"],
     "oracle": ["_has_cycle", "_label", "_FreshNames", "_FuelMeter", "_rename_binder",
-               "_infer", "_infer_head_variable", "_infer_abstraction", "_infer_head_redex"],
+               "_infer", "_infer_head_variable", "_infer_abstraction", "_infer_head_redex",
+               "_expand"],
     "cli": ["_TRACE_KINDS", "_steps_of", "_apply"],
     "errors": ["SearchBudgetExceeded"],
 }

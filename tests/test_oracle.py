@@ -14,7 +14,7 @@ from setlam import (
     Base, SetTerm, SetType, TypingContext, UApp, UBoundVar, ULam, UVar, W, check, erase, explore, graph_to_dot,
     graph_to_json_dict, head_subject_expansion, infer_sn, is_sn,
     longest_chain, minimal_context, normal_form, parse_set_type, parse_term, parse_type,
-    parse_untyped, pretty, refines, synthesize_type,
+    parse_untyped, pretty, refines, step_i, synthesize_type,
 )
 
 import corpus
@@ -495,19 +495,18 @@ def test_infer_visits_each_node_a_bounded_number_of_times(n, monkeypatch):
     "(\\f. f (f y)) (\\x. (\\u. x) w)",
     "(\\f. \\x. f (f x)) (\\g. (\\u. g) w) y z",
 ])
-def test_infer_retypes_a_redex_whose_copies_share_a_type(text, monkeypatch):
-    # Two copies of the argument get the same type, and the one that is
-    # not its type's representative is dropped: the substituted form
-    # changed, so `_expand` re-types it (expected=None).
+def test_infer_unifies_copies_that_share_a_type(text):
+    # Two copies of the argument get the same type, and only the one that
+    # is its type's representative is kept.  Contracting the inferred
+    # head redex keeps the type (subject reduction of the expansion).
     m = parse_untyped(text)
-    expected = []
-    expand = oracle._expand
-    monkeypatch.setattr(oracle, "_expand",
-                        lambda *args: expected.append(args[5]) or expand(*args))
     result = infer_sn(m)
-    assert None in expected
     assert refines(result.term, m)
     assert check(result.context, result.term) == result.type_
+    head, pos = m, ()
+    while isinstance(head.fun, UApp):
+        head, pos = head.fun, pos + (0,)
+    assert synthesize_type(step_i(result.term, pos)) == result.type_
 
 
 def test_infer_vacuous_head_redex():

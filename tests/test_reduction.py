@@ -514,6 +514,16 @@ def test_project_step_requires_the_step():
         project_step(DUP, DUP, inner)
 
 
+def test_project_step_refuses_an_ill_typed_term():
+    # y is applied at domain {b} to a set of type {a}; contracting the
+    # redex at the root types only the redex, so `step_i` builds s
+    t = parse_term("(\\x:{a}. y^(b -> c) {x^a}) {z^a}")
+    with pytest.raises(NotTypable) as error:
+        project_step(t, step_i(t, ()), ())
+    assert str(error.value) == "not typable at [0, 0]: argument set-type {a} != domain {b}"
+    assert error.value.position == (0, 0)
+
+
 def test_project_step_refuses_a_set_term():
     # before any position is read: at [0] of a one-element set-term the
     # step is the element's own, at [] there is no redex
