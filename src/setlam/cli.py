@@ -86,13 +86,12 @@ def _cmd_decorate(args) -> int:
 def _cmd_reduce(args) -> int:
     import random
     from . import reduction
-    from .naming import pretty_all
     term = syntax.parse_term(_read(args.file))
     typecheck.synthesize_type(term)
     rng = random.Random(args.seed)
     choose = next if args.strategy == "leftmost" else lambda sites: rng.choice(list(sites))
     steps = list(islice(reduction.reduction_sequence(term, args.calculus, choose), args.steps))
-    source, *results = pretty_all([term, *(current for _, current in steps)])
+    source, *results = syntax.pretty_all([term, *(current for _, current in steps)])
     _emit_json({
         "formatVersion": 1,
         "source": source,
@@ -123,7 +122,6 @@ def _cmd_measure(args) -> int:
 
 def _cmd_simulate(args) -> int:
     from . import reduction
-    from .naming import pretty_all
     term = syntax.parse_term(_read(args.term_file))
     untyped = syntax.parse_untyped(_read(args.lam_file))
     typecheck.synthesize_type(term)
@@ -132,7 +130,8 @@ def _cmd_simulate(args) -> int:
         raise IllTyped(f"the term erases to {syntax.pretty(erasure)}, not to the untyped term")
     position = _parse_pos(args.pos)
     reduct, final, steps = reduction.simulate_beta(term, untyped, position)
-    source, lam, beta, *results = pretty_all([term, untyped, reduct, *(s.target for s in steps)])
+    source, lam, beta, *results = syntax.pretty_all(
+        [term, untyped, reduct, *(s.target for s in steps)])
     _emit_json({
         "formatVersion": 1,
         "source": source,

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import IllTyped
-from .syntax import WRAPPER, MemTerm, SetTerm, Wrap, is_wrapper_free, nodes
+from .syntax import WRAPPER, MemTerm, SetTerm, Wrap, is_wrapper_free, nodes, pretty_all
 from .reduction import develop, redex_degree, redexes
 from .typecheck import subterm_type, synthesize_type
 
@@ -120,7 +120,6 @@ class MeasureReport(NamedTuple):
     measure: int
 
     def to_json_dict(self) -> dict:
-        from .naming import pretty_all  # `chains` loads this module and prints no term
         term, *stages, normal_form = pretty_all(
             [self.term, *(s for _, s, _ in self.stages), self.normal_form])
         return {

@@ -1,8 +1,6 @@
 """Binder names, the printer's and those `derivation.erase_derivation`
 gives the variables it binds: O(log n) per binder at any depth, so a
-term prints in O(n log n) however deeply its binder chains nest.  And
-`pretty_all`, which prints terms together, each shared subterm once per
-naming state.
+term prints in O(n log n) however deeply its binder chains nest.
 """
 
 from __future__ import annotations
@@ -10,7 +8,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 
-from . import syntax
 from .syntax import FREE_VAR, Lam, ULam, UVar, Var, children
 
 _IDENT = re.compile(r"[a-z][A-Za-z0-9_']*\Z")
@@ -135,42 +132,3 @@ class Names:
                     stack.extend(reversed(children(t)))
         self.spans = spans
 
-
-def pretty_all(xs) -> list[str]:
-    """[pretty(x) for x in xs], the terms among xs not yet printed printed
-    with one memo, which keeps the text of each subterm they share.
-
-    A pre-pass over the DAG of those terms (`_shared`) finds the inner
-    nodes reached more than once.  The printer keeps the text of each
-    such node under (its id, its precedence, the naming state), and
-    reads it where the node recurs: a subterm's text depends on nothing
-    else.  No other node is kept, so a spine does not store its
-    prefixes, and the memo dies with the call.  Each term's text is
-    stored on it, as by `pretty`.  The nodes of a reduction graph share
-    most of their subterms, so its exports cost what is distinct in it.
-    """
-    xs = list(xs)
-    todo = {id(x): x for x in xs
-            if syntax._PRINTERS.get(type(x)) is syntax._pretty_stored and x.text is None}
-    memo = (_shared(todo.values()), {}, {})
-    for t in todo.values():
-        vars(t)["text"] = syntax._pretty_term(t, memo)
-    return [syntax.pretty(x) for x in xs]
-
-
-def _shared(roots) -> set[int]:
-    """The ids of the inner nodes, roots included, that the roots and
-    their parents reach more than once; each node is walked once."""
-    seen, shared = set(), set()
-    stack = list(roots)
-    while stack:
-        t = stack.pop()
-        i = id(t)
-        if i in seen:
-            shared.add(i)
-            continue
-        kids = children(t)
-        if kids:
-            seen.add(i)
-            stack += kids
-    return shared

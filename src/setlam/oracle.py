@@ -34,7 +34,7 @@ from .errors import (
 from .syntax import (
     App, Arrow, Base, BoundVar, Lam, MemTerm, Position, SetTerm, SetType,
     Type, UApp, UBoundVar, ULam, UntypedTerm, UVar, Var, paused_collector,
-    pretty, run,
+    pretty, pretty_all, run,
 )
 from .reduction import has_redex, normalize, reducts, require_typed
 from .typecheck import (
@@ -155,6 +155,8 @@ def longest_chain(t, calculus: str, fuel: Fuel = DEFAULT_FUEL) -> int:
     """Length of the longest reduction sequence from t."""
     graph = explore(t, calculus, fuel)
     if graph.truncated:
+        if graph.node_count < fuel.max_nodes:  # only the depth budget cut it
+            raise FuelExhausted(f"graph exceeds depth {fuel.max_depth}")
         raise FuelExhausted(f"graph exceeds {fuel.max_nodes} nodes")
     longest = _longest_paths(graph)
     if longest is None:
@@ -374,7 +376,6 @@ def _unsubstitute(term, pattern: UntypedTerm, depth: int, copies: list):
 
 @paused_collector
 def graph_to_dot(graph: ReductionGraph) -> str:
-    from .naming import pretty_all  # only the exports print, `chains` does not
     lines = ["digraph reduction {", "  rankdir=TB;"]
     for i, text in enumerate(pretty_all(graph.nodes)):
         label = text.replace("\\", "\\\\").replace('"', '\\"')
@@ -390,7 +391,6 @@ def graph_to_dot(graph: ReductionGraph) -> str:
 
 @paused_collector
 def graph_to_json_dict(graph: ReductionGraph) -> dict:
-    from .naming import pretty_all
     return {
         "formatVersion": 1,
         "calculus": graph.calculus,

@@ -23,7 +23,7 @@ first time either is asked for, the printer a type's or a term's text
 the first time it prints it, and `measure` a term's full simplification
 (`simplifications`) the first time it simplifies it.  None of these is
 part of the key, so they change neither identity, nor order, nor
-printing.  Terms printed together (`naming.pretty_all`) also keep, for
+printing.  Terms printed together (`pretty_all`) also keep, for
 that call only, each shared subterm's text per naming state.
 
 Every walk works at any depth: `subterms`, `nodes`, the printer, the
@@ -68,7 +68,7 @@ __all__ = [
     "UntypedTerm", "UVar", "UBoundVar", "ULam", "UApp",
     "WrapperList", "Position",
     "BETA_REDEX", "I_REDEX", "IM_REDEX", "WRAPPER", "FREE_VAR",
-    "parse", "pretty",
+    "parse", "pretty", "pretty_all",
     "parse_type", "parse_untyped", "parse_term", "parse_set_type",
     "run", "paused_collector", "children", "rebuild", "subterms", "nodes",
     "subterm_at", "replace_at", "positions",
@@ -731,7 +731,7 @@ def pretty(x) -> str:
     term's text is stored on it, not on its subterms (storing every
     suffix of a spine would cost the square of its length), so a term is
     printed once however often it is asked for.  Terms printed together
-    (`naming.pretty_all`) share a memo that holds, until the call returns,
+    (`pretty_all`) share a memo that holds, until the call returns,
     the text of each subterm object they reach twice, by (identity,
     precedence, naming state).  A lone term takes none: finding its
     shared subterms would cost a walk of its own, and it seldom has any."""
@@ -881,6 +881,46 @@ _PRINTERS = {
     SetTerm: lambda s: "{" + ", ".join(_pretty_term(e) for e in s.elements) + "}",
     **dict.fromkeys((Var, BoundVar, Lam, App, Wrap, UVar, UBoundVar, ULam, UApp), _pretty_stored),
 }
+
+
+def pretty_all(xs) -> list[str]:
+    """[pretty(x) for x in xs], the terms among xs not yet printed printed
+    with one memo, which keeps the text of each subterm they share.
+
+    A pre-pass over the DAG of those terms (`_shared`) finds the inner
+    nodes reached more than once.  The printer keeps the text of each
+    such node under (its id, its precedence, the naming state), and
+    reads it where the node recurs: a subterm's text depends on nothing
+    else.  No other node is kept, so a spine does not store its
+    prefixes, and the memo dies with the call.  Each term's text is
+    stored on it, as by `pretty`.  The nodes of a reduction graph share
+    most of their subterms, so its exports cost what is distinct in it.
+    """
+    xs = list(xs)
+    todo = {id(x): x for x in xs
+            if _PRINTERS.get(type(x)) is _pretty_stored and x.text is None}
+    memo = (_shared(todo.values()), {}, {})
+    for t in todo.values():
+        vars(t)["text"] = _pretty_term(t, memo)
+    return [pretty(x) for x in xs]
+
+
+def _shared(roots) -> set[int]:
+    """The ids of the inner nodes, roots included, that the roots and
+    their parents reach more than once; each node is walked once."""
+    seen, shared = set(), set()
+    stack = list(roots)
+    while stack:
+        t = stack.pop()
+        i = id(t)
+        if i in seen:
+            shared.add(i)
+            continue
+        kids = children(t)
+        if kids:
+            seen.add(i)
+            stack += kids
+    return shared
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from setlam.cli import main
 from setlam import parse_term, parse_untyped, pretty
 
 import corpus
+import deep
 from deep import shape
 
 
@@ -340,6 +341,14 @@ def test_deep_shape_through_a_command(name, argv, files, capsys):
         assert out == "".join(f"y (\\{x}. " for x in names) + "z" + ")" * 10_000 + "\n"
     if argv[0] == "measure":  # one pass contracts the one redex
         assert [stage["maxDegree"] for stage in json.loads(out)["stages"]] == [0]
+
+
+def test_every_deep_run_at_200_exits_as_expected(tmp_path):
+    # tests/deep.py's whole table: every shape through every command that
+    # reads it, at a size where the run takes well under a second
+    table = [(name, argv, deep.run_command(argv)[0]) for name, argv in deep.runs(200, tmp_path)]
+    assert len(table) == 87
+    assert [(name, argv, deep.expected_code(name, argv, 200)) for name, argv, _ in table] == table
 
 
 def test_deep_ill_typed_spine_exit_2(files, capsys):

@@ -8,14 +8,15 @@ import pytest
 import setlam
 
 MODULES = ["syntax", "binding", "typecheck", "derivation", "reduction", "measure", "oracle",
-           "cli", "errors"]
+           "cli", "errors", "naming"]
 
 # Aliases, duplicated walks and second definitions of identity folded
 # into one canonical name each, unused constants, the pieces of walkers
 # now written as one recursion on the trampoline, the second typing walk,
 # the second normalization strategy, the binder naming that moved to
-# `naming`, the parser's walkers, replaced by one loop per grammar, and
-# the error of `project_step`'s search, replaced by replaying the copies.
+# `naming`, the parser's walkers, replaced by one loop per grammar, the
+# error of `project_step`'s search, replaced by replaying the copies, and
+# `pretty_all` with its pre-pass, moved from `naming` to the printer.
 REMOVED = {
     "syntax": ["alpha_eq", "canonicalize", "untyped_key", "ufree_names",
                "untyped_size", "_children", "type_key", "settype_key",
@@ -40,6 +41,7 @@ REMOVED = {
                "_expand"],
     "cli": ["_TRACE_KINDS", "_steps_of", "_apply"],
     "errors": ["SearchBudgetExceeded"],
+    "naming": ["pretty_all", "_shared"],
 }
 
 

@@ -20,7 +20,7 @@ from setlam import (
 import corpus
 from deep import shape
 from setlam import oracle, reduction, syntax, typecheck
-from setlam.naming import pretty_all
+from setlam.syntax import pretty_all
 from setlam.reduction import redex_positions, step
 from test_infer_sn_golden import CHURCH_PAIRS
 
@@ -76,10 +76,16 @@ def test_explore_normal_form_at_the_depth_limit_is_not_truncated():
     assert is_sn(parse_untyped("(\\x. x) y"), Fuel(10, 1)) == "yes"
     assert not explore(parse_term("x^a"), "i", Fuel(10, 0)).truncated
     # a node with a redex at the limit is not expanded, and truncates
-    g = explore(parse_term("(\\x:{a}.x^a) {(\\y:{a}.y^a) {z^a}}"), "i", Fuel(10, 1))
+    two = parse_term("(\\x:{a}.x^a) {(\\y:{a}.y^a) {z^a}}")
+    g = explore(two, "i", Fuel(10, 1))
     assert g.node_count == 2 and g.truncated
-    with pytest.raises(FuelExhausted):
+    # longest_chain blames the budget that cut the graph
+    with pytest.raises(FuelExhausted, match="^graph exceeds depth 0$"):
         longest_chain(t, "i", Fuel(10, 0))
+    with pytest.raises(FuelExhausted, match="^graph exceeds depth 1$"):
+        longest_chain(two, "i", Fuel(10_000, 1))
+    with pytest.raises(FuelExhausted, match="^graph exceeds 1 nodes$"):
+        longest_chain(two, "i", Fuel(1, 10))
     assert is_sn(parse_untyped("(\\x. x) y"), Fuel(10, 0)) == "unknown"
 
 

@@ -208,6 +208,30 @@ def test_print_picks_fresh_names_on_collision():
     assert parse_term(printed) == t
 
 
+def test_printing_mixed_input_together_prints_each_as_alone():
+    # A type, a set-type, a top-level set-term, one term object twice, a
+    # term already printed, an untyped and an annotated term, some sharing
+    # a subterm that names its binder y0 under a binder y, y elsewhere.
+    def inputs():
+        inner = parse_term("\\y:{a}. x^a")
+        f = Var("f", Arrow(SetType.of([Arrow(SetType.of([a]), a)]), a))
+        outer = Lam("y", SetType.of([a]), App(f, SetTerm.of([inner])))
+        app = App(outer, SetTerm.of([inner]))
+        printed = parse_term("(\\x:{a}. x^a) {y^a}")
+        return [parse_type("(a -> b) -> c"), parse_set_type("{a, b -> c}"),
+                app, SetTerm.of([inner, parse_term("z^b")]), app, printed,
+                parse_untyped("\\x. x (\\x. x x1)"), outer, inner]
+
+    xs = inputs()
+    pretty(xs[5])
+    alone = [pretty(x) for x in inputs()]
+    assert syntax.pretty_all(xs) == alone
+    assert alone[2] == "(\\y:{a}. f^((a -> a) -> a) {\\y0:{a}. x^a}) {\\y:{a}. x^a}"
+    for x, text in zip(xs, alone):
+        if not isinstance(x, SetTerm):
+            assert x.text == text
+
+
 def nested_chains(n: int, typed: bool):
     """Shape H of tests/deep.py, y {\\x. y {\\x. ... z}}, n chains deep."""
     if typed:
